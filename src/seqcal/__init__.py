@@ -54,6 +54,7 @@ from .recalibrate import (
     inverse_temperature,
     load_params,
     recalibrate_distribution,
+    recalibrate_log,
     save_params,
     single_temperature_nll,
 )

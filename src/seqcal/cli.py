@@ -40,11 +40,10 @@ from .recalibrate import (
     CalibratorParams,
     SingleTemperature,
     TrainConfig,
-    apply_calibrator,
-    apply_single_temperature,
     fit_calibrator,
     fit_single_temperature,
     load_params,
+    recalibrate_log,
     save_params,
 )
 from .sequence import BeamConfig
@@ -232,26 +231,7 @@ def _cmd_apply(args) -> int:
     params = load_params(args.params)
     if isinstance(params, CalibratorParams):
         records = _ensure_features(records, FeatureConfig())
-    rewritten = []
-    for record in records:
-        if isinstance(params, SingleTemperature):
-            dense = apply_single_temperature(record, params.temperature)
-        else:
-            dense = apply_calibrator(record, params)
-        nonzero = dense.nonzero()[0]
-        updated = TokenRecord(
-            seq_id=record.seq_id,
-            t=record.t,
-            vocab_size=record.vocab_size,
-            eos_id=record.eos_id,
-            gold_id=record.gold_id,
-            entries=tuple((int(j), float(dense[j])) for j in nonzero),
-            rest_mass=0.0,
-            attention=record.attention,
-            cum_attention=record.cum_attention,
-            features=record.features,
-        )
-        rewritten.append(validate_record(updated))
+    rewritten = [validate_record(record) for record in recalibrate_log(records, params)]
     write_log_file(args.logs_out, rewritten)
     print(f"recalibrated records={len(rewritten)} -> {args.logs_out}")
     return 0

@@ -10,6 +10,10 @@ Two flavors:
 * a single global temperature ``p ** (1/T)`` fitted by golden-section
   search on validation NLL.
 
+Fitting, applying and ``CalibratedModel`` all run on one pooled-tail layout
+(``_Pool``): the listed entries, an unlisted EOS and the unlisted tail
+pooled into one slot, so a sparse top-K log costs O(N*K), not O(N*V).
+
 All fitting is deterministic given the seed and input order.
 """
 
@@ -17,14 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError, SeqcalError, ValidationError
 from .features import FeatureConfig, attention_entropy, coverage
-from .records import TokenRecord, densify
+from .records import TokenRecord, check_tail_room, densify
 from .sequence import ScoringModel
 
 PARAMS_VERSION = "seqcal-params-v1"
@@ -36,20 +41,16 @@ THETA_SIZE = 2 + 2 * NET_SIZE
 
 def sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without masks
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
 def log_sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = -np.log1p(np.exp(-x[pos]))
-    out[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
+    # -log1p(exp(-x)) for x >= 0 and x - log1p(exp(x)) below, without masks
+    out = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
     return out if out.ndim else float(out)
 
 
@@ -91,17 +92,18 @@ class ScalarNet:
     def forward(self, x: np.ndarray):
         """Sigmoid output in (0, 1) for a batch of scalar inputs."""
         x = np.asarray(x, dtype=np.float64)
-        z1 = np.outer(x, self.w1) + self.b1
+        z1 = x[:, None] * self.w1 + self.b1
         a1 = np.maximum(z1, 0.0)
         z2 = a1 @ self.w2.T + self.b2
         a2 = np.maximum(z2, 0.0)
         z3 = a2 @ self.w3 + self.b3
         out = sigmoid(z3)
-        return out, (x, z1 > 0, a1, z2 > 0, a2, out)
+        return out, (x, a1, a2, out)
 
     def backward(self, cache, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Parameter gradients (flat, 22) and input gradients for ``dout``."""
-        x, m1, a1, m2, a2, out = cache
+        x, a1, a2, out = cache
+        m1, m2 = a1 > 0, a2 > 0  # the ReLU masks: a > 0 exactly where z > 0
         dz3 = dout * out * (1.0 - out)
         g_w3 = a2.T @ dz3
         g_b3 = dz3.sum()
@@ -190,37 +192,280 @@ def inverse_temperature(a_t: float, l_prime, params: CalibratorParams):
     return value if np.ndim(l_prime) else float(value[0])
 
 
-def recalibrate_distribution(
-    dense: np.ndarray, entropy: float, cov: float, eos_id: int, params: CalibratorParams
-) -> np.ndarray:
-    """Recalibrated distribution: softmax of corrected-logit times inverse temperature.
+# ---------------------------------------------------------------------------
+# Pooled-tail layout: every recalibration path runs on it
+# ---------------------------------------------------------------------------
 
-    Zero-probability tokens stay at exactly zero; the output is a valid
-    distribution (non-negative, sums to 1 within 1e-9).
+
+@dataclass
+class _Pool:
+    """A batch of sparse distributions as padded rows of slots, O(N*K).
+
+    Row i's listed entries fill columns 0..K_i-1 in input order. Column W-2
+    holds EOS when it is unlisted; column W-1 pools the other unlisted
+    tokens, which all share one probability, into one slot standing for
+    ``mult`` tokens. Probabilities are divided by the same total ``densify``
+    divides by. Slots with zero probability, padding included, are inactive
+    and hold -inf.
+    """
+
+    logp: np.ndarray        # (N, W) normalized log-probabilities, -inf where inactive
+    active: np.ndarray      # (N, W) bool
+    mult: np.ndarray        # (N, W) tokens per slot: the tail count in column W-1, else 1
+    gold: np.ndarray        # (N,) column of the gold token
+    eos: np.ndarray         # (N,) column of the EOS token
+    entropy: np.ndarray | None = None   # (N,) attention entropy, variable mode only
+    coverage: np.ndarray | None = None  # (N,) input coverage, variable mode only
+
+
+def _dense_pool(dense: np.ndarray, eos_id: int) -> _Pool:
+    """One-row layout of a dense distribution: every token is a listed slot
+    in id order, zero-probability ones inactive, and there is no tail.
+
+    The logs are taken of the probabilities as given, not renormalized.
+    Decoders call this once per hypothesis and step, so it builds the row
+    directly instead of going through a ``TokenRecord`` and ``_pool``.
+    """
+    vocab = dense.size
+    active = np.zeros((1, vocab + 2), dtype=bool)
+    active[0, :vocab] = dense > 0
+    logp = np.full((1, vocab + 2), -np.inf)
+    np.log(dense, out=logp[0, :vocab], where=active[0, :vocab])
+    eos = np.array([eos_id])
+    return _Pool(logp, active, np.ones((1, vocab + 2)), eos, eos)
+
+
+def _step_features(record: TokenRecord, cfg: FeatureConfig) -> tuple[float, float]:
+    """Stored (entropy, coverage), else derived from the attention vectors."""
+    if record.features is not None:
+        return record.features.entropy, record.features.coverage
+    if record.attention is None or record.cum_attention is None:
+        raise FitError(
+            f"sequence {record.seq_id!r} step {record.t}: no features and no attention to derive them"
+        )
+    return attention_entropy(record.attention), coverage(record.cum_attention, cfg.coverage_threshold)
+
+
+def _pool(records: Sequence[TokenRecord], feature_cfg: FeatureConfig | None = None) -> _Pool:
+    """The layout of ``records``; with ``feature_cfg`` it also carries the
+    features the variable calibrator needs."""
+    n = len(records)
+    counts = np.fromiter((len(r.entries) for r in records), dtype=np.int64, count=n)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(r.entries for r in records)),
+        dtype=np.float64, count=2 * int(counts.sum()),
+    )
+    ids, probs = flat[0::2].astype(np.int64), flat[1::2]
+    vocab = np.fromiter((r.vocab_size for r in records), dtype=np.int64, count=n)
+    eos_id = np.fromiter((r.eos_id for r in records), dtype=np.int64, count=n)
+    gold_id = np.fromiter((r.gold_id for r in records), dtype=np.int64, count=n)
+    rest_mass = np.fromiter((r.rest_mass for r in records), dtype=np.float64, count=n)
+    crowded = (counts == vocab) & (rest_mass > 0)
+    if crowded.any():
+        bad = records[int(np.argmax(crowded))]
+        check_tail_room(bad.vocab_size, len(bad.entries), bad.rest_mass)
+
+    width = (int(counts.max()) if n else 0) + 2
+    eos_col, tail_col = width - 2, width - 1
+    row = np.repeat(np.arange(n), counts)
+    col = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    unlisted = vocab - counts
+    share = np.divide(rest_mass, unlisted, out=np.zeros(n), where=unlisted > 0)
+    total = np.bincount(row, weights=probs, minlength=n) + unlisted * share
+    total[total <= 0] = 1.0
+
+    eos = np.full(n, eos_col)
+    hit = ids == eos_id[row]
+    eos[row[hit]] = col[hit]
+    gold = np.where(gold_id == eos_id, eos_col, tail_col)
+    hit = ids == gold_id[row]
+    gold[row[hit]] = col[hit]
+
+    eos_unlisted = eos == eos_col
+    tail_count = unlisted - eos_unlisted
+    tail_share = share / total
+    p = np.zeros((n, width))
+    p[row, col] = probs / total[row]
+    p[eos_unlisted, eos_col] = tail_share[eos_unlisted]
+    p[:, tail_col] = np.where(tail_count > 0, tail_share, 0.0)
+
+    active = p > 0
+    logp = np.full((n, width), -np.inf)
+    logp[active] = np.log(p[active])
+    mult = np.ones((n, width))
+    mult[:, tail_col] = tail_count
+    pool = _Pool(logp, active, mult, gold, eos)
+    if feature_cfg is not None:
+        feats = np.array([_step_features(r, feature_cfg) for r in records], dtype=np.float64)
+        pool.entropy, pool.coverage = feats[:, 0], feats[:, 1]
+    return pool
+
+
+def _fit_pool(records: Sequence[TokenRecord], with_features: bool = True) -> _Pool:
+    if not records:
+        raise FitError("cannot fit on an empty dataset")
+    if with_features:
+        bare = next((r for r in records if r.features is None), None)
+        if bare is not None:
+            raise FitError(f"sequence {bare.seq_id!r} step {bare.t}: features missing; enrich first")
+    # every record stores its features, so the FeatureConfig derives none
+    pool = _pool(records, FeatureConfig() if with_features else None)
+    zero = ~pool.active[np.arange(len(records)), pool.gold]
+    if zero.any():
+        record = records[int(np.argmax(zero))]
+        raise FitError(
+            f"sequence {record.seq_id!r} step {record.t}: gold token {record.gold_id} "
+            "has zero probability, loss would be infinite"
+        )
+    return pool
+
+
+def _forward(pool: _Pool, params: CalibratorParams | SingleTemperature):
+    """Recalibrated logit of every slot (-inf where inactive) and the cache
+    the backward pass needs (None for a temperature).
+
+    The variable map evaluates h once per active slot, so the pooled tail
+    costs one evaluation for all of its tokens; an unlisted EOS has its own
+    slot and so its own correction term.
+    """
+    if isinstance(params, SingleTemperature):
+        return pool.logp / params.temperature, None
+    offset = _offset(params)
+    u = params.w1 * (pool.coverage - params.w2)
+    lp = pool.logp.copy()
+    np.add.at(lp, (np.arange(len(lp)), pool.eos), log_sigmoid(u))
+
+    g_out, g_cache = params.g_net.forward(pool.entropy)
+    gf = g_out + offset
+    h_out, h_cache = params.h_net.forward(lp[pool.active])
+    hf = np.ones(lp.shape)
+    hf[pool.active] = h_out + offset
+
+    lp0 = np.where(pool.active, lp, 0.0)
+    z = np.where(pool.active, lp0 * gf[:, None] * hf, -np.inf)
+    return z, (u, lp0, gf, hf, g_cache, h_cache)
+
+
+def _softmax(z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-token probability of each slot and each row's log partition
+    function, in which a slot counts ``mult`` times."""
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    denom = (e * mult).sum(axis=1, keepdims=True)
+    return e / denom, (m + np.log(denom))[:, 0]
+
+
+def _recalibrated(pool: _Pool, params: CalibratorParams | SingleTemperature) -> np.ndarray:
+    """Per-token recalibrated probability of every slot."""
+    return _softmax(_forward(pool, params)[0], pool.mult)[0]
+
+
+def _losses(pool: _Pool, params: CalibratorParams | SingleTemperature):
+    """Per-row gold NLL, slot probabilities and the forward cache."""
+    z, cache = _forward(pool, params)
+    probs, log_z = _softmax(z, pool.mult)
+    return log_z - z[np.arange(len(z)), pool.gold], probs, cache
+
+
+def _forward_backward(theta: np.ndarray, prep: _Pool, plus_one: bool, want_grad: bool = True):
+    """Mean NLL of the recalibrated gold probabilities and its exact gradient.
+
+    Overflow is deliberately tolerated here: runaway parameters produce a
+    non-finite loss, which the fit loop detects and reports.
+    """
+    params = CalibratorParams.from_flat(theta, plus_one)
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses, probs, cache = _losses(prep, params)
+        value = float(losses.mean())
+        if not want_grad:
+            return value, None, losses
+        return value, _backward(prep, params, probs, cache), losses
+
+
+def _backward(prep: _Pool, params: CalibratorParams, probs: np.ndarray, cache) -> np.ndarray:
+    n = len(prep.gold)
+    rows = np.arange(n)
+    u, lp0, gf, hf, g_cache, h_cache = cache
+    # d(mean NLL)/dz: each slot's softmax mass, minus one on the gold slot
+    r = probs * prep.mult
+    r[rows, prep.gold] -= 1.0
+    r /= n
+
+    d_gf = np.sum(np.where(prep.active, r * lp0 * hf, 0.0), axis=1)
+    g_grads, _ = params.g_net.backward(g_cache, d_gf)
+
+    d_hf_flat = (r * lp0 * gf[:, None])[prep.active]
+    h_grads, d_inputs = params.h_net.backward(h_cache, d_hf_flat)
+
+    dlp = np.where(prep.active, r * gf[:, None] * hf, 0.0)
+    dlp[prep.active] += d_inputs
+
+    du = dlp[rows, prep.eos] * (1.0 - sigmoid(u))
+    d_w1 = float(np.sum(du * (prep.coverage - params.w2)))
+    d_w2 = float(np.sum(du * (-params.w1)))
+    return np.concatenate([[d_w1, d_w2], g_grads, h_grads])
+
+
+APPLY_BLOCK = 1024  # records per columnar pass of recalibrate_log: bounds its temporaries
+
+
+def recalibrate_log(
+    records: Sequence[TokenRecord],
+    params: CalibratorParams | SingleTemperature,
+    feature_cfg: FeatureConfig = FeatureConfig(),
+) -> list[TokenRecord]:
+    """Recalibrate a whole log columnar, a block of records at a time;
+    records stay sparse.
+
+    Every input entry keeps its position (zeros are written as 0.0) and the
+    unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
+    probability differs from the tail's gains its own entry. The variable
+    calibrator reads stored features, or derives them from the attention
+    vectors with ``feature_cfg``.
+    """
+    records = list(records)
+    variable = isinstance(params, CalibratorParams)
+    if not variable and params.temperature <= 0:
+        raise FitError(f"temperature must be positive, got {params.temperature}")
+    out = []
+    for start in range(0, len(records), APPLY_BLOCK):
+        block = records[start : start + APPLY_BLOCK]
+        pool = _pool(block, feature_cfg if variable else None)
+        probs = _recalibrated(pool, params)
+        eos_col = probs.shape[1] - 2
+        tail_prob = probs[:, -1]
+        eos_unlisted = pool.eos == eos_col
+        own_eos = eos_unlisted & (probs[:, eos_col] != tail_prob)
+        # the tail's tokens, plus an unlisted EOS that kept the tail's probability
+        rest = (pool.mult[:, -1] + (eos_unlisted & ~own_eos)) * tail_prob
+        for record, row, own, rest_mass in zip(block, probs.tolist(), own_eos.tolist(), rest.tolist()):
+            entries = tuple((token_id, row[j]) for j, (token_id, _) in enumerate(record.entries))
+            if own:
+                entries += ((record.eos_id, row[eos_col]),)
+            out.append(replace(record, entries=entries, rest_mass=rest_mass))
+    return out
+
+
+def recalibrate_distribution(
+    dense: np.ndarray,
+    entropy: float,
+    cov: float,
+    eos_id: int,
+    params: CalibratorParams | SingleTemperature,
+) -> np.ndarray:
+    """Recalibrated dense distribution: softmax of corrected-logit times
+    inverse temperature, or of log p / T for a single temperature.
+
+    Runs as a one-row batch with one slot per token (``_dense_pool``).
+    Zero-probability tokens stay at exactly zero; the output is a valid distribution
+    (non-negative, sums to 1 within 1e-9).
     """
     dense = np.asarray(dense, dtype=np.float64)
-    active = dense > 0
-    logits = np.full(dense.shape, -np.inf)
-    logits[active] = np.log(dense[active])
-    logits[eos_id] += log_sigmoid(params.w1 * (cov - params.w2))
-
-    g_out, _ = params.g_net.forward(np.asarray([entropy]))
-    gf = g_out[0] + _offset(params)
-    h_out, _ = params.h_net.forward(logits[active])
-    hf = h_out + _offset(params)
-
-    z = np.full(dense.shape, -np.inf)
-    z[active] = logits[active] * gf * hf
-    return _masked_softmax(z, active)
-
-
-def _masked_softmax(z: np.ndarray, active: np.ndarray) -> np.ndarray:
-    out = np.zeros(z.shape)
-    zs = z[active]
-    m = zs.max()
-    e = np.exp(zs - m)
-    out[active] = e / e.sum()
-    return out
+    pool = _dense_pool(dense, eos_id)
+    if isinstance(params, CalibratorParams):
+        pool.entropy, pool.coverage = np.array([entropy]), np.array([cov])
+    return _recalibrated(pool, params)[0, : dense.size]
 
 
 def apply_calibrator(
@@ -233,30 +478,12 @@ def apply_calibrator(
     Falls back to computing features from the record's attention vectors
     when they are absent; raises if neither is available.
     """
-    feats = record.features
-    if feats is None:
-        if record.attention is None or record.cum_attention is None:
-            raise FitError(
-                f"sequence {record.seq_id!r} step {record.t}: no features and no attention to derive them"
-            )
-        from .records import StepFeatures
-
-        feats = StepFeatures(
-            entropy=attention_entropy(record.attention),
-            coverage=coverage(record.cum_attention, feature_cfg.coverage_threshold),
-        )
-    return recalibrate_distribution(densify(record), feats.entropy, feats.coverage, record.eos_id, params)
+    return densify(recalibrate_log([record], params, feature_cfg)[0])
 
 
 def apply_single_temperature(record: TokenRecord, temperature: float) -> np.ndarray:
     """Dense distribution proportional to p ** (1/T); preserves the ranking."""
-    if temperature <= 0:
-        raise FitError(f"temperature must be positive, got {temperature}")
-    dense = densify(record)
-    active = dense > 0
-    z = np.full(dense.shape, -np.inf)
-    z[active] = np.log(dense[active]) / temperature
-    return _masked_softmax(z, active)
+    return densify(recalibrate_log([record], SingleTemperature(temperature))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,125 +491,16 @@ def apply_single_temperature(record: TokenRecord, temperature: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Prepared:
-    logits: np.ndarray      # (L, V), -inf where the model put zero mass
-    active: np.ndarray      # (L, V) bool
-    gold: np.ndarray        # (L,)
-    entropy: np.ndarray     # (L,)
-    coverage: np.ndarray    # (L,)
-    eos_id: int
-    ids: list[tuple[str, int]]
-
-
-def _prepare(records: Sequence[TokenRecord]) -> _Prepared:
-    if not records:
-        raise FitError("cannot fit on an empty dataset")
-    vocab = records[0].vocab_size
-    eos_id = records[0].eos_id
-    dense_rows = np.empty((len(records), vocab))
-    entropies = np.empty(len(records))
-    coverages = np.empty(len(records))
-    gold = np.empty(len(records), dtype=np.int64)
-    ids: list[tuple[str, int]] = []
-    for i, record in enumerate(records):
-        if record.vocab_size != vocab or record.eos_id != eos_id:
-            raise FitError(
-                f"sequence {record.seq_id!r} step {record.t}: vocabulary/EOS differs from the rest of the dataset"
-            )
-        if record.features is None:
-            raise FitError(f"sequence {record.seq_id!r} step {record.t}: features missing; enrich first")
-        dense_rows[i] = densify(record)
-        if dense_rows[i, record.gold_id] <= 0.0:
-            raise FitError(
-                f"sequence {record.seq_id!r} step {record.t}: gold token {record.gold_id} "
-                "has zero probability, loss would be infinite"
-            )
-        entropies[i] = record.features.entropy
-        coverages[i] = record.features.coverage
-        gold[i] = record.gold_id
-        ids.append((record.seq_id, record.t))
-    active = dense_rows > 0
-    logits = np.full(dense_rows.shape, -np.inf)
-    logits[active] = np.log(dense_rows[active])
-    return _Prepared(logits, active, gold, entropies, coverages, eos_id, ids)
-
-
-def _forward_backward(
-    theta: np.ndarray, prep: _Prepared, plus_one: bool, want_grad: bool = True
-):
-    """Mean NLL of the recalibrated gold probabilities and its exact gradient.
-
-    Overflow is deliberately tolerated here: runaway parameters produce a
-    non-finite loss, which the fit loop detects and reports.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward_backward_inner(theta, prep, plus_one, want_grad)
-
-
-def _forward_backward_inner(theta: np.ndarray, prep: _Prepared, plus_one: bool, want_grad: bool):
-    n = len(prep.gold)
-    rows = np.arange(n)
-    offset = 1.0 if plus_one else 0.0
-    w1, w2 = theta[0], theta[1]
-    g_net = ScalarNet.from_flat(theta[2 : 2 + NET_SIZE])
-    h_net = ScalarNet.from_flat(theta[2 + NET_SIZE :])
-
-    u = w1 * (prep.coverage - w2)
-    s = sigmoid(u)
-    lp = prep.logits.copy()
-    lp[:, prep.eos_id] += log_sigmoid(u)
-
-    g_out, g_cache = g_net.forward(prep.entropy)
-    gf = g_out + offset
-
-    flat_inputs = lp[prep.active]
-    h_out, h_cache = h_net.forward(flat_inputs)
-    hf = np.ones(lp.shape)
-    hf[prep.active] = h_out + offset
-
-    lp0 = np.where(prep.active, lp, 0.0)
-    z = np.where(prep.active, lp0 * gf[:, None] * hf, -np.inf)
-    m = z.max(axis=1)
-    e = np.exp(z - m[:, None])
-    denom = e.sum(axis=1)
-    losses = -z[rows, prep.gold] + m + np.log(denom)
-    value = float(losses.mean())
-    if not want_grad:
-        return value, None, losses
-
-    r = e / denom[:, None]
-    r[rows, prep.gold] -= 1.0
-    r /= n
-
-    d_gf = np.sum(np.where(prep.active, r * lp0 * hf, 0.0), axis=1)
-    g_grads, _ = g_net.backward(g_cache, d_gf)
-
-    d_hf_flat = (r * lp0 * gf[:, None])[prep.active]
-    h_grads, d_inputs = h_net.backward(h_cache, d_hf_flat)
-
-    dlp = np.where(prep.active, r * gf[:, None] * hf, 0.0)
-    dlp[prep.active] += d_inputs
-
-    d_log_s = dlp[:, prep.eos_id]
-    du = d_log_s * (1.0 - s)
-    d_w1 = float(np.sum(du * (prep.coverage - w2)))
-    d_w2 = float(np.sum(du * (-w1)))
-
-    grad = np.concatenate([[d_w1, d_w2], g_grads, h_grads])
-    return value, grad, losses
-
-
 def calibration_nll(records: Sequence[TokenRecord], params: CalibratorParams) -> float:
     """Mean NLL of gold tokens under the recalibrated distributions."""
-    prep = _prepare(list(records))
+    prep = _fit_pool(list(records))
     value, _, _ = _forward_backward(params.to_flat(), prep, params.plus_one, want_grad=False)
     return value
 
 
 def calibration_gradient(params: CalibratorParams, records: Sequence[TokenRecord]) -> np.ndarray:
     """Exact gradient of the mean NLL over (w1, w2, g_net, h_net), flattened."""
-    prep = _prepare(list(records))
+    prep = _fit_pool(list(records))
     _, grad, _ = _forward_backward(params.to_flat(), prep, params.plus_one)
     return grad
 
@@ -406,7 +524,8 @@ def fit_calibrator(
 ) -> CalibratorParams:
     """Full-batch gradient descent on validation NLL; returns the best-seen
     parameters, never worse than the initialization."""
-    prep = _prepare(list(records))
+    records = list(records)
+    prep = _fit_pool(records)
     theta = initial_params(cfg, plus_one).to_flat()
     best_theta = theta.copy()
     best_nll = math.inf
@@ -414,10 +533,9 @@ def fit_calibrator(
     for epoch in range(cfg.max_epochs):
         value, grad, losses = _forward_backward(theta, prep, plus_one)
         if not math.isfinite(value):
-            bad = int(np.argmax(~np.isfinite(losses)))
-            seq_id, t = prep.ids[bad]
+            bad = records[int(np.argmax(~np.isfinite(losses)))]
             raise FitError(
-                f"non-finite loss at epoch {epoch} (sequence {seq_id!r} step {t}); "
+                f"non-finite loss at epoch {epoch} (sequence {bad.seq_id!r} step {bad.t}); "
                 "reduce the learning rate"
             )
         if value < best_nll:
@@ -448,13 +566,18 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-8, max_iter: int = 2
 TEMPERATURE_RANGE = (0.05, 20.0)
 
 
+def _temperature_nll(pool: _Pool, temperature: float) -> float:
+    losses, _, _ = _losses(pool, SingleTemperature(temperature))
+    return float(losses.mean())
+
+
 def fit_single_temperature(records: Sequence[TokenRecord]) -> float:
     """Temperature minimizing validation NLL of p ** (1/T), via golden-section
     search over [0.05, 20] with a final parabolic refinement."""
-    prep = _prepare_logits_only(list(records))
+    pool = _fit_pool(list(records), with_features=False)
 
     def objective(temperature: float) -> float:
-        return _temperature_nll(prep, temperature)
+        return _temperature_nll(pool, temperature)
 
     lo, hi = TEMPERATURE_RANGE
     center = golden_section(objective, lo, hi, tol=1e-6)
@@ -471,49 +594,11 @@ def fit_single_temperature(records: Sequence[TokenRecord]) -> float:
     return min(candidates)[1]
 
 
-@dataclass
-class _LogitsOnly:
-    logits: np.ndarray
-    active: np.ndarray
-    gold: np.ndarray
-
-
-def _prepare_logits_only(records: Sequence[TokenRecord]) -> _LogitsOnly:
-    if not records:
-        raise FitError("cannot fit on an empty dataset")
-    vocab = records[0].vocab_size
-    dense_rows = np.empty((len(records), vocab))
-    gold = np.empty(len(records), dtype=np.int64)
-    for i, record in enumerate(records):
-        if record.vocab_size != vocab:
-            raise FitError(
-                f"sequence {record.seq_id!r} step {record.t}: vocabulary differs from the rest of the dataset"
-            )
-        dense_rows[i] = densify(record)
-        if dense_rows[i, record.gold_id] <= 0.0:
-            raise FitError(
-                f"sequence {record.seq_id!r} step {record.t}: gold token has zero probability"
-            )
-        gold[i] = record.gold_id
-    active = dense_rows > 0
-    logits = np.full(dense_rows.shape, -np.inf)
-    logits[active] = np.log(dense_rows[active])
-    return _LogitsOnly(logits, active, gold)
-
-
-def _temperature_nll(prep: _LogitsOnly, temperature: float) -> float:
-    z = np.where(prep.active, prep.logits / temperature, -np.inf)
-    m = z.max(axis=1)
-    lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
-    rows = np.arange(len(prep.gold))
-    return float(np.mean(-z[rows, prep.gold] + lse))
-
-
 def single_temperature_nll(records: Sequence[TokenRecord], temperature: float) -> float:
     """Mean NLL of gold tokens after global temperature scaling."""
     if temperature <= 0:
         raise FitError(f"temperature must be positive, got {temperature}")
-    return _temperature_nll(_prepare_logits_only(list(records)), temperature)
+    return _temperature_nll(_fit_pool(list(records), with_features=False), temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +616,42 @@ def _net_to_json(net: ScalarNet) -> tuple[list, list]:
     return weights, biases
 
 
-def _net_from_json(weights: list, biases: list) -> ScalarNet:
-    return ScalarNet(
-        w1=np.asarray([row[0] for row in weights[0]], dtype=np.float64),
-        b1=np.asarray(biases[0], dtype=np.float64),
-        w2=np.asarray(weights[1], dtype=np.float64),
-        b2=np.asarray(biases[1], dtype=np.float64),
-        w3=np.asarray(weights[2][0], dtype=np.float64),
-        b3=float(biases[2][0]),
-    )
+def _net_from_json(payload: dict, weights_key: str, bias_key: str) -> ScalarNet:
+    weights, biases = _field(payload, weights_key), _field(payload, bias_key)
+    try:
+        net = ScalarNet(
+            w1=np.asarray([row[0] for row in weights[0]], dtype=np.float64),
+            b1=np.asarray(biases[0], dtype=np.float64),
+            w2=np.asarray(weights[1], dtype=np.float64),
+            b2=np.asarray(biases[1], dtype=np.float64),
+            w3=np.asarray(weights[2][0], dtype=np.float64),
+            b3=float(biases[2][0]),
+        )
+        flat = net.to_flat()
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise SeqcalError(f"params file: fields {weights_key!r}/{bias_key!r} are malformed: {exc}") from exc
+    if flat.shape != (NET_SIZE,) or net.w2.shape != (NET_HIDDEN, NET_HIDDEN):
+        raise SeqcalError(f"params file: fields {weights_key!r}/{bias_key!r} do not describe a 1-3-3-1 net")
+    if not np.isfinite(flat).all():
+        raise SeqcalError(f"params file: fields {weights_key!r}/{bias_key!r} hold a non-finite weight")
+    return net
+
+
+def _field(payload: dict, name: str):
+    if name not in payload:
+        raise SeqcalError(f"params file: missing field {name!r}")
+    return payload[name]
+
+
+def _finite_field(payload: dict, name: str) -> float:
+    value = _field(payload, name)
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise SeqcalError(f"params file: field {name!r} is not a number: {value!r}") from exc
+    if not math.isfinite(number):
+        raise SeqcalError(f"params file: field {name!r} must be finite, got {number}")
+    return number
 
 
 def params_to_payload(params: CalibratorParams | SingleTemperature) -> dict:
@@ -565,16 +677,26 @@ def params_to_payload(params: CalibratorParams | SingleTemperature) -> dict:
 
 
 def params_from_payload(payload: dict) -> CalibratorParams | SingleTemperature:
+    """Parameters from a decoded params file; a missing or invalid field
+    raises SeqcalError naming it."""
+    if not isinstance(payload, dict):
+        raise SeqcalError("params file: expected a JSON object")
     if payload.get("version") != PARAMS_VERSION:
         raise SeqcalError(f"unsupported params file version {payload.get('version')!r}")
-    if payload.get("mode") == "single":
-        return SingleTemperature(temperature=float(payload["temperature"]))
+    mode = _field(payload, "mode")
+    if mode == "single":
+        temperature = _finite_field(payload, "temperature")
+        if temperature <= 0:
+            raise SeqcalError(f"params file: field 'temperature' must be positive, got {temperature}")
+        return SingleTemperature(temperature=temperature)
+    if mode != "variable":
+        raise SeqcalError(f"params file: field 'mode' must be 'single' or 'variable', got {mode!r}")
     return CalibratorParams(
-        w1=float(payload["w1"]),
-        w2=float(payload["w2"]),
-        g_net=_net_from_json(payload["g_net"], payload["g_bias"]),
-        h_net=_net_from_json(payload["h_net"], payload["h_bias"]),
-        plus_one=bool(payload["plus_one"]),
+        w1=_finite_field(payload, "w1"),
+        w2=_finite_field(payload, "w2"),
+        g_net=_net_from_json(payload, "g_net", "g_bias"),
+        h_net=_net_from_json(payload, "h_net", "h_bias"),
+        plus_one=bool(_field(payload, "plus_one")),
     )
 
 
@@ -622,22 +744,9 @@ class CalibratedModel(ScoringModel):
         probs, alpha, next_inner = self.inner.step(inner_state, prefix)
         alpha = np.asarray(alpha, dtype=np.float64)
         cum = alpha.copy() if cum is None else cum + alpha
-        if isinstance(self.params, SingleTemperature):
-            adjusted = _temperature_transform(probs, self.params.temperature)
-        else:
-            adjusted = recalibrate_distribution(
-                np.asarray(probs, dtype=np.float64),
-                attention_entropy(alpha),
-                coverage(cum, self.feature_cfg.coverage_threshold),
-                self.eos_id,
-                self.params,
-            )
+        entropy = cov = 0.0
+        if isinstance(self.params, CalibratorParams):
+            entropy = attention_entropy(alpha)
+            cov = coverage(cum, self.feature_cfg.coverage_threshold)
+        adjusted = recalibrate_distribution(probs, entropy, cov, self.eos_id, self.params)
         return adjusted, alpha, (next_inner, cum)
-
-
-def _temperature_transform(probs: np.ndarray, temperature: float) -> np.ndarray:
-    probs = np.asarray(probs, dtype=np.float64)
-    active = probs > 0
-    z = np.full(probs.shape, -np.inf)
-    z[active] = np.log(probs[active]) / temperature
-    return _masked_softmax(z, active)

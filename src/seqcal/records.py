@@ -150,6 +150,14 @@ def _require(condition: bool, fieldname: str, message: str, line_number: int | N
         raise ValidationError(fieldname, message, line_number=line_number)
 
 
+def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number: int | None = None) -> None:
+    """Reject ``rest_mass`` left over when every token of the vocabulary is listed."""
+    if listed >= vocab_size and rest_mass > 0:
+        raise ValidationError(
+            "rest_mass", f"{rest_mass} left over with all {vocab_size} tokens listed", line_number=line_number,
+        )
+
+
 def validate_record(record: TokenRecord, line_number: int | None = None) -> TokenRecord:
     """Check every record invariant, raising ValidationError naming the field."""
     _require(record.vocab_size >= 1, "vocab_size", f"must be positive, got {record.vocab_size}", line_number)
@@ -174,14 +182,21 @@ def validate_record(record: TokenRecord, line_number: int | None = None) -> Toke
         abs(total + record.rest_mass - 1.0) <= PROB_ATOL,
         "entries", f"probabilities + rest_mass sum to {total + record.rest_mass:.8f}, expected 1", line_number,
     )
+    check_tail_room(record.vocab_size, len(record.entries), record.rest_mass, line_number)
 
     if record.attention is not None:
         _require(len(record.attention) > 0, "attention", "must be non-empty when present", line_number)
-        _require(all(a >= 0 for a in record.attention), "attention", "negative weight", line_number)
+        _require(
+            all(0 <= a < math.inf for a in record.attention),
+            "attention", "weights must be finite and non-negative", line_number,
+        )
         asum = math.fsum(record.attention)
         _require(abs(asum - 1.0) <= PROB_ATOL, "attention", f"sums to {asum:.8f}, expected 1", line_number)
     if record.cum_attention is not None:
-        _require(all(c >= 0 for c in record.cum_attention), "cum_attention", "negative weight", line_number)
+        _require(
+            all(0 <= c < math.inf for c in record.cum_attention),
+            "cum_attention", "weights must be finite and non-negative", line_number,
+        )
         if record.attention is not None:
             _require(
                 len(record.cum_attention) == len(record.attention),
@@ -192,7 +207,10 @@ def validate_record(record: TokenRecord, line_number: int | None = None) -> Toke
                 "cum_attention", "element below the current attention weight", line_number,
             )
     if record.features is not None:
-        _require(record.features.entropy >= 0.0, "features", "entropy must be non-negative", line_number)
+        _require(
+            0.0 <= record.features.entropy < math.inf,
+            "features", "entropy must be finite and non-negative", line_number,
+        )
         _require(0.0 <= record.features.coverage <= 1.0, "features", "coverage outside [0, 1]", line_number)
     return record
 
@@ -225,7 +243,7 @@ def parse_log_line(line: str, line_number: int | None = None) -> TokenRecord:
                 entropy=float(features["entropy"]), coverage=float(features["coverage"]),
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad record structure: {exc!r}", line_number=line_number) from exc
     return validate_record(record, line_number=line_number)
 
@@ -258,11 +276,7 @@ def densify(record: TokenRecord) -> np.ndarray:
     1e-9 even when the stored values only sum to 1 within the parse
     tolerance.
     """
-    unlisted = record.vocab_size - len(record.entries)
-    if unlisted == 0 and record.rest_mass > 0:
-        raise ValidationError(
-            "rest_mass", f"{record.rest_mass} left over with all {record.vocab_size} tokens listed",
-        )
+    check_tail_room(record.vocab_size, len(record.entries), record.rest_mass)
     dense = np.full(record.vocab_size, record.rest_share(), dtype=np.float64)
     if record.entries:
         ids = np.fromiter((i for i, _ in record.entries), dtype=np.int64, count=len(record.entries))

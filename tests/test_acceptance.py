@@ -21,7 +21,7 @@ from seqcal.recalibrate import (
     ScalarNet,
     TrainConfig,
     _forward_backward,
-    _prepare,
+    _fit_pool,
     apply_calibrator,
     apply_single_temperature,
     calibration_gradient,
@@ -199,7 +199,7 @@ class TestCriterion5GradientCorrectness:
             plus_one = bool(inst % 2)
             params = CalibratorParams.from_flat(theta, plus_one)
             grad = calibration_gradient(params, records)
-            prep = _prepare(records)
+            prep = _fit_pool(records)
             fd = np.zeros_like(theta)
             h = 1e-5
             for k in range(len(theta)):

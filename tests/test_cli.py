@@ -205,3 +205,50 @@ class TestApplyVariable:
         assert rc == 0
         records = read_log_file(recal)
         assert len(records) == len(read_log_file(logs))
+
+
+class TestParamsFileErrors:
+    """A bad params file is a data error (exit 2) naming the field."""
+
+    def run_apply(self, tmp_path, appendix_log, payload):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(payload))
+        return main(["apply", "--logs", str(appendix_log), "--params", str(params),
+                     "--logs-out", str(tmp_path / "out.jsonl")])
+
+    def test_missing_temperature(self, tmp_path, appendix_log, capsys):
+        payload = {"version": "seqcal-params-v1", "mode": "single"}
+        assert self.run_apply(tmp_path, appendix_log, payload) == 2
+        assert "missing field 'temperature'" in capsys.readouterr().err
+
+    def test_nan_temperature(self, tmp_path, appendix_log, capsys):
+        payload = {"version": "seqcal-params-v1", "mode": "single", "temperature": float("nan")}
+        assert self.run_apply(tmp_path, appendix_log, payload) == 2
+        assert "field 'temperature' must be finite" in capsys.readouterr().err
+
+    def test_non_positive_temperature(self, tmp_path, appendix_log, capsys):
+        payload = {"version": "seqcal-params-v1", "mode": "single", "temperature": 0.0}
+        assert self.run_apply(tmp_path, appendix_log, payload) == 2
+        assert "field 'temperature' must be positive" in capsys.readouterr().err
+
+    def test_missing_variable_field(self, tmp_path, appendix_log, capsys):
+        payload = {"version": "seqcal-params-v1", "mode": "variable", "w1": 1.0, "w2": 0.35}
+        assert self.run_apply(tmp_path, appendix_log, payload) == 2
+        assert "missing field 'g_net'" in capsys.readouterr().err
+
+    def test_non_finite_weight(self, tmp_path, appendix_log, capsys):
+        zeros3 = [0.0, 0.0, 0.0]
+        net = [[[0.0]] * 3, [zeros3] * 3, [zeros3]]
+        bias = [zeros3, zeros3, [0.0]]
+        payload = {
+            "version": "seqcal-params-v1", "mode": "variable", "w1": 1.0, "w2": 0.35,
+            "plus_one": False, "g_net": net, "g_bias": bias,
+            "h_net": [[[0.0]] * 3, [zeros3, [0.0, float("inf"), 0.0], zeros3], [zeros3]], "h_bias": bias,
+        }
+        assert self.run_apply(tmp_path, appendix_log, payload) == 2
+        assert "'h_net'/'h_bias' hold a non-finite weight" in capsys.readouterr().err
+
+    def test_non_finite_w1(self, tmp_path, appendix_log, capsys):
+        payload = {"version": "seqcal-params-v1", "mode": "variable", "w1": float("-inf"), "w2": 0.35}
+        assert self.run_apply(tmp_path, appendix_log, payload) == 2
+        assert "field 'w1' must be finite" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from seqcal.recalibrate import (
     SingleTemperature,
     TrainConfig,
     _forward_backward,
-    _prepare,
+    _fit_pool,
     apply_calibrator,
     apply_single_temperature,
     calibration_gradient,
@@ -23,7 +24,9 @@ from seqcal.recalibrate import (
     initial_params,
     inverse_temperature,
     load_params,
+    log_sigmoid,
     save_params,
+    sigmoid,
     single_temperature_nll,
 )
 from seqcal.records import densify
@@ -63,6 +66,21 @@ def random_feature_records(n, vocab=5, seed=0):
             )
         )
     return records
+
+
+def test_sigmoids_equal_masked_two_branch_forms_exactly(rng):
+    x = np.concatenate([rng.normal(0.0, 3.0, 500), rng.normal(0.0, 400.0, 500),
+                        [0.0, -0.0, 36.8, -36.8, 745.0, -745.0, 800.0, -800.0]])
+    pos = x >= 0
+    expected, expected_log = np.empty_like(x), np.empty_like(x)
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    expected_log[pos] = -np.log1p(np.exp(-x[pos]))
+    expected_log[~pos] = x[~pos] - np.log1p(np.exp(x[~pos]))
+    assert np.array_equal(sigmoid(x), expected)
+    assert np.array_equal(log_sigmoid(x), expected_log)
+    assert sigmoid(float(x[0])) == expected[0] and log_sigmoid(float(x[0])) == expected_log[0]
 
 
 class TestEosCorrection:
@@ -166,7 +184,7 @@ class TestGradient:
             params = random_params(50 + inst, plus_one=bool(inst % 2))
             grad = calibration_gradient(params, records)
             theta = params.to_flat()
-            prep = _prepare(records)
+            prep = _fit_pool(records)
             h = 1e-5
             fd = np.zeros_like(theta)
             for k in range(len(theta)):
@@ -217,6 +235,18 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(FitError):
             fit_calibrator([], TrainConfig())
+
+    def test_records_without_features_rejected(self):
+        # attention alone is not enough: the fit does not know the coverage threshold
+        records = random_feature_records(4, seed=6)
+        records[2] = replace(records[2], features=None,
+                             attention=np.array([0.5, 0.5]), cum_attention=np.array([1.0, 0.5]))
+        with pytest.raises(FitError, match="sequence 'r2' step 1: features missing"):
+            fit_calibrator(records, TrainConfig(max_epochs=5))
+        with pytest.raises(FitError, match="features missing"):
+            calibration_nll(records, random_params(3))
+        with pytest.raises(FitError, match="features missing"):
+            calibration_gradient(random_params(3), records)
 
     def test_divergence_aborts_with_record_context(self):
         # an absurd learning rate slams the EOS damping into hard sigmoid

@@ -97,6 +97,42 @@ class TestParse:
             parse_log_line(line_for(payload))
         assert err.value.field == "gold_id"
 
+    def test_infinite_entropy_rejected_with_line(self):
+        line = '{"seq_id": "s1", "t": 1, "vocab_size": 3, "eos_id": 2, "gold_id": 0, ' \
+               '"entries": [[0, 0.4], [1, 0.1], [2, 0.5]], "rest_mass": 0.0, ' \
+               '"features": {"entropy": Infinity, "coverage": 0.5}}'
+        with pytest.raises(ValidationError, match="line 4: features: entropy must be finite") as err:
+            parse_log_line(line, line_number=4)
+        assert err.value.field == "features" and err.value.line_number == 4
+
+    def test_nan_coverage_rejected(self):
+        payload = dict(BASE, features={"entropy": 0.5, "coverage": float("nan")})
+        with pytest.raises(ValidationError, match="coverage outside"):
+            parse_log_line(line_for(payload), line_number=2)
+
+    def test_infinite_cum_attention_rejected_with_line(self):
+        line = line_for(dict(BASE)).replace('"rest_mass": 0.0', '"rest_mass": 0.0, "cum_attention": [Infinity]')
+        with pytest.raises(ValidationError, match="line 9: cum_attention: weights must be finite") as err:
+            parse_log_line(line, line_number=9)
+        assert err.value.field == "cum_attention"
+
+    def test_nan_attention_rejected(self):
+        payload = dict(BASE, attention=[float("nan"), 1.0])
+        with pytest.raises(ValidationError, match="attention: weights must be finite"):
+            parse_log_line(line_for(payload))
+
+    def test_infinite_integer_field_is_parse_error_with_line(self):
+        line = line_for(dict(BASE)).replace('"t": 1', '"t": Infinity')
+        with pytest.raises(ParseError) as err:
+            parse_log_line(line, line_number=6)
+        assert err.value.line_number == 6
+
+    def test_rest_mass_with_every_token_listed_rejected_with_line(self):
+        payload = dict(BASE, entries=[[0, 0.4], [1, 0.1], [2, 0.4999995]], rest_mass=5e-7)
+        with pytest.raises(ValidationError, match="line 3: rest_mass: .* left over with all 3 tokens listed") as err:
+            parse_log_line(line_for(payload), line_number=3)
+        assert err.value.field == "rest_mass"
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity(self, rng):
