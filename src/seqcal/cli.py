@@ -73,7 +73,6 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=None, help="RNG seed (falls back to $SEQCAL_SEED)")
-    shared.add_argument("--threads", type=int, default=1, help="worker pool size for metric reductions")
     shared.add_argument("--out", type=Path, default=None, help="report output path (JSON)")
 
     parser = _Parser(prog="seqcal", description=__doc__)
@@ -162,9 +161,9 @@ def _cmd_stats(args) -> int:
     records = read_log_file(args.logs)
     bins = BinningConfig(args.bins)
     if args.partition is None:
-        plain_score, plain_hist = ece(records, bins, threads=args.threads)
+        plain_score, plain_hist = ece(records, bins)
         if args.weighted:
-            score, hist = weighted_ece(records, bins, threads=args.threads)
+            score, hist = weighted_ece(records, bins)
             payload = {
                 "metric": "weighted_ece",
                 "score": score,

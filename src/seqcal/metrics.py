@@ -1,10 +1,11 @@
 """Calibration metrics: ECE, weighted ECE, NLL, diagnostic partitions, exports.
 
-All scores aggregate per-bin sums with ``math.fsum``, so results are
-bit-identical under record permutation and under any ``threads`` setting.
-The sparse record representation is reduced directly (the V-K unlisted
-tokens share one probability and therefore one bin), which is exactly
-equivalent to densifying first.
+Every distribution metric runs on the pooled-tail layout of
+``records.pooled_layout``, the rows fit and apply use too: each record's
+listed entries, an unlisted EOS and one slot for the unlisted tail, whose
+tokens share one probability and therefore one bin. That equals densifying
+first at O(N*K) cost. Per-bin sums use ``math.fsum`` over items stably
+sorted by bin, so scores are bit-identical under record permutation.
 """
 
 from __future__ import annotations
@@ -12,179 +13,104 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import MetricError
-from .records import BinningConfig, ReliabilityHistogram, TokenRecord
+from .records import BinningConfig, PooledLayout, ReliabilityHistogram, TokenRecord, pooled_layout
+
+
+def _top1(layout: PooledLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's predicted token and its confidence; ties go to the smallest id."""
+    conf = layout.prob.max(axis=1)
+    pred = np.where(layout.prob == conf[:, None], layout.ids, np.iinfo(np.int64).max).min(axis=1)
+    return pred, conf
 
 
 def top1(record: TokenRecord) -> tuple[int, float]:
     """Predicted token and its confidence, identical to argmax over densify()."""
-    total = math.fsum(p for _, p in record.entries) + record.rest_mass
-    scale = 1.0 / total if total > 0 else 1.0
-    best_id, best_p = record.vocab_size, -1.0
-    for token_id, prob in record.entries:
-        p = prob * scale
-        if p > best_p or (p == best_p and token_id < best_id):
-            best_id, best_p = token_id, p
-    unlisted = record.vocab_size - len(record.entries)
-    if unlisted > 0:
-        share = (record.rest_mass / unlisted) * scale
-        first_free = _smallest_unlisted(record)
-        if share > best_p or (share == best_p and first_free < best_id):
-            best_id, best_p = first_free, share
-    return best_id, best_p
+    pred, conf = _top1(pooled_layout([record]))
+    return int(pred[0]), float(conf[0])
 
 
-def _smallest_unlisted(record: TokenRecord) -> int:
-    listed = sorted(i for i, _ in record.entries)
-    candidate = 0
-    for token_id in listed:
-        if token_id == candidate:
-            candidate += 1
-        elif token_id > candidate:
-            break
-    return candidate
+# A metric's items are parallel arrays (bin key, weight, confidence, accuracy,
+# gap): the value that picks an item's bin and its contributions to the
+# bin's sums.
 
 
-@dataclass
-class _Terms:
-    """Flat per-item contributions destined for binned fsum reduction."""
-
-    bin_idx: list[int]
-    gap: list[float]
-    weight: list[float]
-    conf: list[float]
-    acc: list[float]
-    count: int
-
-    @classmethod
-    def empty(cls) -> "_Terms":
-        return cls([], [], [], [], [], 0)
-
-    def extend(self, other: "_Terms") -> None:
-        self.bin_idx.extend(other.bin_idx)
-        self.gap.extend(other.gap)
-        self.weight.extend(other.weight)
-        self.conf.extend(other.conf)
-        self.acc.extend(other.acc)
-        self.count += other.count
+def _top1_items(layout: PooledLayout, records: Sequence[TokenRecord]) -> list[np.ndarray]:
+    """One item per row: its top-1 confidence and whether it is the gold token."""
+    pred, conf = _top1(layout)
+    gold_id = np.fromiter((r.gold_id for r in records), dtype=np.int64, count=len(records))
+    correct = (pred == gold_id).astype(np.float64)
+    return [conf, np.ones(len(conf)), conf, correct, correct - conf]
 
 
-def _ece_chunk(records: Sequence[TokenRecord], bins: BinningConfig) -> _Terms:
-    terms = _Terms.empty()
-    for record in records:
-        pred, conf = top1(record)
-        correct = 1.0 if pred == record.gold_id else 0.0
-        terms.bin_idx.append(bins.index(conf))
-        terms.gap.append(correct - conf)
-        terms.weight.append(1.0)
-        terms.conf.append(conf)
-        terms.acc.append(correct)
-        terms.count += 1
-    return terms
+def _slots(layout: PooledLayout, members: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Per-token probability, token count and gold indicator of every active
+    slot, of the ``members`` rows only if given; zero-probability tokens
+    contribute nothing."""
+    active = layout.active if members is None else layout.active & members[:, None]
+    row, col = np.nonzero(active)
+    is_gold = (col == layout.gold[row]).astype(np.float64)
+    return layout.prob[active], layout.mult[active], is_gold
 
 
-def _weighted_chunk(records: Sequence[TokenRecord], bins: BinningConfig) -> _Terms:
-    terms = _Terms.empty()
-    for record in records:
-        total = math.fsum(p for _, p in record.entries) + record.rest_mass
-        scale = 1.0 / total if total > 0 else 1.0
-        for token_id, prob in record.entries:
-            p = prob * scale
-            if p == 0.0:
-                continue
-            is_gold = token_id == record.gold_id
-            terms.bin_idx.append(bins.index(p))
-            terms.gap.append(p * ((1.0 if is_gold else 0.0) - p))
-            terms.weight.append(p)
-            terms.conf.append(p * p)
-            terms.acc.append(p if is_gold else 0.0)
-        unlisted = record.vocab_size - len(record.entries)
-        if unlisted > 0:
-            share = (record.rest_mass / unlisted) * scale
-            if share > 0.0:
-                gold_in_tail = 0.0 if record.gold_in_entries() else 1.0
-                # all unlisted tokens carry the same probability: one pooled item
-                terms.bin_idx.append(bins.index(share))
-                terms.gap.append(share * gold_in_tail - unlisted * share * share)
-                terms.weight.append(unlisted * share)
-                terms.conf.append(unlisted * share * share)
-                terms.acc.append(share * gold_in_tail)
-        terms.count += 1
-    return terms
+def _weighted_items(layout: PooledLayout, members: np.ndarray | None = None) -> list[np.ndarray]:
+    """One item per active slot, contributing p * (correct - p) for each of
+    its tokens; only one token of a slot can be gold."""
+    p, mult, is_gold = _slots(layout, members)
+    weight = mult * p
+    return [p, weight, weight * p, p * is_gold, p * (is_gold - weight)]
 
 
-def _collect(
-    records: Sequence[TokenRecord],
+def _finalize(
     bins: BinningConfig,
-    chunk_fn: Callable[[Sequence[TokenRecord], BinningConfig], _Terms],
-    threads: int,
-) -> _Terms:
-    if threads <= 1 or len(records) < 2 * threads:
-        return chunk_fn(records, bins)
-    size = (len(records) + threads - 1) // threads
-    chunks = [records[i : i + size] for i in range(0, len(records), size)]
-    merged = _Terms.empty()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # merge in submission order so the reduction is deterministic
-        for part in pool.map(lambda c: chunk_fn(c, bins), chunks):
-            merged.extend(part)
-    return merged
-
-
-def _finalize(terms: _Terms, bins: BinningConfig) -> tuple[float, ReliabilityHistogram]:
-    if terms.count == 0:
+    count: int,
+    key: np.ndarray,
+    weight: np.ndarray,
+    conf: np.ndarray,
+    acc: np.ndarray,
+    gap: np.ndarray,
+) -> tuple[float, ReliabilityHistogram]:
+    """Score and histogram of ``count`` distributions from their items:
+    the mean over bins of each bin's absolute summed gap."""
+    if count == 0:
         raise MetricError("metric undefined on an empty record stream")
     hist = ReliabilityHistogram.empty(bins.num_bins)
-    hist.count = float(terms.count)
-    bin_idx = np.asarray(terms.bin_idx, dtype=np.int64)
+    hist.count = float(count)
+    bin_idx = bins.index_array(key)
     order = np.argsort(bin_idx, kind="stable")
-    gap = np.asarray(terms.gap)[order]
-    weight = np.asarray(terms.weight)[order]
-    conf = np.asarray(terms.conf)[order]
-    acc = np.asarray(terms.acc)[order]
-    sorted_bins = bin_idx[order]
-    present = np.unique(sorted_bins)
-    bounds = np.searchsorted(sorted_bins, present)
-    bounds = np.append(bounds, len(sorted_bins))
-    bin_gaps: list[float] = []
-    for i, b in enumerate(present):
-        lo, hi = bounds[i], bounds[i + 1]
-        bin_gaps.append(abs(math.fsum(gap[lo:hi])))
-        hist.weight[b] = math.fsum(weight[lo:hi])
-        hist.confidence_sum[b] = math.fsum(conf[lo:hi])
-        hist.accuracy_sum[b] = math.fsum(acc[lo:hi])
-    score = math.fsum(bin_gaps) / terms.count
-    return score, hist
+    present, starts = np.unique(bin_idx[order], return_index=True)
+    spans = list(zip(starts, np.append(starts[1:], len(order))))
+    sums = []
+    for values in (gap, weight, conf, acc):  # one sorted copy alive at a time
+        ordered = np.asarray(values)[order]
+        sums.append([math.fsum(ordered[lo:hi]) for lo, hi in spans])
+    gap_sums, hist.weight[present], hist.confidence_sum[present], hist.accuracy_sum[present] = sums
+    return math.fsum(abs(g) for g in gap_sums) / count, hist
 
 
 def ece(
     records: Iterable[TokenRecord],
     bins: BinningConfig = BinningConfig(),
-    *,
-    threads: int = 1,
 ) -> tuple[float, ReliabilityHistogram]:
     """Top-1 expected calibration error plus its reliability histogram."""
-    materialized = records if isinstance(records, list) else list(records)
-    return _finalize(_collect(materialized, bins, _ece_chunk, threads), bins)
+    records = list(records)
+    return _finalize(bins, len(records), *_top1_items(pooled_layout(records), records))
 
 
 def weighted_ece(
     records: Iterable[TokenRecord],
     bins: BinningConfig = BinningConfig(),
-    *,
-    threads: int = 1,
 ) -> tuple[float, ReliabilityHistogram]:
     """Calibration error of the entire distribution: every token's probability
     is binned and contributes p * (correct - p); zero-probability tokens
     contribute nothing."""
-    materialized = records if isinstance(records, list) else list(records)
-    return _finalize(_collect(materialized, bins, _weighted_chunk, threads), bins)
+    records = list(records)
+    return _finalize(bins, len(records), *_weighted_items(pooled_layout(records)))
 
 
 def nll(records: Iterable[TokenRecord]) -> float:
@@ -250,40 +176,42 @@ def partitioned_metric(
     bins: BinningConfig = BinningConfig(),
 ) -> dict[str, GroupMetrics]:
     """Metrics per partition group; empty groups report count 0 with no scores."""
-    materialized = list(records)
-    groups: dict[str, list[TokenRecord]] = {}
+    records = list(records)
+    layout = pooled_layout(records)
     if spec.kind == "token_class":
-        target_label = "eos" if spec.token_id is None else f"token:{spec.token_id}"
-        groups = {target_label: [], "rest": []}
-        for record in materialized:
-            target = record.eos_id if spec.token_id is None else spec.token_id
-            pred, _ = top1(record)
-            groups[target_label if pred == target else "rest"].append(record)
+        pred, _ = _top1(layout)
+        if spec.token_id is None:
+            target, label = layout.ids[np.arange(len(records)), layout.eos], "eos"
+        else:
+            target, label = spec.token_id, f"token:{spec.token_id}"
+        hit = pred == target
+        groups = {label: hit, "rest": ~hit}
     elif spec.kind == "entropy_split":
-        groups = {"high": [], "low": []}
-        for record in materialized:
-            if record.features is None:
-                raise MetricError(
-                    f"entropy partition needs features; sequence {record.seq_id!r} step {record.t} has none"
-                )
-            label = "high" if record.features.entropy >= spec.threshold else "low"
-            groups[label].append(record)
+        bare = next((r for r in records if r.features is None), None)
+        if bare is not None:
+            raise MetricError(
+                f"entropy partition needs features; sequence {bare.seq_id!r} step {bare.t} has none"
+            )
+        entropy = np.fromiter((r.features.entropy for r in records), dtype=np.float64, count=len(records))
+        high = entropy >= spec.threshold
+        groups = {"high": high, "low": ~high}
     elif spec.kind == "confidence_threshold":
-        groups = {"head": [], "tail": []}
-        for record in materialized:
-            _, conf = top1(record)
-            groups["head" if conf >= spec.threshold else "tail"].append(record)
+        _, conf = _top1(layout)
+        head = conf >= spec.threshold
+        groups = {"head": head, "tail": ~head}
     else:
         raise MetricError(f"unknown partition kind {spec.kind!r}")
 
+    top_items = _top1_items(layout, records)
     result: dict[str, GroupMetrics] = {}
     for label, members in groups.items():
-        if not members:
+        count = int(members.sum())
+        if count == 0:
             result[label] = GroupMetrics(ece=None, weighted_ece=None, count=0)
             continue
-        plain, _ = ece(members, bins)
-        weighted, _ = weighted_ece(members, bins)
-        result[label] = GroupMetrics(ece=plain, weighted_ece=weighted, count=len(members))
+        plain, _ = _finalize(bins, count, *(a[members] for a in top_items))
+        weighted, _ = _finalize(bins, count, *_weighted_items(layout, members))
+        result[label] = GroupMetrics(ece=plain, weighted_ece=weighted, count=count)
     return result
 
 
@@ -301,39 +229,18 @@ def head_tail_curve(
     for t in thresholds:
         if not 0.0 < t <= 1.0:
             raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
-    probs: list[float] = []
-    confs: list[float] = []
-    accs: list[float] = []
-    for record in records:
-        total = math.fsum(p for _, p in record.entries) + record.rest_mass
-        scale = 1.0 / total if total > 0 else 1.0
-        for token_id, prob in record.entries:
-            p = prob * scale
-            if p == 0.0:
-                continue
-            probs.append(p)
-            confs.append(p)
-            accs.append(1.0 if token_id == record.gold_id else 0.0)
-        unlisted = record.vocab_size - len(record.entries)
-        if unlisted > 0:
-            share = (record.rest_mass / unlisted) * scale
-            if share > 0.0:
-                probs.append(share)
-                confs.append(unlisted * share)
-                accs.append(0.0 if record.gold_in_entries() else 1.0)
-    prob_arr = np.asarray(probs)
-    conf_arr = np.asarray(confs)
-    acc_arr = np.asarray(accs)
+    p, mult, is_gold = _slots(pooled_layout(list(records)))
+    mass = mult * p
     rows: list[dict] = []
     for t in thresholds:
-        tail = prob_arr < t
+        tail = p < t
         rows.append(
             {
                 "threshold": t,
-                "tail_conf_sum": math.fsum(conf_arr[tail]),
-                "tail_acc_sum": math.fsum(acc_arr[tail]),
-                "head_conf_sum": math.fsum(conf_arr[~tail]),
-                "head_acc_sum": math.fsum(acc_arr[~tail]),
+                "tail_conf_sum": math.fsum(mass[tail]),
+                "tail_acc_sum": math.fsum(is_gold[tail]),
+                "head_conf_sum": math.fsum(mass[~tail]),
+                "head_acc_sum": math.fsum(is_gold[~tail]),
             }
         )
     return rows

@@ -10,9 +10,10 @@ Two flavors:
 * a single global temperature ``p ** (1/T)`` fitted by golden-section
   search on validation NLL.
 
-Fitting, applying and ``CalibratedModel`` all run on one pooled-tail layout
-(``_Pool``): the listed entries, an unlisted EOS and the unlisted tail
-pooled into one slot, so a sparse top-K log costs O(N*K), not O(N*V).
+Fitting, applying and ``CalibratedModel`` all run on the pooled-tail layout
+of ``records.pooled_layout``, as the metrics do: the listed entries, an
+unlisted EOS and the unlisted tail pooled into one slot, so a sparse top-K
+log costs O(N*K), not O(N*V).
 
 All fitting is deterministic given the seed and input order.
 """
@@ -22,14 +23,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, SeqcalError, ValidationError
+from .errors import FitError, ModelError, SeqcalError, ValidationError
 from .features import FeatureConfig, attention_entropy, coverage
-from .records import TokenRecord, check_tail_room, densify
+from .records import PooledLayout, TokenRecord, densify, pooled_layout
 from .sequence import ScoringModel
 
 PARAMS_VERSION = "seqcal-params-v1"
@@ -197,42 +197,20 @@ def inverse_temperature(a_t: float, l_prime, params: CalibratorParams):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Pool:
-    """A batch of sparse distributions as padded rows of slots, O(N*K).
-
-    Row i's listed entries fill columns 0..K_i-1 in input order. Column W-2
-    holds EOS when it is unlisted; column W-1 pools the other unlisted
-    tokens, which all share one probability, into one slot standing for
-    ``mult`` tokens. Probabilities are divided by the same total ``densify``
-    divides by. Slots with zero probability, padding included, are inactive
-    and hold -inf.
-    """
-
-    logp: np.ndarray        # (N, W) normalized log-probabilities, -inf where inactive
-    active: np.ndarray      # (N, W) bool
-    mult: np.ndarray        # (N, W) tokens per slot: the tail count in column W-1, else 1
-    gold: np.ndarray        # (N,) column of the gold token
-    eos: np.ndarray         # (N,) column of the EOS token
-    entropy: np.ndarray | None = None   # (N,) attention entropy, variable mode only
-    coverage: np.ndarray | None = None  # (N,) input coverage, variable mode only
-
-
-def _dense_pool(dense: np.ndarray, eos_id: int) -> _Pool:
+def _dense_pool(dense: np.ndarray, eos_id: int) -> PooledLayout:
     """One-row layout of a dense distribution: every token is a listed slot
     in id order, zero-probability ones inactive, and there is no tail.
 
-    The logs are taken of the probabilities as given, not renormalized.
-    Decoders call this once per hypothesis and step, so it builds the row
-    directly instead of going through a ``TokenRecord`` and ``_pool``.
+    The probabilities are taken as given, not renormalized. Decoders call
+    this once per hypothesis and step, so it builds the row directly, without
+    token ids, instead of going through a ``TokenRecord`` and
+    ``pooled_layout``.
     """
     vocab = dense.size
-    active = np.zeros((1, vocab + 2), dtype=bool)
-    active[0, :vocab] = dense > 0
-    logp = np.full((1, vocab + 2), -np.inf)
-    np.log(dense, out=logp[0, :vocab], where=active[0, :vocab])
+    prob = np.zeros((1, vocab + 2))
+    prob[0, :vocab] = dense
     eos = np.array([eos_id])
-    return _Pool(logp, active, np.ones((1, vocab + 2)), eos, eos)
+    return PooledLayout(prob, np.ones((1, vocab + 2)), eos, eos)
 
 
 def _step_features(record: TokenRecord, cfg: FeatureConfig) -> tuple[float, float]:
@@ -246,63 +224,17 @@ def _step_features(record: TokenRecord, cfg: FeatureConfig) -> tuple[float, floa
     return attention_entropy(record.attention), coverage(record.cum_attention, cfg.coverage_threshold)
 
 
-def _pool(records: Sequence[TokenRecord], feature_cfg: FeatureConfig | None = None) -> _Pool:
+def _pool(records: Sequence[TokenRecord], feature_cfg: FeatureConfig | None = None) -> PooledLayout:
     """The layout of ``records``; with ``feature_cfg`` it also carries the
     features the variable calibrator needs."""
-    n = len(records)
-    counts = np.fromiter((len(r.entries) for r in records), dtype=np.int64, count=n)
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(r.entries for r in records)),
-        dtype=np.float64, count=2 * int(counts.sum()),
-    )
-    ids, probs = flat[0::2].astype(np.int64), flat[1::2]
-    vocab = np.fromiter((r.vocab_size for r in records), dtype=np.int64, count=n)
-    eos_id = np.fromiter((r.eos_id for r in records), dtype=np.int64, count=n)
-    gold_id = np.fromiter((r.gold_id for r in records), dtype=np.int64, count=n)
-    rest_mass = np.fromiter((r.rest_mass for r in records), dtype=np.float64, count=n)
-    crowded = (counts == vocab) & (rest_mass > 0)
-    if crowded.any():
-        bad = records[int(np.argmax(crowded))]
-        check_tail_room(bad.vocab_size, len(bad.entries), bad.rest_mass)
-
-    width = (int(counts.max()) if n else 0) + 2
-    eos_col, tail_col = width - 2, width - 1
-    row = np.repeat(np.arange(n), counts)
-    col = np.arange(len(ids)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-    unlisted = vocab - counts
-    share = np.divide(rest_mass, unlisted, out=np.zeros(n), where=unlisted > 0)
-    total = np.bincount(row, weights=probs, minlength=n) + unlisted * share
-    total[total <= 0] = 1.0
-
-    eos = np.full(n, eos_col)
-    hit = ids == eos_id[row]
-    eos[row[hit]] = col[hit]
-    gold = np.where(gold_id == eos_id, eos_col, tail_col)
-    hit = ids == gold_id[row]
-    gold[row[hit]] = col[hit]
-
-    eos_unlisted = eos == eos_col
-    tail_count = unlisted - eos_unlisted
-    tail_share = share / total
-    p = np.zeros((n, width))
-    p[row, col] = probs / total[row]
-    p[eos_unlisted, eos_col] = tail_share[eos_unlisted]
-    p[:, tail_col] = np.where(tail_count > 0, tail_share, 0.0)
-
-    active = p > 0
-    logp = np.full((n, width), -np.inf)
-    logp[active] = np.log(p[active])
-    mult = np.ones((n, width))
-    mult[:, tail_col] = tail_count
-    pool = _Pool(logp, active, mult, gold, eos)
+    pool = pooled_layout(records)
     if feature_cfg is not None:
         feats = np.array([_step_features(r, feature_cfg) for r in records], dtype=np.float64)
         pool.entropy, pool.coverage = feats[:, 0], feats[:, 1]
     return pool
 
 
-def _fit_pool(records: Sequence[TokenRecord], with_features: bool = True) -> _Pool:
+def _fit_pool(records: Sequence[TokenRecord], with_features: bool = True) -> PooledLayout:
     if not records:
         raise FitError("cannot fit on an empty dataset")
     if with_features:
@@ -321,7 +253,7 @@ def _fit_pool(records: Sequence[TokenRecord], with_features: bool = True) -> _Po
     return pool
 
 
-def _forward(pool: _Pool, params: CalibratorParams | SingleTemperature):
+def _forward(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
     """Recalibrated logit of every slot (-inf where inactive) and the cache
     the backward pass needs (None for a temperature).
 
@@ -356,19 +288,19 @@ def _softmax(z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / denom, (m + np.log(denom))[:, 0]
 
 
-def _recalibrated(pool: _Pool, params: CalibratorParams | SingleTemperature) -> np.ndarray:
+def _recalibrated(pool: PooledLayout, params: CalibratorParams | SingleTemperature) -> np.ndarray:
     """Per-token recalibrated probability of every slot."""
     return _softmax(_forward(pool, params)[0], pool.mult)[0]
 
 
-def _losses(pool: _Pool, params: CalibratorParams | SingleTemperature):
+def _losses(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
     """Per-row gold NLL, slot probabilities and the forward cache."""
     z, cache = _forward(pool, params)
     probs, log_z = _softmax(z, pool.mult)
     return log_z - z[np.arange(len(z)), pool.gold], probs, cache
 
 
-def _forward_backward(theta: np.ndarray, prep: _Pool, plus_one: bool, want_grad: bool = True):
+def _forward_backward(theta: np.ndarray, prep: PooledLayout, plus_one: bool, want_grad: bool = True):
     """Mean NLL of the recalibrated gold probabilities and its exact gradient.
 
     Overflow is deliberately tolerated here: runaway parameters produce a
@@ -383,7 +315,7 @@ def _forward_backward(theta: np.ndarray, prep: _Pool, plus_one: bool, want_grad:
         return value, _backward(prep, params, probs, cache), losses
 
 
-def _backward(prep: _Pool, params: CalibratorParams, probs: np.ndarray, cache) -> np.ndarray:
+def _backward(prep: PooledLayout, params: CalibratorParams, probs: np.ndarray, cache) -> np.ndarray:
     n = len(prep.gold)
     rows = np.arange(n)
     u, lp0, gf, hf, g_cache, h_cache = cache
@@ -459,10 +391,13 @@ def recalibrate_distribution(
 
     Runs as a one-row batch with one slot per token (``_dense_pool``).
     Zero-probability tokens stay at exactly zero; the output is a valid distribution
-    (non-negative, sums to 1 within 1e-9).
+    (non-negative, sums to 1 within 1e-9). A distribution with no positive
+    probability raises ModelError.
     """
     dense = np.asarray(dense, dtype=np.float64)
     pool = _dense_pool(dense, eos_id)
+    if not pool.active.any():
+        raise ModelError("the scoring model returned no positive probability")
     if isinstance(params, CalibratorParams):
         pool.entropy, pool.coverage = np.array([entropy]), np.array([cov])
     return _recalibrated(pool, params)[0, : dense.size]
@@ -566,7 +501,7 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-8, max_iter: int = 2
 TEMPERATURE_RANGE = (0.05, 20.0)
 
 
-def _temperature_nll(pool: _Pool, temperature: float) -> float:
+def _temperature_nll(pool: PooledLayout, temperature: float) -> float:
     losses, _, _ = _losses(pool, SingleTemperature(temperature))
     return float(losses.mean())
 

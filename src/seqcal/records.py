@@ -4,7 +4,8 @@ A log file is UTF-8, line-delimited JSON, one token record per line. Each
 record stores a sparse next-token distribution (explicit ``entries`` plus a
 ``rest_mass`` spread uniformly over the unlisted tokens), the gold token,
 and optional attention-derived data. Records are immutable after parsing and
-safe to share across threads.
+safe to share across threads. ``pooled_layout`` turns a batch of records into
+the padded rows of slots that the metrics, fitting and apply all run on.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,11 +60,12 @@ class TokenRecord:
         return self.rest_share()
 
     def rest_share(self) -> float:
-        """Per-token probability of each unlisted token."""
+        """Per-token probability of each unlisted token; a ``rest_mass`` that
+        validation let through slightly below 0 counts as 0."""
         unlisted = self.vocab_size - len(self.entries)
         if unlisted <= 0:
             return 0.0
-        return self.rest_mass / unlisted
+        return max(self.rest_mass, 0.0) / unlisted
 
     def gold_in_entries(self) -> bool:
         return any(token_id == self.gold_id for token_id, _ in self.entries)
@@ -145,9 +149,11 @@ class ReliabilityHistogram:
         )
 
 
-def _require(condition: bool, fieldname: str, message: str, line_number: int | None) -> None:
+def _require(condition: bool, fieldname: str, message: str, line_number: int | None, *args) -> None:
+    """Raise ValidationError unless ``condition``; ``message`` is formatted
+    with ``args`` only then, so a passing check builds no string."""
     if not condition:
-        raise ValidationError(fieldname, message, line_number=line_number)
+        raise ValidationError(fieldname, message.format(*args) if args else message, line_number=line_number)
 
 
 def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number: int | None = None) -> None:
@@ -160,29 +166,30 @@ def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number:
 
 def validate_record(record: TokenRecord, line_number: int | None = None) -> TokenRecord:
     """Check every record invariant, raising ValidationError naming the field."""
-    _require(record.vocab_size >= 1, "vocab_size", f"must be positive, got {record.vocab_size}", line_number)
-    _require(record.t >= 1, "t", f"step index is 1-based, got {record.t}", line_number)
-    _require(0 <= record.eos_id < record.vocab_size, "eos_id", f"out of range for V={record.vocab_size}", line_number)
-    _require(0 <= record.gold_id < record.vocab_size, "gold_id", f"out of range for V={record.vocab_size}", line_number)
-    _require(len(record.entries) <= record.vocab_size, "entries", "more entries than vocabulary slots", line_number)
+    vocab = record.vocab_size
+    _require(vocab >= 1, "vocab_size", "must be positive, got {}", line_number, vocab)
+    _require(record.t >= 1, "t", "step index is 1-based, got {}", line_number, record.t)
+    _require(0 <= record.eos_id < vocab, "eos_id", "out of range for V={}", line_number, vocab)
+    _require(0 <= record.gold_id < vocab, "gold_id", "out of range for V={}", line_number, vocab)
+    _require(len(record.entries) <= vocab, "entries", "more entries than vocabulary slots", line_number)
 
     seen: set[int] = set()
     total = 0.0
     for token_id, prob in record.entries:
-        _require(0 <= token_id < record.vocab_size, "entries", f"token id {token_id} out of range", line_number)
-        _require(token_id not in seen, "entries", f"duplicate token id {token_id}", line_number)
+        _require(0 <= token_id < vocab, "entries", "token id {} out of range", line_number, token_id)
+        _require(token_id not in seen, "entries", "duplicate token id {}", line_number, token_id)
         seen.add(token_id)
-        _require(0.0 <= prob <= 1.0 + PROB_ATOL, "entries", f"probability {prob} outside [0, 1]", line_number)
+        _require(0.0 <= prob <= 1.0 + PROB_ATOL, "entries", "probability {} outside [0, 1]", line_number, prob)
         total += prob
     _require(
         -PROB_ATOL <= record.rest_mass <= 1.0 + PROB_ATOL,
-        "rest_mass", f"{record.rest_mass} outside [0, 1]", line_number,
+        "rest_mass", "{} outside [0, 1]", line_number, record.rest_mass,
     )
     _require(
         abs(total + record.rest_mass - 1.0) <= PROB_ATOL,
-        "entries", f"probabilities + rest_mass sum to {total + record.rest_mass:.8f}, expected 1", line_number,
+        "entries", "probabilities + rest_mass sum to {:.8f}, expected 1", line_number, total + record.rest_mass,
     )
-    check_tail_room(record.vocab_size, len(record.entries), record.rest_mass, line_number)
+    check_tail_room(vocab, len(record.entries), record.rest_mass, line_number)
 
     if record.attention is not None:
         _require(len(record.attention) > 0, "attention", "must be non-empty when present", line_number)
@@ -191,7 +198,7 @@ def validate_record(record: TokenRecord, line_number: int | None = None) -> Toke
             "attention", "weights must be finite and non-negative", line_number,
         )
         asum = math.fsum(record.attention)
-        _require(abs(asum - 1.0) <= PROB_ATOL, "attention", f"sums to {asum:.8f}, expected 1", line_number)
+        _require(abs(asum - 1.0) <= PROB_ATOL, "attention", "sums to {:.8f}, expected 1", line_number, asum)
     if record.cum_attention is not None:
         _require(
             all(0 <= c < math.inf for c in record.cum_attention),
@@ -272,9 +279,9 @@ def densify(record: TokenRecord) -> np.ndarray:
     """Expand a sparse record into a dense probability vector of length V.
 
     Listed entries keep their probabilities; the remaining V-K tokens share
-    rest_mass uniformly. The result is renormalized so it sums to 1 within
-    1e-9 even when the stored values only sum to 1 within the parse
-    tolerance.
+    rest_mass (0 if it is negative) uniformly. The result is renormalized so
+    it sums to 1 within 1e-9 even when the stored values only sum to 1
+    within the parse tolerance.
     """
     check_tail_room(record.vocab_size, len(record.entries), record.rest_mass)
     dense = np.full(record.vocab_size, record.rest_share(), dtype=np.float64)
@@ -286,6 +293,101 @@ def densify(record: TokenRecord) -> np.ndarray:
     if total > 0:
         dense /= total
     return dense
+
+
+@dataclass
+class PooledLayout:
+    """A batch of sparse distributions as padded rows of slots, O(N*K).
+
+    Row i's listed entries fill columns 0..K_i-1 in input order. Column W-2
+    holds EOS when it is unlisted; column W-1 pools the other unlisted
+    tokens, which all share one probability, into one slot standing for
+    ``mult`` tokens. Probabilities are divided by the same total ``densify``
+    divides by. Slots with zero probability, padding included, are inactive.
+    ``ids`` names each slot's token: the tail slot carries its smallest id,
+    and a slot standing for no token carries V, so the smallest id among the
+    most probable slots is the argmax of ``densify``.
+    """
+
+    prob: np.ndarray        # (N, W) normalized per-token probability, 0 where inactive
+    mult: np.ndarray        # (N, W) tokens per slot: the tail count in column W-1, else 1
+    gold: np.ndarray        # (N,) column of the gold token
+    eos: np.ndarray         # (N,) column of the EOS token
+    ids: np.ndarray | None = None       # (N, W) token id of each slot; None in a decoder step
+    entropy: np.ndarray | None = None   # (N,) attention entropy, variable recalibration only
+    coverage: np.ndarray | None = None  # (N,) input coverage, variable recalibration only
+
+    @cached_property
+    def active(self) -> np.ndarray:
+        return self.prob > 0
+
+    @cached_property
+    def logp(self) -> np.ndarray:
+        """Log-probabilities, -inf where inactive, taken once per layout."""
+        logp = np.full(self.prob.shape, -np.inf)
+        np.log(self.prob, out=logp, where=self.active)
+        return logp
+
+
+def pooled_layout(records: Sequence[TokenRecord]) -> PooledLayout:
+    """The pooled-tail layout of ``records``, the one place that normalizes
+    a sparse record and pools its unlisted tail."""
+    n = len(records)
+    counts = np.fromiter((len(r.entries) for r in records), dtype=np.int64, count=n)
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(r.entries for r in records)),
+        dtype=np.float64, count=2 * int(counts.sum()),
+    )
+    listed, probs = flat[0::2].astype(np.int64), flat[1::2]
+    vocab = np.fromiter((r.vocab_size for r in records), dtype=np.int64, count=n)
+    eos_id = np.fromiter((r.eos_id for r in records), dtype=np.int64, count=n)
+    gold_id = np.fromiter((r.gold_id for r in records), dtype=np.int64, count=n)
+    rest_mass = np.fromiter((r.rest_mass for r in records), dtype=np.float64, count=n)
+    crowded = (counts == vocab) & (rest_mass > 0)
+    if crowded.any():
+        bad = records[int(np.argmax(crowded))]
+        check_tail_room(bad.vocab_size, len(bad.entries), bad.rest_mass)
+
+    width = (int(counts.max()) if n else 0) + 2
+    eos_col, tail_col = width - 2, width - 1
+    rows = np.arange(n)
+    row = np.repeat(rows, counts)
+    col = np.arange(len(listed)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+    unlisted = vocab - counts
+    share = np.divide(np.maximum(rest_mass, 0.0), unlisted, out=np.zeros(n), where=unlisted > 0)
+    total = np.bincount(row, weights=probs, minlength=n) + unlisted * share
+    total[total <= 0] = 1.0
+
+    eos = np.full(n, eos_col)
+    hit = listed == eos_id[row]
+    eos[row[hit]] = col[hit]
+    gold = np.where(gold_id == eos_id, eos_col, tail_col)
+    hit = listed == gold_id[row]
+    gold[row[hit]] = col[hit]
+
+    eos_unlisted = eos == eos_col
+    tail_count = unlisted - eos_unlisted
+    tail_share = share / total
+    prob = np.zeros((n, width))
+    prob[row, col] = probs / total[row]
+    prob[eos_unlisted, eos_col] = tail_share[eos_unlisted]
+    prob[:, tail_col] = np.where(tail_count > 0, tail_share, 0.0)
+    mult = np.ones((n, width))
+    mult[:, tail_col] = tail_count
+
+    ids = np.repeat(vocab[:, None], width, axis=1)
+    ids[row, col] = listed
+    ids[eos_unlisted, eos_col] = eos_id[eos_unlisted]
+    # at most K + 1 ids are listed or EOS, so the smallest free one is below W
+    taken = np.zeros((n, width), dtype=bool)
+    low = listed < width
+    taken[row[low], listed[low]] = True
+    low = eos_id < width
+    taken[rows[low], eos_id[low]] = True
+    has_tail = tail_count > 0
+    ids[has_tail, tail_col] = np.argmin(taken, axis=1)[has_tail]
+    return PooledLayout(prob, mult, gold, eos, ids)
 
 
 @dataclass

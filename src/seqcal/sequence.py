@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MetricError, ModelError
+from .metrics import _finalize
 from .records import PROB_ATOL, BinningConfig, ReliabilityHistogram
 
 Tokens = tuple[int, ...]
@@ -233,18 +234,9 @@ def structured_ece(
     materialized = list(points)
     if not materialized:
         raise MetricError("structured calibration needs at least one point")
-    hist = ReliabilityHistogram.empty(bins.num_bins)
-    hist.count = float(len(materialized))
-    grouped: dict[int, list[tuple[float, float]]] = {}
     for expected, actual in materialized:
         if not (0.0 <= expected <= 1.0 and 0.0 <= actual <= 1.0):
             raise MetricError(f"BLEU values must lie in [0, 1], got ({expected}, {actual})")
-        grouped.setdefault(bins.index(expected), []).append((expected, actual))
-    gaps = []
-    for b, members in grouped.items():
-        hist.weight[b] = float(len(members))
-        hist.confidence_sum[b] = math.fsum(e for e, _ in members)
-        hist.accuracy_sum[b] = math.fsum(a for _, a in members)
-        gaps.append(abs(hist.accuracy_sum[b] - hist.confidence_sum[b]))
-    score = math.fsum(gaps) / hist.count
-    return score, hist
+    expected, actual = np.array(materialized, dtype=np.float64).T
+    n = len(materialized)
+    return _finalize(bins, n, expected, np.ones(n), expected, actual, actual - expected)

@@ -145,14 +145,6 @@ class TestInvariants:
             assert np.array_equal(h1.confidence_sum, h2.confidence_sum)
             assert np.array_equal(h1.accuracy_sum, h2.accuracy_sum)
 
-    def test_thread_count_leaves_scores_bit_identical(self, rng):
-        records = []
-        for i in range(300):
-            vocab = int(rng.integers(2, 9))
-            records.append(make_record(random_simplex(rng, vocab), gold=int(rng.integers(vocab)), seq_id=f"r{i}"))
-        for metric in (ece, weighted_ece):
-            assert metric(records, threads=1)[0] == metric(records, threads=4)[0]
-
     def test_bin_refinement_bounded_by_bin_width(self, rng):
         records = []
         for i in range(500):
@@ -212,6 +204,24 @@ class TestPartitions:
         groups = partitioned_metric(records, PartitionSpec.entropy(1.0))
         assert groups["high"].ece == ece(records[:2])[0]
         assert groups["low"].weighted_ece == weighted_ece(records[2:])[0]
+
+        mixed = [
+            make_record({0: 0.5, 3: 0.3}, gold=0, vocab_size=6, eos_id=3, rest_mass=0.2, seq_id="a"),
+            make_record({1: 0.2, 3: 0.7}, gold=3, vocab_size=6, eos_id=3, rest_mass=0.1, seq_id="b"),
+            make_record({1: 0.1}, gold=5, vocab_size=6, eos_id=0, rest_mass=0.9, seq_id="c"),
+            make_record([0.55, 0.45], gold=1, eos_id=0, seq_id="d"),
+            make_record({2: 0.95}, gold=2, vocab_size=4, eos_id=0, rest_mass=0.05, seq_id="e"),
+        ]
+        for spec, labels in (
+            (PartitionSpec.eos(), {"eos": ["b", "c", "d"], "rest": ["a", "e"]}),
+            (PartitionSpec.confidence(0.6), {"head": ["b", "e"], "tail": ["a", "c", "d"]}),
+        ):
+            groups = partitioned_metric(mixed, spec)
+            for label, ids in labels.items():
+                members = [r for r in mixed if r.seq_id in ids]
+                assert groups[label].count == len(members)
+                assert groups[label].ece == ece(members)[0]
+                assert groups[label].weighted_ece == weighted_ece(members)[0]
 
     def test_entropy_split_requires_features(self):
         with pytest.raises(MetricError):

@@ -1,11 +1,12 @@
 """Differential tests: the pooled-tail layout against a plain densified reference.
 
 The reference below expands every record to its dense V-vector with
-``densify`` and evaluates the recalibration maps token by token, the way the
-package did before it pooled the unlisted tail. Random top-K records cover
-large vocabularies, gold tokens in the tail, unlisted EOS with and without
-tail mass, explicit zero entries, unlisted tokens without tail mass and
-fully listed vocabularies.
+``densify`` and evaluates the recalibration maps and the metrics token by
+token, the way the package did before it pooled the unlisted tail. Random
+top-K records cover large vocabularies, gold tokens in the tail, unlisted
+EOS with and without tail mass, explicit zero entries, unlisted tokens
+without tail mass, fully listed vocabularies, and tail shares tying the
+best listed probability.
 """
 
 import json
@@ -16,11 +17,14 @@ import pytest
 
 from seqcal import recalibrate
 from seqcal.cli import main
-from seqcal.errors import ValidationError
+from seqcal.errors import ModelError, ValidationError
+from seqcal.metrics import PartitionSpec, ece, head_tail_curve, partitioned_metric, top1, weighted_ece
 from seqcal.records import (
+    BinningConfig,
     StepFeatures,
     TokenRecord,
     densify,
+    parse_log_line,
     read_log_file,
     serialize_record,
     validate_record,
@@ -97,6 +101,36 @@ def random_records(seed, n=60):
     return records
 
 
+def tie_record(rng, index):
+    """A record whose tail share equals its best listed probability, bit for bit."""
+    vocab = int(rng.choice((3, 7, 21)))
+    k = int(rng.integers(1, vocab))
+    ids = rng.choice(vocab, k, replace=False).tolist()
+    unlisted = vocab - k
+    rest = unlisted / (unlisted + 1 + 0.37 * (k - 1))
+    top = rest / unlisted  # the share densify gives each unlisted token
+    probs = [top] + [(1.0 - rest - top) / max(k - 1, 1)] * (k - 1)
+    return TokenRecord(
+        seq_id=f"tie{index}",
+        t=1,
+        vocab_size=vocab,
+        eos_id=int(rng.integers(vocab)),
+        gold_id=int(rng.integers(vocab)),
+        entries=tuple(zip(ids, probs)),
+        rest_mass=rest,
+        features=StepFeatures(entropy=float(rng.uniform(0.0, 2.5)), coverage=float(rng.uniform(0.0, 1.0))),
+    )
+
+
+def metric_records(seed):
+    """The random records plus records whose tail ties the best listed entry."""
+    rng = np.random.default_rng(1000 + seed)
+    records = random_records(seed) + [tie_record(rng, i) for i in range(15)]
+    for record in records:
+        validate_record(record)
+    return records
+
+
 def random_params(seed, plus_one):
     rng = np.random.default_rng(seed)
     theta = np.concatenate([[float(rng.uniform(0.5, 8.0)), float(rng.uniform(0.0, 1.0))],
@@ -167,6 +201,45 @@ def ref_nll_and_grad(records, params):
     return float(np.mean(losses)), grad / len(records)
 
 
+def ref_top1(record):
+    dense = densify(record)
+    pred = int(np.argmax(dense))
+    return pred, float(dense[pred])
+
+
+def ref_top1_items(record):
+    """Bin key, weight, confidence, accuracy and gap of a record's top-1 item."""
+    pred, conf = ref_top1(record)
+    correct = float(pred == record.gold_id)
+    return np.array([[conf, 1.0, conf, correct, correct - conf]])
+
+
+def ref_weighted_items(record):
+    """One item per token with positive probability."""
+    dense = densify(record)
+    tokens = np.flatnonzero(dense > 0)
+    p = dense[tokens]
+    correct = (tokens == record.gold_id).astype(float)
+    return np.stack([p, p, p * p, p * correct, p * (correct - p)], axis=1)
+
+
+def ref_metric(records, bins, items):
+    """Score and (weight, confidence, accuracy) bin sums, summed token by token."""
+    rows = np.concatenate([items(record) for record in records])
+    index = bins.index_array(rows[:, 0])
+    sums = np.array([[math.fsum(rows[index == b, c]) for c in range(1, 5)] for b in range(bins.num_bins)])
+    return math.fsum(np.abs(sums[:, 3])) / len(records), sums[:, :3]
+
+
+def assert_metric_matches(got, records, bins, items):
+    score, hist = got
+    ref_score, ref_sums = ref_metric(records, bins, items)
+    assert score == pytest.approx(ref_score, abs=TOL)
+    for column, sums in enumerate((hist.weight, hist.confidence_sum, hist.accuracy_sum)):
+        np.testing.assert_allclose(sums, ref_sums[:, column], rtol=0, atol=TOL)
+    assert hist.count == len(records)
+
+
 def nll_records(records):
     """Records whose gold token has positive probability: the NLL is finite."""
     return [r for r in records if densify(r)[r.gold_id] > 0]
@@ -188,6 +261,87 @@ def test_generator_covers_every_case():
     assert any(r.rest_mass == 0 and len(ids) < r.vocab_size for r, ids in zip(records, listed))
     assert any(len(ids) == r.vocab_size for r, ids in zip(records, listed))
     assert any(r.gold_id == r.eos_id and r.eos_id not in ids for r, ids in zip(records, listed))
+
+
+def test_generator_covers_tail_ties_on_both_sides():
+    ties = [r for seed in range(4) for r in metric_records(seed) if r.seq_id.startswith("tie")]
+    below = above = 0
+    for record in ties:
+        best_id = record.entries[0][0]
+        first_free = min(set(range(record.vocab_size)) - {i for i, _ in record.entries})
+        assert record.entries[0][1] == record.rest_share()
+        assert max(p for _, p in record.entries) == record.rest_share()
+        below += first_free < best_id
+        above += first_free > best_id
+    assert below and above
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_metrics_match_dense(seed):
+    records = metric_records(300 + seed)
+    for bins in (BinningConfig(20), BinningConfig(7)):
+        assert_metric_matches(ece(records, bins), records, bins, ref_top1_items)
+        assert_metric_matches(weighted_ece(records, bins), records, bins, ref_weighted_items)
+    for record in records:
+        pred, conf = top1(record)
+        ref_pred, ref_conf = ref_top1(record)
+        assert pred == ref_pred
+        assert conf == pytest.approx(ref_conf, abs=TOL)
+
+    tokens = np.concatenate([ref_weighted_items(record) for record in records])
+    p, correct = tokens[:, 0], tokens[:, 3] / tokens[:, 0]
+    thresholds = [0.05, 0.2, 0.5, 1.0]
+    for row, t in zip(head_tail_curve(records, thresholds), thresholds):
+        tail = p < t
+        assert row["threshold"] == t
+        assert row["tail_conf_sum"] == pytest.approx(math.fsum(p[tail]), abs=TOL)
+        assert row["tail_acc_sum"] == math.fsum(correct[tail])
+        assert row["head_conf_sum"] == pytest.approx(math.fsum(p[~tail]), abs=TOL)
+        assert row["head_acc_sum"] == math.fsum(correct[~tail])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partitions_match_dense(seed):
+    records = metric_records(400 + seed)
+    bins = BinningConfig(10)
+    cases = (
+        (PartitionSpec.eos(), lambda r: "eos" if ref_top1(r)[0] == r.eos_id else "rest"),
+        (PartitionSpec.token(0), lambda r: "token:0" if ref_top1(r)[0] == 0 else "rest"),
+        (PartitionSpec.entropy(1.2), lambda r: "high" if r.features.entropy >= 1.2 else "low"),
+        (PartitionSpec.confidence(0.4), lambda r: "head" if ref_top1(r)[1] >= 0.4 else "tail"),
+    )
+    for spec, label_of in cases:
+        groups = partitioned_metric(records, spec, bins)
+        assert sum(g.count for g in groups.values()) == len(records)
+        for label, group in groups.items():
+            members = [r for r in records if label_of(r) == label]
+            assert group.count == len(members)
+            if not members:
+                assert group.ece is None and group.weighted_ece is None
+                continue
+            assert group.ece == pytest.approx(ref_metric(members, bins, ref_top1_items)[0], abs=TOL)
+            assert group.weighted_ece == pytest.approx(ref_metric(members, bins, ref_weighted_items)[0], abs=TOL)
+
+
+def test_slightly_negative_rest_mass_pools_nothing():
+    line = ('{"seq_id":"a","t":1,"vocab_size":3,"eos_id":2,"gold_id":1,'
+            '"entries":[[0,1.0000005]],"rest_mass":-5e-7}')
+    record = parse_log_line(line)
+    dense = densify(record)
+    assert np.all(dense >= 0.0)
+    assert dense.sum() == pytest.approx(1.0, abs=1e-12)
+    bins = BinningConfig()
+    for metric, items in ((ece, ref_top1_items), (weighted_ece, ref_weighted_items)):
+        score, _ = metric([record], bins)
+        assert 0.0 <= score <= 1.0
+        assert score == pytest.approx(ref_metric([record], bins, items)[0], abs=TOL)
+
+
+def test_distribution_without_positive_probability_raises():
+    with pytest.raises(ModelError, match="no positive probability"):
+        recalibrate.recalibrate_distribution(np.zeros(4), 0.5, 0.5, 3, SingleTemperature(1.0))
+    with pytest.raises(ModelError, match="no positive probability"):
+        recalibrate.recalibrate_distribution(np.zeros(4), 0.5, 0.5, 3, random_params(0, False))
 
 
 @pytest.mark.parametrize("seed", range(4))
