@@ -9,7 +9,7 @@ from .errors import (
     SeqcalError,
     ValidationError,
 )
-from .features import FeatureConfig, attention_entropy, coverage, enrich, enrich_all
+from .features import FeatureConfig, attention_entropy, coverage, enrich, enrich_all, enrich_batch
 from .metrics import (
     GroupMetrics,
     PartitionSpec,
@@ -23,6 +23,7 @@ from .metrics import (
 from .records import (
     BinningConfig,
     DatasetSummary,
+    LogBatch,
     ReliabilityHistogram,
     SequenceRecord,
     StepFeatures,

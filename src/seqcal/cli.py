@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .errors import SeqcalError
-from .features import FeatureConfig, enrich_all
+from .features import FeatureConfig, enrich_batch
 from .metrics import (
     PartitionSpec,
     ece,
@@ -27,14 +27,7 @@ from .metrics import (
     write_report_json,
     write_reliability_csv,
 )
-from .records import (
-    BinningConfig,
-    TokenRecord,
-    group_into_sequences,
-    read_log_file,
-    validate_record,
-    write_log_file,
-)
+from .records import BinningConfig, LogBatch, read_log_file, write_log_file
 from .recalibrate import (
     CalibratedModel,
     CalibratorParams,
@@ -138,10 +131,11 @@ def _require_out(args) -> Path:
     return args.out
 
 
-def _ensure_features(records: list[TokenRecord], cfg: FeatureConfig) -> list[TokenRecord]:
-    if all(r.features is not None for r in records):
-        return records
-    return flatten(enrich_all(group_into_sequences(records), cfg))
+def _ensure_features(batch: LogBatch, cfg: FeatureConfig) -> LogBatch:
+    if batch.has_features.all():
+        return batch
+    batch.check_step_order()
+    return enrich_batch(batch, cfg)
 
 
 def _parse_partition(text: str):
@@ -230,7 +224,8 @@ def _cmd_apply(args) -> int:
     params = load_params(args.params)
     if isinstance(params, CalibratorParams):
         records = _ensure_features(records, FeatureConfig())
-    rewritten = [validate_record(record) for record in recalibrate_log(records, params)]
+    rewritten = recalibrate_log(records, params)
+    rewritten.validate()
     write_log_file(args.logs_out, rewritten)
     print(f"recalibrated records={len(rewritten)} -> {args.logs_out}")
     return 0

@@ -1,11 +1,12 @@
 """Calibration metrics: ECE, weighted ECE, NLL, diagnostic partitions, exports.
 
-Every distribution metric runs on the pooled-tail layout of
-``records.pooled_layout``, the rows fit and apply use too: each record's
-listed entries, an unlisted EOS and one slot for the unlisted tail, whose
-tokens share one probability and therefore one bin. That equals densifying
-first at O(N*K) cost. Per-bin sums use ``math.fsum`` over items stably
-sorted by bin, so scores are bit-identical under record permutation.
+Every metric takes a ``LogBatch`` (or records, which become one) and runs
+on its pooled-tail layout ``LogBatch.layout``, built once per batch and
+shared with fit and apply: each record's listed entries, an unlisted EOS
+and one slot for the unlisted tail, whose tokens share one probability and
+therefore one bin. That equals densifying first at O(N*K) cost. Per-bin
+sums use ``math.fsum`` over items stably sorted by bin, so scores are
+bit-identical under record permutation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MetricError
-from .records import BinningConfig, PooledLayout, ReliabilityHistogram, TokenRecord, pooled_layout
+from .records import BinningConfig, LogBatch, PooledLayout, ReliabilityHistogram, TokenRecord, as_batch, pooled_layout
+
+Records = LogBatch | Iterable[TokenRecord]
 
 
 def _top1(layout: PooledLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -40,11 +43,10 @@ def top1(record: TokenRecord) -> tuple[int, float]:
 # bin's sums.
 
 
-def _top1_items(layout: PooledLayout, records: Sequence[TokenRecord]) -> list[np.ndarray]:
+def _top1_items(batch: LogBatch) -> list[np.ndarray]:
     """One item per row: its top-1 confidence and whether it is the gold token."""
-    pred, conf = _top1(layout)
-    gold_id = np.fromiter((r.gold_id for r in records), dtype=np.int64, count=len(records))
-    correct = (pred == gold_id).astype(np.float64)
+    pred, conf = _top1(batch.layout)
+    correct = (pred == batch.gold_id).astype(np.float64)
     return [conf, np.ones(len(conf)), conf, correct, correct - conf]
 
 
@@ -93,40 +95,33 @@ def _finalize(
     return math.fsum(abs(g) for g in gap_sums) / count, hist
 
 
-def ece(
-    records: Iterable[TokenRecord],
-    bins: BinningConfig = BinningConfig(),
-) -> tuple[float, ReliabilityHistogram]:
+def ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
     """Top-1 expected calibration error plus its reliability histogram."""
-    records = list(records)
-    return _finalize(bins, len(records), *_top1_items(pooled_layout(records), records))
+    batch = as_batch(records, vectors=False)
+    return _finalize(bins, len(batch), *_top1_items(batch))
 
 
-def weighted_ece(
-    records: Iterable[TokenRecord],
-    bins: BinningConfig = BinningConfig(),
-) -> tuple[float, ReliabilityHistogram]:
+def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
     """Calibration error of the entire distribution: every token's probability
     is binned and contributes p * (correct - p); zero-probability tokens
     contribute nothing."""
-    records = list(records)
-    return _finalize(bins, len(records), *_weighted_items(pooled_layout(records)))
+    batch = as_batch(records, vectors=False)
+    return _finalize(bins, len(batch), *_weighted_items(batch.layout))
 
 
-def nll(records: Iterable[TokenRecord]) -> float:
-    """Mean negative log-likelihood of the gold tokens, in nats per token."""
-    losses: list[float] = []
-    for record in records:
-        p = record.gold_prob()
-        if p <= 0.0:
-            raise MetricError(
-                f"gold token {record.gold_id} has zero probability in sequence "
-                f"{record.seq_id!r} step {record.t}: NLL is infinite"
-            )
-        losses.append(-math.log(p))
-    if not losses:
+def nll(records: Records) -> float:
+    """Mean negative log-likelihood of the gold tokens, in nats per token,
+    under the normalized distributions of the layout."""
+    batch = as_batch(records, vectors=False)
+    if not len(batch):
         raise MetricError("metric undefined on an empty record stream")
-    return math.fsum(losses) / len(losses)
+    layout = batch.layout
+    p = layout.prob[np.arange(len(batch)), layout.gold]
+    zero = p <= 0.0
+    if zero.any():
+        i = int(np.argmax(zero))
+        raise MetricError(f"gold token {batch.gold_id[i]} has zero probability in {batch.where(i)}: NLL is infinite")
+    return math.fsum(-np.log(p)) / len(batch)
 
 
 @dataclass(frozen=True)
@@ -171,29 +166,26 @@ class GroupMetrics:
 
 
 def partitioned_metric(
-    records: Iterable[TokenRecord],
+    records: Records,
     spec: PartitionSpec,
     bins: BinningConfig = BinningConfig(),
 ) -> dict[str, GroupMetrics]:
     """Metrics per partition group; empty groups report count 0 with no scores."""
-    records = list(records)
-    layout = pooled_layout(records)
+    batch = as_batch(records, vectors=False)
+    layout = batch.layout
     if spec.kind == "token_class":
         pred, _ = _top1(layout)
         if spec.token_id is None:
-            target, label = layout.ids[np.arange(len(records)), layout.eos], "eos"
+            target, label = layout.ids[np.arange(len(batch)), layout.eos], "eos"
         else:
             target, label = spec.token_id, f"token:{spec.token_id}"
         hit = pred == target
         groups = {label: hit, "rest": ~hit}
     elif spec.kind == "entropy_split":
-        bare = next((r for r in records if r.features is None), None)
-        if bare is not None:
-            raise MetricError(
-                f"entropy partition needs features; sequence {bare.seq_id!r} step {bare.t} has none"
-            )
-        entropy = np.fromiter((r.features.entropy for r in records), dtype=np.float64, count=len(records))
-        high = entropy >= spec.threshold
+        if not batch.has_features.all():
+            bare = int(np.argmin(batch.has_features))
+            raise MetricError(f"entropy partition needs features; {batch.where(bare)} has none")
+        high = batch.entropy >= spec.threshold
         groups = {"high": high, "low": ~high}
     elif spec.kind == "confidence_threshold":
         _, conf = _top1(layout)
@@ -202,7 +194,7 @@ def partitioned_metric(
     else:
         raise MetricError(f"unknown partition kind {spec.kind!r}")
 
-    top_items = _top1_items(layout, records)
+    top_items = _top1_items(batch)
     result: dict[str, GroupMetrics] = {}
     for label, members in groups.items():
         count = int(members.sum())
@@ -215,10 +207,7 @@ def partitioned_metric(
     return result
 
 
-def head_tail_curve(
-    records: Iterable[TokenRecord],
-    thresholds: Sequence[float],
-) -> list[dict]:
+def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]:
     """Head/tail mass sums per confidence threshold.
 
     For each threshold T, sums predicted probability mass and gold-correct
@@ -229,7 +218,7 @@ def head_tail_curve(
     for t in thresholds:
         if not 0.0 < t <= 1.0:
             raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
-    p, mult, is_gold = _slots(pooled_layout(list(records)))
+    p, mult, is_gold = _slots(as_batch(records, vectors=False).layout)
     mass = mult * p
     rows: list[dict] = []
     for t in thresholds:

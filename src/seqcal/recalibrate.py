@@ -13,7 +13,8 @@ Two flavors:
 Fitting, applying and ``CalibratedModel`` all run on the pooled-tail layout
 of ``records.pooled_layout``, as the metrics do: the listed entries, an
 unlisted EOS and the unlisted tail pooled into one slot, so a sparse top-K
-log costs O(N*K), not O(N*V).
+log costs O(N*K), not O(N*V). Fits and apply take a ``LogBatch`` (or
+records, which become one) and use its one cached layout.
 
 All fitting is deterministic given the seed and input order.
 """
@@ -28,9 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
-from .features import FeatureConfig, attention_entropy, coverage
-from .records import PooledLayout, TokenRecord, densify, pooled_layout
+from .features import FeatureConfig, attention_entropy, coverage, step_features
+from .records import LogBatch, PooledLayout, TokenRecord, as_batch, densify, offsets_of
 from .sequence import ScoringModel
+
+Records = LogBatch | Sequence[TokenRecord]
 
 PARAMS_VERSION = "seqcal-params-v1"
 
@@ -213,42 +216,35 @@ def _dense_pool(dense: np.ndarray, eos_id: int) -> PooledLayout:
     return PooledLayout(prob, np.ones((1, vocab + 2)), eos, eos)
 
 
-def _step_features(record: TokenRecord, cfg: FeatureConfig) -> tuple[float, float]:
-    """Stored (entropy, coverage), else derived from the attention vectors."""
-    if record.features is not None:
-        return record.features.entropy, record.features.coverage
-    if record.attention is None or record.cum_attention is None:
-        raise FitError(
-            f"sequence {record.seq_id!r} step {record.t}: no features and no attention to derive them"
-        )
-    return attention_entropy(record.attention), coverage(record.cum_attention, cfg.coverage_threshold)
+def _pool(batch: LogBatch, feature_cfg: FeatureConfig | None = None) -> PooledLayout:
+    """The layout of ``batch``; with ``feature_cfg`` a copy that also
+    carries the features the variable calibrator needs: the stored ones,
+    else those of the attention vectors."""
+    if feature_cfg is None:
+        return batch.layout
+    bare = ~batch.has_features
+    entropy, cov = batch.entropy, batch.coverage
+    if bare.any():
+        vectorless = bare & ~(batch.has_attention & batch.has_cum)
+        if vectorless.any():
+            raise FitError(f"{batch.where(int(np.argmax(vectorless)))}: no features and no attention to derive them")
+        entropy, cov = step_features(batch, bare, feature_cfg)
+    return replace(batch.layout, entropy=entropy, coverage=cov)
 
 
-def _pool(records: Sequence[TokenRecord], feature_cfg: FeatureConfig | None = None) -> PooledLayout:
-    """The layout of ``records``; with ``feature_cfg`` it also carries the
-    features the variable calibrator needs."""
-    pool = pooled_layout(records)
-    if feature_cfg is not None:
-        feats = np.array([_step_features(r, feature_cfg) for r in records], dtype=np.float64)
-        pool.entropy, pool.coverage = feats[:, 0], feats[:, 1]
-    return pool
-
-
-def _fit_pool(records: Sequence[TokenRecord], with_features: bool = True) -> PooledLayout:
-    if not records:
+def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
+    batch = as_batch(records, vectors=False)
+    if not len(batch):
         raise FitError("cannot fit on an empty dataset")
-    if with_features:
-        bare = next((r for r in records if r.features is None), None)
-        if bare is not None:
-            raise FitError(f"sequence {bare.seq_id!r} step {bare.t}: features missing; enrich first")
+    if with_features and not batch.has_features.all():
+        raise FitError(f"{batch.where(int(np.argmin(batch.has_features)))}: features missing; enrich first")
     # every record stores its features, so the FeatureConfig derives none
-    pool = _pool(records, FeatureConfig() if with_features else None)
-    zero = ~pool.active[np.arange(len(records)), pool.gold]
+    pool = _pool(batch, FeatureConfig() if with_features else None)
+    zero = ~pool.active[np.arange(len(batch)), pool.gold]
     if zero.any():
-        record = records[int(np.argmax(zero))]
+        i = int(np.argmax(zero))
         raise FitError(
-            f"sequence {record.seq_id!r} step {record.t}: gold token {record.gold_id} "
-            "has zero probability, loss would be infinite"
+            f"{batch.where(i)}: gold token {batch.gold_id[i]} has zero probability, loss would be infinite"
         )
     return pool
 
@@ -342,41 +338,68 @@ def _backward(prep: PooledLayout, params: CalibratorParams, probs: np.ndarray, c
 APPLY_BLOCK = 1024  # records per columnar pass of recalibrate_log: bounds its temporaries
 
 
+def _block(pool: PooledLayout, start: int, stop: int, listed: int) -> PooledLayout:
+    """Rows start..stop-1 of ``pool`` as ``pooled_layout`` lays them out on
+    their own: ``listed`` entry columns, the most those rows hold, then the
+    EOS and tail slots. The softmax sums a row over its slots, padding
+    included, so equal layouts keep apply's output bit for bit."""
+    width = pool.prob.shape[1]
+    keep = np.r_[0:listed, width - 2, width - 1]
+
+    def column(col):
+        return np.where(col >= width - 2, col - (width - 2 - listed), col)
+
+    return PooledLayout(
+        pool.prob[start:stop, keep], pool.mult[start:stop, keep],
+        column(pool.gold[start:stop]), column(pool.eos[start:stop]),
+        entropy=None if pool.entropy is None else pool.entropy[start:stop],
+        coverage=None if pool.coverage is None else pool.coverage[start:stop],
+    )
+
+
 def recalibrate_log(
-    records: Sequence[TokenRecord],
+    records: Records,
     params: CalibratorParams | SingleTemperature,
     feature_cfg: FeatureConfig = FeatureConfig(),
-) -> list[TokenRecord]:
+) -> LogBatch:
     """Recalibrate a whole log columnar, a block of records at a time;
-    records stay sparse.
+    records stay sparse. Returns the rewritten batch.
 
     Every input entry keeps its position (zeros are written as 0.0) and the
     unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
-    probability differs from the tail's gains its own entry. The variable
-    calibrator reads stored features, or derives them from the attention
-    vectors with ``feature_cfg``.
+    probability differs from the tail's gains its own entry, after the
+    others. The variable calibrator reads stored features, or derives them
+    from the attention vectors with ``feature_cfg``.
     """
-    records = list(records)
+    batch = as_batch(records)
     variable = isinstance(params, CalibratorParams)
     if not variable and params.temperature <= 0:
         raise FitError(f"temperature must be positive, got {params.temperature}")
-    out = []
-    for start in range(0, len(records), APPLY_BLOCK):
-        block = records[start : start + APPLY_BLOCK]
-        pool = _pool(block, feature_cfg if variable else None)
-        probs = _recalibrated(pool, params)
-        eos_col = probs.shape[1] - 2
-        tail_prob = probs[:, -1]
-        eos_unlisted = pool.eos == eos_col
-        own_eos = eos_unlisted & (probs[:, eos_col] != tail_prob)
-        # the tail's tokens, plus an unlisted EOS that kept the tail's probability
-        rest = (pool.mult[:, -1] + (eos_unlisted & ~own_eos)) * tail_prob
-        for record, row, own, rest_mass in zip(block, probs.tolist(), own_eos.tolist(), rest.tolist()):
-            entries = tuple((token_id, row[j]) for j, (token_id, _) in enumerate(record.entries))
-            if own:
-                entries += ((record.eos_id, row[eos_col]),)
-            out.append(replace(record, entries=entries, rest_mass=rest_mass))
-    return out
+    n = len(batch)
+    pool = _pool(batch, feature_cfg if variable else None)
+    counts = np.diff(batch.offsets)
+    entry_row = np.repeat(np.arange(n), counts)
+    entry_col = np.arange(len(batch.ids)) - batch.offsets[entry_row]
+    listed_probs = np.empty(len(batch.ids))
+    eos_prob, tail_prob = np.empty(n), np.empty(n)
+    for start in range(0, n, APPLY_BLOCK):
+        stop = min(start + APPLY_BLOCK, n)
+        listed = int(counts[start:stop].max())
+        probs = _recalibrated(_block(pool, start, stop, listed), params)
+        lo, hi = batch.offsets[start], batch.offsets[stop]
+        listed_probs[lo:hi] = probs[entry_row[lo:hi] - start, entry_col[lo:hi]]
+        eos_prob[start:stop], tail_prob[start:stop] = probs[:, -2], probs[:, -1]
+    eos_unlisted = pool.eos == pool.prob.shape[1] - 2
+    own_eos = eos_unlisted & (eos_prob != tail_prob)
+    # the tail's tokens, plus an unlisted EOS that kept the tail's probability
+    rest = (pool.mult[:, -1] + (eos_unlisted & ~own_eos)) * tail_prob
+    offsets = offsets_of(counts + own_eos)
+    ids, new_probs = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1])
+    moved = np.arange(len(batch.ids)) + (offsets[:-1] - batch.offsets[:-1])[entry_row]
+    ids[moved], new_probs[moved] = batch.ids, listed_probs
+    last = offsets[1:][own_eos] - 1
+    ids[last], new_probs[last] = batch.eos_id[own_eos], eos_prob[own_eos]
+    return replace(batch, offsets=offsets, ids=ids, probs=new_probs, rest_mass=rest)
 
 
 def recalibrate_distribution(
@@ -426,16 +449,16 @@ def apply_single_temperature(record: TokenRecord, temperature: float) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def calibration_nll(records: Sequence[TokenRecord], params: CalibratorParams) -> float:
+def calibration_nll(records: Records, params: CalibratorParams) -> float:
     """Mean NLL of gold tokens under the recalibrated distributions."""
-    prep = _fit_pool(list(records))
+    prep = _fit_pool(records)
     value, _, _ = _forward_backward(params.to_flat(), prep, params.plus_one, want_grad=False)
     return value
 
 
-def calibration_gradient(params: CalibratorParams, records: Sequence[TokenRecord]) -> np.ndarray:
+def calibration_gradient(params: CalibratorParams, records: Records) -> np.ndarray:
     """Exact gradient of the mean NLL over (w1, w2, g_net, h_net), flattened."""
-    prep = _fit_pool(list(records))
+    prep = _fit_pool(records)
     _, grad, _ = _forward_backward(params.to_flat(), prep, params.plus_one)
     return grad
 
@@ -452,15 +475,15 @@ def initial_params(cfg: TrainConfig, plus_one: bool) -> CalibratorParams:
 
 
 def fit_calibrator(
-    records: Sequence[TokenRecord],
+    records: Records,
     cfg: TrainConfig = TrainConfig(),
     *,
     plus_one: bool = False,
 ) -> CalibratorParams:
     """Full-batch gradient descent on validation NLL; returns the best-seen
     parameters, never worse than the initialization."""
-    records = list(records)
-    prep = _fit_pool(records)
+    batch = as_batch(records, vectors=False)
+    prep = _fit_pool(batch)
     theta = initial_params(cfg, plus_one).to_flat()
     best_theta = theta.copy()
     best_nll = math.inf
@@ -468,9 +491,8 @@ def fit_calibrator(
     for epoch in range(cfg.max_epochs):
         value, grad, losses = _forward_backward(theta, prep, plus_one)
         if not math.isfinite(value):
-            bad = records[int(np.argmax(~np.isfinite(losses)))]
             raise FitError(
-                f"non-finite loss at epoch {epoch} (sequence {bad.seq_id!r} step {bad.t}); "
+                f"non-finite loss at epoch {epoch} ({batch.where(int(np.argmax(~np.isfinite(losses))))}); "
                 "reduce the learning rate"
             )
         if value < best_nll:
@@ -506,10 +528,10 @@ def _temperature_nll(pool: PooledLayout, temperature: float) -> float:
     return float(losses.mean())
 
 
-def fit_single_temperature(records: Sequence[TokenRecord]) -> float:
+def fit_single_temperature(records: Records) -> float:
     """Temperature minimizing validation NLL of p ** (1/T), via golden-section
     search over [0.05, 20] with a final parabolic refinement."""
-    pool = _fit_pool(list(records), with_features=False)
+    pool = _fit_pool(records, with_features=False)
 
     def objective(temperature: float) -> float:
         return _temperature_nll(pool, temperature)
@@ -529,11 +551,11 @@ def fit_single_temperature(records: Sequence[TokenRecord]) -> float:
     return min(candidates)[1]
 
 
-def single_temperature_nll(records: Sequence[TokenRecord], temperature: float) -> float:
+def single_temperature_nll(records: Records, temperature: float) -> float:
     """Mean NLL of gold tokens after global temperature scaling."""
     if temperature <= 0:
         raise FitError(f"temperature must be positive, got {temperature}")
-    return _temperature_nll(_fit_pool(list(records), with_features=False), temperature)
+    return _temperature_nll(_fit_pool(records, with_features=False), temperature)
 
 
 # ---------------------------------------------------------------------------

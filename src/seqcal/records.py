@@ -1,20 +1,26 @@
-"""Prediction-log data model: token/sequence records, binning, histograms, JSONL IO.
+"""Prediction-log data model: token/sequence records, the columnar LogBatch,
+binning, histograms, JSONL IO.
 
 A log file is UTF-8, line-delimited JSON, one token record per line. Each
 record stores a sparse next-token distribution (explicit ``entries`` plus a
 ``rest_mass`` spread uniformly over the unlisted tokens), the gold token,
-and optional attention-derived data. Records are immutable after parsing and
-safe to share across threads. ``pooled_layout`` turns a batch of records into
-the padded rows of slots that the metrics, fitting and apply all run on.
+and optional attention-derived data. ``read_log_file`` parses a whole log
+once into a ``LogBatch`` of columns and checks it column by column;
+``parse_log_line`` and ``validate_record`` are one-row calls into the same
+parser and checks. ``pooled_layout`` turns a batch into the padded rows of
+slots that the metrics, fitting and apply all run on. Records are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_not
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,13 +29,11 @@ from .errors import ParseError, ValidationError
 
 PROB_ATOL = 1e-6
 
-LOG_FIELDS = (
-    "seq_id", "t", "vocab_size", "eos_id", "gold_id",
-    "entries", "rest_mass", "attention", "cum_attention", "features",
-)
+INT_FIELDS = ("t", "vocab_size", "eos_id", "gold_id")
+VECTOR_FIELDS = ("attention", "cum_attention")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepFeatures:
     """Per-step calibration features: attention entropy (nats) and input coverage."""
 
@@ -37,7 +41,7 @@ class StepFeatures:
     coverage: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenRecord:
     """One decoding step evaluated under teacher forcing."""
 
@@ -71,7 +75,7 @@ class TokenRecord:
         return any(token_id == self.gold_id for token_id, _ in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceRecord:
     """An ordered run of token records belonging to one decoded sequence."""
 
@@ -149,13 +153,6 @@ class ReliabilityHistogram:
         )
 
 
-def _require(condition: bool, fieldname: str, message: str, line_number: int | None, *args) -> None:
-    """Raise ValidationError unless ``condition``; ``message`` is formatted
-    with ``args`` only then, so a passing check builds no string."""
-    if not condition:
-        raise ValidationError(fieldname, message.format(*args) if args else message, line_number=line_number)
-
-
 def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number: int | None = None) -> None:
     """Reject ``rest_mass`` left over when every token of the vocabulary is listed."""
     if listed >= vocab_size and rest_mass > 0:
@@ -164,115 +161,464 @@ def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number:
         )
 
 
+def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the spans ``[start, start + length)``, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def first_failed(checks: Sequence[np.ndarray]) -> np.ndarray:
+    """Each row's first failing check, given each check's failed rows in
+    order; ``len(checks)`` for a row that fails none."""
+    first = np.full(len(checks[0]), len(checks))
+    for k in reversed(range(len(checks))):
+        first[checks[k]] = k
+    return first
+
+
+def rows_with(flagged: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Rows of a CSR column holding at least one flagged value."""
+    counts = np.diff(offsets)
+    return np.bincount(np.repeat(np.arange(len(counts)), counts)[flagged], minlength=len(counts)) > 0
+
+
+@dataclass(eq=False, repr=False)
+class LogBatch:
+    """A log as columns, one row per token record, in file order.
+
+    Variable-length fields are CSR: row i's entries are
+    ``ids[offsets[i]:offsets[i + 1]]`` with their ``probs``, and its
+    attention is ``attention[att_offsets[i]:att_offsets[i + 1]]`` when
+    ``has_attention[i]`` (likewise ``cum_attention``). ``entropy`` and
+    ``coverage`` are NaN where ``has_features`` is False. A sequence is a
+    run of consecutive rows with one seq_id; sequence s covers rows
+    ``seq_starts[s]:seq_starts[s + 1]``. ``lines`` holds each row's line in
+    its file, for error messages, or is None.
+    """
+
+    seq_ids: list[str]
+    seq_starts: np.ndarray      # (S + 1,)
+    t: np.ndarray               # (N,) int64, as are vocab_size, eos_id and gold_id
+    vocab_size: np.ndarray
+    eos_id: np.ndarray
+    gold_id: np.ndarray
+    offsets: np.ndarray         # (N + 1,)
+    ids: np.ndarray             # (E,) int64
+    probs: np.ndarray           # (E,)
+    rest_mass: np.ndarray       # (N,)
+    has_attention: np.ndarray   # (N,) bool
+    att_offsets: np.ndarray     # (N + 1,)
+    attention: np.ndarray
+    has_cum: np.ndarray
+    cum_offsets: np.ndarray
+    cum_attention: np.ndarray
+    has_features: np.ndarray
+    entropy: np.ndarray         # (N,)
+    coverage: np.ndarray        # (N,)
+    lines: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self) -> Iterator[TokenRecord]:
+        return (_record(*row) for row in self._rows(0, len(self)))
+
+    def __getitem__(self, i: int) -> TokenRecord:
+        i = range(len(self))[i]
+        return _record(*next(self._rows(i, i + 1)))
+
+    @cached_property
+    def seq_index(self) -> np.ndarray:
+        """Each row's sequence."""
+        return np.repeat(np.arange(len(self.seq_ids)), np.diff(self.seq_starts))
+
+    @cached_property
+    def layout(self) -> PooledLayout:
+        """The pooled-tail layout, built once and shared by every metric and
+        fit that reads this batch."""
+        return pooled_layout(self)
+
+    def where(self, row: int) -> str:
+        """``sequence 'id' step t`` of a row, for error messages."""
+        return f"sequence {self.seq_ids[self.seq_index[row]]!r} step {int(self.t[row])}"
+
+    def line(self, row: int) -> int | None:
+        return None if self.lines is None else int(self.lines[row])
+
+    def _rows(self, start: int, stop: int) -> Iterator[tuple]:
+        """Rows start..stop-1 as plain Python values, in TokenRecord field
+        order; entries as (id, prob) pairs and features as a pair or None."""
+
+        def column(values, offsets):
+            lo = offsets[start]
+            return values[lo : offsets[stop]].tolist(), (offsets[start : stop + 1] - lo).tolist()
+
+        ids, off = column(self.ids, self.offsets)
+        probs, _ = column(self.probs, self.offsets)
+        att, att_off = column(self.attention, self.att_offsets)
+        cum, cum_off = column(self.cum_attention, self.cum_offsets)
+        rows = zip(*(c[start:stop].tolist() for c in (
+            self.seq_index, self.t, self.vocab_size, self.eos_id, self.gold_id, self.rest_mass,
+            self.has_attention, self.has_cum, self.has_features, self.entropy, self.coverage,
+        )))
+        for k, (seq, t, vocab, eos, gold, rest, has_att, has_cum, has_feat, ent, cov) in enumerate(rows):
+            yield (
+                self.seq_ids[seq], t, vocab, eos, gold,
+                zip(ids[off[k] : off[k + 1]], probs[off[k] : off[k + 1]]), rest,
+                att[att_off[k] : att_off[k + 1]] if has_att else None,
+                cum[cum_off[k] : cum_off[k + 1]] if has_cum else None,
+                (ent, cov) if has_feat else None,
+            )
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[TokenRecord], lines: Sequence[int] | None = None, vectors: bool = True,
+    ) -> "LogBatch":
+        """The batch of in-memory records; they are not validated. With
+        ``vectors`` off the batch leaves out every attention and
+        cum_attention vector, for readers of the distributions and stored
+        features only."""
+        records = list(records)
+        n = len(records)
+
+        def column(name, dtype=np.int64):
+            return np.fromiter(map(attrgetter(name), records), dtype=dtype, count=n)
+
+        def present(values):
+            return np.fromiter(map(is_not, values, repeat(None)), dtype=bool, count=n)
+
+        entries = column("entries", object)
+        counts = np.fromiter(map(len, entries), dtype=np.int64, count=n)
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(entries)), dtype=np.float64, count=2 * int(counts.sum()),
+        )
+        seq_ids = column("seq_id", object)
+        starts = np.flatnonzero(np.append(True, seq_ids[1:] != seq_ids[:-1])) if n else np.zeros(0, dtype=np.int64)
+
+        def vector_column(name):
+            if not vectors:
+                return np.zeros(n, dtype=bool), np.zeros(n + 1, dtype=np.int64), np.zeros(0)
+            vecs = list(map(attrgetter(name), records))
+            has = present(vecs)
+            lengths = np.zeros(n, dtype=np.int64)
+            lengths[has] = np.fromiter(map(len, compress(vecs, has)), dtype=np.int64, count=int(has.sum()))
+            values = np.fromiter(chain.from_iterable(compress(vecs, has)), dtype=np.float64, count=int(lengths.sum()))
+            return has, offsets_of(lengths), values
+
+        feats = list(map(attrgetter("features"), records))
+        has_feat = present(feats)
+        entropy, coverage = np.full(n, math.nan), np.full(n, math.nan)
+        for name, out in (("entropy", entropy), ("coverage", coverage)):
+            out[has_feat] = np.fromiter(map(attrgetter(name), compress(feats, has_feat)), dtype=np.float64)
+        has_att, att_offsets, attention = vector_column("attention")
+        has_cum, cum_offsets, cum_attention = vector_column("cum_attention")
+        return cls(
+            seq_ids=seq_ids[starts].tolist(),
+            seq_starts=np.append(starts, n),
+            t=column("t"), vocab_size=column("vocab_size"), eos_id=column("eos_id"), gold_id=column("gold_id"),
+            offsets=offsets_of(counts),
+            ids=flat[0::2].astype(np.int64),
+            probs=flat[1::2],
+            rest_mass=column("rest_mass", np.float64),
+            has_attention=has_att, att_offsets=att_offsets, attention=attention,
+            has_cum=has_cum, cum_offsets=cum_offsets, cum_attention=cum_attention,
+            has_features=has_feat, entropy=entropy, coverage=coverage,
+            lines=None if lines is None else np.asarray(lines, dtype=np.int64),
+        )
+
+    def validate(self) -> None:
+        """Check every record invariant over whole columns. The first bad
+        row raises ValidationError naming its line and the field of its
+        first failing check."""
+        for _, error in self.errors():
+            raise error
+
+    def errors(self) -> Iterator[tuple[int, ValidationError]]:
+        """Each row that breaks a record invariant, in order, with the error
+        of its first failing check in the order the checks are listed here."""
+        n = len(self)
+        vocab, rest, att, cum = self.vocab_size, self.rest_mass, self.attention, self.cum_attention
+        counts = np.diff(self.offsets)
+        entry_row = np.repeat(np.arange(n), counts)
+        ids, probs = self.ids, self.probs
+        # per entry, in order: id range, an earlier entry with the same id, probability range
+        id_bad = (ids < 0) | (ids >= vocab[entry_row])
+        # a stable sort by (row, id) puts an id's repeats right after its first entry
+        low, span = int(ids.min(initial=0)), int(ids.max(initial=0)) - int(ids.min(initial=0)) + 1
+        if n * span < 2**62:
+            by_id = np.argsort(entry_row * span + (ids - low), kind="stable")
+        else:  # the combined key would overflow
+            by_id = np.lexsort((ids, entry_row))
+        repeat = np.zeros(len(ids), dtype=bool)
+        repeat[by_id[1:]] = (entry_row[by_id[1:]] == entry_row[by_id[:-1]]) & (ids[by_id[1:]] == ids[by_id[:-1]])
+        prob_bad = ~((probs >= 0.0) & (probs <= 1.0 + PROB_ATOL))
+        entry_bad = id_bad | repeat | prob_bad
+        # the sum of a row's entries in entry order, as a running total adds them
+        total = np.bincount(entry_row, weights=probs, minlength=n) + rest
+
+        att_len, cum_len = np.diff(self.att_offsets), np.diff(self.cum_offsets)
+        att_sum = np.bincount(np.repeat(np.arange(n), att_len), weights=att, minlength=n)
+        # math.fsum decides the rows whose running sum is too close to the bound to tell
+        for i in np.flatnonzero(np.abs(np.abs(att_sum - 1.0) - PROB_ATOL) < 1e-9):
+            att_sum[i] = math.fsum(att[self.att_offsets[i] : self.att_offsets[i + 1]])
+        paired = self.has_attention & self.has_cum & (att_len == cum_len)
+        below = np.zeros(n, dtype=bool)
+        if paired.any():
+            c = cum[spans(self.cum_offsets[:-1][paired], cum_len[paired])]
+            a = att[spans(self.att_offsets[:-1][paired], att_len[paired])]
+            below[paired] = rows_with(~(c >= a - PROB_ATOL), offsets_of(att_len[paired]))
+
+        def entry_message(i):
+            e = self.offsets[i] + int(np.argmax(entry_bad[self.offsets[i] : self.offsets[i + 1]]))
+            if id_bad[e]:
+                return f"token id {ids[e]} out of range"
+            if repeat[e]:
+                return f"duplicate token id {ids[e]}"
+            return f"probability {float(probs[e])} outside [0, 1]"
+
+        checks = (
+            ("vocab_size", vocab < 1, lambda i: f"must be positive, got {vocab[i]}"),
+            ("t", self.t < 1, lambda i: f"step index is 1-based, got {self.t[i]}"),
+            ("eos_id", (self.eos_id < 0) | (self.eos_id >= vocab), lambda i: f"out of range for V={vocab[i]}"),
+            ("gold_id", (self.gold_id < 0) | (self.gold_id >= vocab), lambda i: f"out of range for V={vocab[i]}"),
+            ("entries", counts > vocab, lambda i: "more entries than vocabulary slots"),
+            ("entries", rows_with(entry_bad, self.offsets), entry_message),
+            ("rest_mass", ~((rest >= -PROB_ATOL) & (rest <= 1.0 + PROB_ATOL)),
+             lambda i: f"{float(rest[i])} outside [0, 1]"),
+            ("entries", ~(np.abs(total - 1.0) <= PROB_ATOL),
+             lambda i: f"probabilities + rest_mass sum to {total[i]:.8f}, expected 1"),
+            ("rest_mass", (counts >= vocab) & (rest > 0),
+             lambda i: f"{float(rest[i])} left over with all {vocab[i]} tokens listed"),
+            ("attention", self.has_attention & (att_len == 0), lambda i: "must be non-empty when present"),
+            ("attention", rows_with(~((att >= 0) & (att < math.inf)), self.att_offsets),
+             lambda i: "weights must be finite and non-negative"),
+            ("attention", self.has_attention & ~(np.abs(att_sum - 1.0) <= PROB_ATOL),
+             lambda i: f"sums to {att_sum[i]:.8f}, expected 1"),
+            ("cum_attention", rows_with(~((cum >= 0) & (cum < math.inf)), self.cum_offsets),
+             lambda i: "weights must be finite and non-negative"),
+            ("cum_attention", self.has_attention & self.has_cum & (att_len != cum_len),
+             lambda i: "length differs from attention"),
+            ("cum_attention", below, lambda i: "element below the current attention weight"),
+            ("features", self.has_features & ~((self.entropy >= 0.0) & (self.entropy < math.inf)),
+             lambda i: "entropy must be finite and non-negative"),
+            ("features", self.has_features & ~((self.coverage >= 0.0) & (self.coverage <= 1.0)),
+             lambda i: "coverage outside [0, 1]"),
+        )
+        first = first_failed([failed for _, failed, _ in checks])
+        for row in np.flatnonzero(first < len(checks)).tolist():
+            fieldname, _, message = checks[first[row]]
+            yield row, ValidationError(fieldname, message(row), line_number=self.line(row))
+
+    def check_step_order(self) -> None:
+        """Steps of every sequence must run t = 1..n with no gaps."""
+        expected = np.arange(len(self)) - self.seq_starts[self.seq_index] + 1
+        wrong = self.t != expected
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise ValidationError(
+                "t", f"sequence {self.seq_ids[self.seq_index[i]]!r} has step {self.t[i]} "
+                f"where {expected[i]} was expected",
+            )
+
+
+def offsets_of(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of rows with ``counts`` values each."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def as_batch(records: LogBatch | Iterable[TokenRecord], vectors: bool = True) -> LogBatch:
+    """``records`` as a batch; see ``LogBatch.from_records`` for ``vectors``."""
+    return records if isinstance(records, LogBatch) else LogBatch.from_records(records, vectors=vectors)
+
+
+def _record(seq_id, t, vocab_size, eos_id, gold_id, entries, rest_mass, attention, cum_attention, features):
+    return TokenRecord(
+        seq_id=seq_id, t=t, vocab_size=vocab_size, eos_id=eos_id, gold_id=gold_id,
+        entries=tuple(entries), rest_mass=rest_mass,
+        attention=None if attention is None else tuple(attention),
+        cum_attention=None if cum_attention is None else tuple(cum_attention),
+        features=None if features is None else StepFeatures(*features),
+    )
+
+
+def _fields(record: TokenRecord) -> tuple:
+    """A record's row, as ``LogBatch._rows`` yields one."""
+    f = record.features
+    return (
+        record.seq_id, record.t, record.vocab_size, record.eos_id, record.gold_id, record.entries,
+        record.rest_mass, record.attention, record.cum_attention, None if f is None else (f.entropy, f.coverage),
+    )
+
+
+def _is_number(value) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _type_problem(payload: dict) -> str | None:
+    """Name the first field whose JSON type the log format does not allow:
+    integer fields take JSON integers only, probabilities and the other
+    weights JSON numbers only (never bools or strings)."""
+    for name in INT_FIELDS:
+        if name in payload and type(payload[name]) is not int:
+            return f"{name} must be a JSON integer, got {payload[name]!r}"
+    if "rest_mass" in payload and not _is_number(payload["rest_mass"]):
+        return f"rest_mass must be a JSON number, got {payload['rest_mass']!r}"
+    entries = payload.get("entries", [])
+    if type(entries) is not list:
+        return f"entries must be a list, got {entries!r}"
+    for entry in entries:
+        if not (type(entry) is list and len(entry) == 2 and type(entry[0]) is int and _is_number(entry[1])):
+            return f"entries: {entry!r} is not a [JSON integer, JSON number] pair"
+    for name in VECTOR_FIELDS:
+        vector = payload.get(name)
+        if vector is not None and not (type(vector) is list and all(map(_is_number, vector))):
+            return f"{name} must be a list of JSON numbers"
+    features = payload.get("features")
+    if features is not None and not (type(features) is dict and all(
+        _is_number(features.get(key)) for key in ("entropy", "coverage")
+    )):
+        return "features must hold a JSON number for entropy and for coverage"
+    return None
+
+
+class _Columns:
+    """The columns of a log being read, grown one line at a time. Integers
+    go into int64 arrays and weights into float64 arrays, which reject
+    strings, nulls and (for integers) JSON numbers with a fraction or an
+    exponent; a line that fails leaves the columns as they were."""
+
+    def __init__(self) -> None:
+        self.seq_ids: list[str] = []
+        self.seq_starts = array("q")
+        self.ints = array("q")  # t, vocab_size, eos_id, gold_id of each row
+        self.offsets, self.ids, self.probs = array("q", [0]), array("q"), array("d")
+        self.rest_mass = array("d")
+        # per vector field: values, offsets, presence
+        self.vectors = {name: (array("d"), array("q", [0]), array("b")) for name in VECTOR_FIELDS}
+        self.features, self.has_features = array("d"), array("b")  # entropy, coverage of each row
+        self.lines = array("q")
+
+    def add(self, line: str, line_number: int | None) -> None:
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line_number=line_number, offset=exc.pos) from exc
+        if type(payload) is not dict:
+            raise ParseError("record must be a JSON object", line_number=line_number)
+        rows = len(self.lines)
+        try:
+            self._append(payload)
+            # both array types take a JSON bool for 0 or 1; only a line spelling one can hold one
+            if ("true" in line or "false" in line) and _type_problem(payload):
+                raise TypeError("bool in a numeric field")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            self._truncate(rows)
+            problem = _type_problem(payload) or f"bad record structure: {exc!r}"
+            raise ParseError(problem, line_number=line_number) from exc
+        self.lines.append(0 if line_number is None else line_number)
+
+    def _append(self, payload: dict) -> None:
+        entries = payload["entries"]
+        if type(entries) is not list:
+            raise TypeError("entries must be a list")
+        seq_id = str(payload["seq_id"])
+        self.ints.extend((payload["t"], payload["vocab_size"], payload["eos_id"], payload["gold_id"]))
+        if entries:
+            columns = tuple(zip(*entries, strict=True))
+            if len(columns) != 2:
+                raise ValueError("an entry is not a [token_id, probability] pair")
+            self.ids.extend(columns[0])
+            self.probs.extend(columns[1])
+        self.rest_mass.append(payload.get("rest_mass", 0.0))
+        for name, (values, offsets, present) in self.vectors.items():
+            vector = payload.get(name)
+            if vector is not None:
+                if type(vector) is not list:
+                    raise TypeError(f"{name} must be a list")
+                values.extend(vector)
+            offsets.append(len(values))
+            present.append(vector is not None)
+        features = payload.get("features")
+        self.features.extend((math.nan, math.nan) if features is None else (features["entropy"], features["coverage"]))
+        self.has_features.append(features is not None)
+        if not self.seq_ids or seq_id != self.seq_ids[-1]:
+            self.seq_ids.append(seq_id)
+            self.seq_starts.append(len(self.lines))
+        self.offsets.append(len(self.ids))
+
+    def _truncate(self, rows: int) -> None:
+        del self.offsets[rows + 1 :]
+        if self.seq_starts and self.seq_starts[-1] == rows:
+            del self.seq_starts[-1], self.seq_ids[-1]
+        del self.ints[4 * rows :], self.rest_mass[rows:], self.features[2 * rows :], self.has_features[rows:]
+        del self.ids[self.offsets[-1] :], self.probs[self.offsets[-1] :]
+        for values, offsets, present in self.vectors.values():
+            del offsets[rows + 1 :], present[rows:]
+            del values[offsets[-1] :]
+
+    def batch(self, numbered: bool = True) -> LogBatch:
+        n = len(self.lines)
+        t, vocab, eos, gold = np.frombuffer(self.ints, dtype=np.int64).reshape(n, 4).T.copy()
+        entropy, coverage = np.frombuffer(self.features, dtype=np.float64).reshape(n, 2).T.copy()
+        (att, att_off, has_att), (cum, cum_off, has_cum) = (
+            (np.frombuffer(v, dtype=np.float64), np.frombuffer(o, dtype=np.int64), np.frombuffer(p, dtype=bool))
+            for v, o, p in self.vectors.values()
+        )
+        return LogBatch(
+            seq_ids=self.seq_ids,
+            seq_starts=np.append(np.frombuffer(self.seq_starts, dtype=np.int64), n),
+            t=t, vocab_size=vocab, eos_id=eos, gold_id=gold,
+            offsets=np.frombuffer(self.offsets, dtype=np.int64),
+            ids=np.frombuffer(self.ids, dtype=np.int64),
+            probs=np.frombuffer(self.probs, dtype=np.float64),
+            rest_mass=np.frombuffer(self.rest_mass, dtype=np.float64),
+            has_attention=has_att, att_offsets=att_off, attention=att,
+            has_cum=has_cum, cum_offsets=cum_off, cum_attention=cum,
+            has_features=np.frombuffer(self.has_features, dtype=bool),
+            entropy=entropy, coverage=coverage,
+            lines=np.frombuffer(self.lines, dtype=np.int64) if numbered else None,
+        )
+
+
 def validate_record(record: TokenRecord, line_number: int | None = None) -> TokenRecord:
     """Check every record invariant, raising ValidationError naming the field."""
-    vocab = record.vocab_size
-    _require(vocab >= 1, "vocab_size", "must be positive, got {}", line_number, vocab)
-    _require(record.t >= 1, "t", "step index is 1-based, got {}", line_number, record.t)
-    _require(0 <= record.eos_id < vocab, "eos_id", "out of range for V={}", line_number, vocab)
-    _require(0 <= record.gold_id < vocab, "gold_id", "out of range for V={}", line_number, vocab)
-    _require(len(record.entries) <= vocab, "entries", "more entries than vocabulary slots", line_number)
-
-    seen: set[int] = set()
-    total = 0.0
-    for token_id, prob in record.entries:
-        _require(0 <= token_id < vocab, "entries", "token id {} out of range", line_number, token_id)
-        _require(token_id not in seen, "entries", "duplicate token id {}", line_number, token_id)
-        seen.add(token_id)
-        _require(0.0 <= prob <= 1.0 + PROB_ATOL, "entries", "probability {} outside [0, 1]", line_number, prob)
-        total += prob
-    _require(
-        -PROB_ATOL <= record.rest_mass <= 1.0 + PROB_ATOL,
-        "rest_mass", "{} outside [0, 1]", line_number, record.rest_mass,
-    )
-    _require(
-        abs(total + record.rest_mass - 1.0) <= PROB_ATOL,
-        "entries", "probabilities + rest_mass sum to {:.8f}, expected 1", line_number, total + record.rest_mass,
-    )
-    check_tail_room(vocab, len(record.entries), record.rest_mass, line_number)
-
-    if record.attention is not None:
-        _require(len(record.attention) > 0, "attention", "must be non-empty when present", line_number)
-        _require(
-            all(0 <= a < math.inf for a in record.attention),
-            "attention", "weights must be finite and non-negative", line_number,
-        )
-        asum = math.fsum(record.attention)
-        _require(abs(asum - 1.0) <= PROB_ATOL, "attention", "sums to {:.8f}, expected 1", line_number, asum)
-    if record.cum_attention is not None:
-        _require(
-            all(0 <= c < math.inf for c in record.cum_attention),
-            "cum_attention", "weights must be finite and non-negative", line_number,
-        )
-        if record.attention is not None:
-            _require(
-                len(record.cum_attention) == len(record.attention),
-                "cum_attention", "length differs from attention", line_number,
-            )
-            _require(
-                all(c >= a - PROB_ATOL for c, a in zip(record.cum_attention, record.attention)),
-                "cum_attention", "element below the current attention weight", line_number,
-            )
-    if record.features is not None:
-        _require(
-            0.0 <= record.features.entropy < math.inf,
-            "features", "entropy must be finite and non-negative", line_number,
-        )
-        _require(0.0 <= record.features.coverage <= 1.0, "features", "coverage outside [0, 1]", line_number)
+    LogBatch.from_records([record], lines=None if line_number is None else [line_number]).validate()
     return record
 
 
 def parse_log_line(line: str, line_number: int | None = None) -> TokenRecord:
     """Parse one JSONL log line into a validated TokenRecord."""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line_number=line_number, offset=exc.pos) from exc
-    if not isinstance(payload, dict):
-        raise ParseError("record must be a JSON object", line_number=line_number)
+    columns = _Columns()
+    columns.add(line, line_number)
+    batch = columns.batch(numbered=line_number is not None)
+    batch.validate()
+    return batch[0]
 
-    try:
-        entries = tuple((int(i), float(p)) for i, p in payload["entries"])
-        attention = payload.get("attention")
-        cum_attention = payload.get("cum_attention")
-        features = payload.get("features")
-        record = TokenRecord(
-            seq_id=str(payload["seq_id"]),
-            t=int(payload["t"]),
-            vocab_size=int(payload["vocab_size"]),
-            eos_id=int(payload["eos_id"]),
-            gold_id=int(payload["gold_id"]),
-            entries=entries,
-            rest_mass=float(payload.get("rest_mass", 0.0)),
-            attention=None if attention is None else tuple(float(a) for a in attention),
-            cum_attention=None if cum_attention is None else tuple(float(c) for c in cum_attention),
-            features=None if features is None else StepFeatures(
-                entropy=float(features["entropy"]), coverage=float(features["coverage"]),
-            ),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad record structure: {exc!r}", line_number=line_number) from exc
-    return validate_record(record, line_number=line_number)
+
+def _payload(seq_id, t, vocab_size, eos_id, gold_id, entries, rest_mass, attention, cum_attention, features) -> dict:
+    payload: dict = {
+        "seq_id": seq_id,
+        "t": t,
+        "vocab_size": vocab_size,
+        "eos_id": eos_id,
+        "gold_id": gold_id,
+        "entries": [[i, p] for i, p in entries],
+        "rest_mass": rest_mass,
+    }
+    if attention is not None:
+        payload["attention"] = list(attention)
+    if cum_attention is not None:
+        payload["cum_attention"] = list(cum_attention)
+    if features is not None:
+        payload["features"] = {"entropy": features[0], "coverage": features[1]}
+    return payload
 
 
 def serialize_record(record: TokenRecord) -> str:
     """Inverse of parse_log_line; parse(serialize(r)) equals r."""
-    payload: dict = {
-        "seq_id": record.seq_id,
-        "t": record.t,
-        "vocab_size": record.vocab_size,
-        "eos_id": record.eos_id,
-        "gold_id": record.gold_id,
-        "entries": [[i, p] for i, p in record.entries],
-        "rest_mass": record.rest_mass,
-    }
-    if record.attention is not None:
-        payload["attention"] = list(record.attention)
-    if record.cum_attention is not None:
-        payload["cum_attention"] = list(record.cum_attention)
-    if record.features is not None:
-        payload["features"] = {"entropy": record.features.entropy, "coverage": record.features.coverage}
-    return json.dumps(payload, separators=(",", ":"))
+    return json.dumps(_payload(*_fields(record)), separators=(",", ":"))
 
 
 def densify(record: TokenRecord) -> np.ndarray:
@@ -329,30 +675,24 @@ class PooledLayout:
         return logp
 
 
-def pooled_layout(records: Sequence[TokenRecord]) -> PooledLayout:
-    """The pooled-tail layout of ``records``, the one place that normalizes
-    a sparse record and pools its unlisted tail."""
-    n = len(records)
-    counts = np.fromiter((len(r.entries) for r in records), dtype=np.int64, count=n)
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(r.entries for r in records)),
-        dtype=np.float64, count=2 * int(counts.sum()),
-    )
-    listed, probs = flat[0::2].astype(np.int64), flat[1::2]
-    vocab = np.fromiter((r.vocab_size for r in records), dtype=np.int64, count=n)
-    eos_id = np.fromiter((r.eos_id for r in records), dtype=np.int64, count=n)
-    gold_id = np.fromiter((r.gold_id for r in records), dtype=np.int64, count=n)
-    rest_mass = np.fromiter((r.rest_mass for r in records), dtype=np.float64, count=n)
+def pooled_layout(records: LogBatch | Sequence[TokenRecord]) -> PooledLayout:
+    """The pooled-tail layout of a batch (or of records), the one place that
+    normalizes a sparse record and pools its unlisted tail."""
+    batch = as_batch(records, vectors=False)
+    n = len(batch)
+    counts = np.diff(batch.offsets)
+    listed, probs = batch.ids, batch.probs
+    vocab, eos_id, gold_id, rest_mass = batch.vocab_size, batch.eos_id, batch.gold_id, batch.rest_mass
     crowded = (counts == vocab) & (rest_mass > 0)
     if crowded.any():
-        bad = records[int(np.argmax(crowded))]
-        check_tail_room(bad.vocab_size, len(bad.entries), bad.rest_mass)
+        i = int(np.argmax(crowded))
+        check_tail_room(int(vocab[i]), int(counts[i]), float(rest_mass[i]))
 
     width = (int(counts.max()) if n else 0) + 2
     eos_col, tail_col = width - 2, width - 1
     rows = np.arange(n)
     row = np.repeat(rows, counts)
-    col = np.arange(len(listed)) - np.repeat(np.cumsum(counts) - counts, counts)
+    col = np.arange(len(listed)) - np.repeat(batch.offsets[:-1], counts)
 
     unlisted = vocab - counts
     share = np.divide(np.maximum(rest_mass, 0.0), unlisted, out=np.zeros(n), where=unlisted > 0)
@@ -409,44 +749,61 @@ class DatasetSummary:
 def validate_dataset(lines: Iterable[str]) -> DatasetSummary:
     """Tally a whole log without aborting: bad lines are counted and skipped."""
     summary = DatasetSummary()
+    columns = _Columns()
+    problems: list[tuple[int, str, str]] = []  # line, field, message
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            record = parse_log_line(line, line_number=line_number)
+            columns.add(line, line_number)
         except ParseError as exc:
             summary.parse_errors += 1
-            summary.error_fields["<parse>"] = summary.error_fields.get("<parse>", 0) + 1
-            summary._note(str(exc))
-            continue
-        except ValidationError as exc:
-            summary.validation_errors += 1
-            summary.error_fields[exc.field] = summary.error_fields.get(exc.field, 0) + 1
-            summary._note(str(exc))
-            continue
-        summary.count += 1
-        if not record.gold_in_entries():
-            summary.gold_in_tail += 1
+            problems.append((line_number, "<parse>", str(exc)))
+    batch = columns.batch()
+    bad = np.zeros(len(batch), dtype=bool)
+    for row, exc in batch.errors():
+        bad[row] = True
+        problems.append((exc.line_number, exc.field, str(exc)))
+    for _, fieldname, message in sorted(problems, key=lambda problem: problem[0]):
+        summary.error_fields[fieldname] = summary.error_fields.get(fieldname, 0) + 1
+        summary._note(message)
+    entry_row = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))
+    listed = rows_with(batch.ids == batch.gold_id[entry_row], batch.offsets)
+    summary.validation_errors = int(bad.sum())
+    summary.count = len(batch) - summary.validation_errors
+    summary.gold_in_tail = int((~bad & ~listed).sum())
     return summary
 
 
-def read_log(lines: Iterable[str]) -> Iterator[TokenRecord]:
-    """Strictly parse a log, raising on the first bad line."""
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        yield parse_log_line(line, line_number=line_number)
+def read_log(lines: Iterable[str]) -> LogBatch:
+    """Strictly parse a log into a checked LogBatch, raising on the first
+    bad line; blank lines are skipped."""
+    columns = _Columns()
+    try:
+        for line_number, line in enumerate(lines, start=1):
+            if line.strip():
+                columns.add(line, line_number)
+    except ParseError:
+        columns.batch().validate()  # a bad record on an earlier line comes first
+        raise
+    batch = columns.batch()
+    batch.validate()
+    return batch
 
 
-def read_log_file(path) -> list[TokenRecord]:
+def read_log_file(path) -> LogBatch:
     with open(path, "r", encoding="utf-8") as handle:
-        return list(read_log(handle))
+        return read_log(handle)
 
 
-def write_log_file(path, records: Iterable[TokenRecord]) -> None:
+def write_log_file(path, records: LogBatch | Iterable[TokenRecord]) -> None:
+    if isinstance(records, LogBatch):
+        lines = (json.dumps(_payload(*row), separators=(",", ":")) for row in records._rows(0, len(records)))
+    else:
+        lines = map(serialize_record, records)
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(serialize_record(record) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def group_into_sequences(records: Iterable[TokenRecord]) -> list[SequenceRecord]:
@@ -455,30 +812,14 @@ def group_into_sequences(records: Iterable[TokenRecord]) -> list[SequenceRecord]
     Steps must arrive ordered t = 1..n with no gaps. The source length is
     inferred from the first step carrying an attention vector.
     """
+    records = list(records)
+    batch = LogBatch.from_records(records, vectors=False)
+    batch.check_step_order()
     sequences: list[SequenceRecord] = []
-    current: list[TokenRecord] = []
-
-    def flush() -> None:
-        if not current:
-            return
-        for expected_t, step in enumerate(current, start=1):
-            if step.t != expected_t:
-                raise ValidationError(
-                    "t", f"sequence {current[0].seq_id!r} has step {step.t} where {expected_t} was expected",
-                )
-        source_len = None
-        for step in current:
-            vec = step.attention if step.attention is not None else step.cum_attention
-            if vec is not None:
-                source_len = len(vec)
-                break
-        sequences.append(SequenceRecord(seq_id=current[0].seq_id, steps=tuple(current), source_len=source_len))
-        current.clear()
-
-    for record in records:
-        if current and record.seq_id != current[0].seq_id:
-            flush()
-        current.append(record)
-    flush()
+    for seq_id, lo, hi in zip(batch.seq_ids, batch.seq_starts[:-1].tolist(), batch.seq_starts[1:].tolist()):
+        steps = tuple(records[lo:hi])
+        vectors = (s.attention if s.attention is not None else s.cum_attention for s in steps)
+        source_len = next((len(v) for v in vectors if v is not None), None)
+        sequences.append(SequenceRecord(seq_id=seq_id, steps=steps, source_len=source_len))
     return sequences
 

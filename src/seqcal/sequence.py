@@ -72,7 +72,7 @@ def _checked_step(model: ScoringModel, state, prefix: Tokens):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.shape != (model.vocab_size,):
         raise ModelError(f"model emitted {probs.shape} probabilities for V={model.vocab_size}")
-    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > PROB_ATOL:
+    if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > PROB_ATOL:
         raise ModelError(f"model emitted an invalid distribution (sum={float(probs.sum()):.8f})")
     return probs, alpha, next_state
 

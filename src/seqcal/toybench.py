@@ -302,7 +302,7 @@ def emit_logs(
             probs = np.asarray(probs, dtype=np.float64)
             alpha = np.asarray(alpha, dtype=np.float64)
             cum = alpha.copy() if cum is None else cum + alpha
-            nonzero = np.nonzero(probs)[0]
+            nonzero = np.flatnonzero(probs)
             steps.append(
                 TokenRecord(
                     seq_id=seq_id,
@@ -310,10 +310,10 @@ def emit_logs(
                     vocab_size=model.vocab_size,
                     eos_id=model.eos_id,
                     gold_id=int(gold),
-                    entries=tuple((int(j), float(probs[j])) for j in nonzero),
+                    entries=tuple(zip(nonzero.tolist(), probs[nonzero].tolist())),
                     rest_mass=0.0,
-                    attention=tuple(float(a) for a in alpha),
-                    cum_attention=tuple(float(c) for c in cum),
+                    attention=tuple(alpha.tolist()),
+                    cum_attention=tuple(cum.tolist()),
                     features=StepFeatures(
                         entropy=attention_entropy(alpha),
                         coverage=coverage(cum, feature_cfg.coverage_threshold),
