@@ -9,7 +9,7 @@ from .errors import (
     SeqcalError,
     ValidationError,
 )
-from .features import FeatureConfig, attention_entropy, coverage, enrich, enrich_all, enrich_batch
+from .features import FeatureConfig, attention_entropy, coverage, enrich, enrich_batch
 from .metrics import (
     GroupMetrics,
     PartitionSpec,
@@ -52,7 +52,6 @@ from .recalibrate import (
     fit_calibrator,
     fit_single_temperature,
     golden_section,
-    inverse_temperature,
     load_params,
     recalibrate_distribution,
     recalibrate_log,

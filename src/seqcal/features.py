@@ -33,10 +33,10 @@ def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float:
     arr = np.asarray(alpha, dtype=np.float64)
     if arr.size == 0:
         raise FeatureError("attention vector is empty")
-    if (arr < 0).any():
+    if not (arr >= 0).all():
         raise FeatureError("attention weights must be non-negative")
     total = float(arr.sum())
-    if abs(total - 1.0) > PROB_ATOL:
+    if not abs(total - 1.0) <= PROB_ATOL:
         raise FeatureError(f"attention sums to {total:.8f}, expected 1")
     positive = arr[arr > 0]
     return max(0.0, -float((positive * np.log(positive)).sum()))
@@ -47,7 +47,7 @@ def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float
     arr = np.asarray(cum_attention, dtype=np.float64)
     if arr.size == 0:
         raise FeatureError("cumulative attention vector is empty")
-    if (arr < 0).any():
+    if not (arr >= 0).all():
         raise FeatureError("cumulative attention weights must be non-negative")
     return float(np.count_nonzero(arr > delta)) / arr.size
 
@@ -65,31 +65,6 @@ def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _attention_features(alpha, alpha_offsets, cum, cum_offsets, delta: float):
-    """Per CSR row: the entropy of ``alpha`` as ``attention_entropy`` takes
-    it, the coverage of ``cum`` as ``coverage`` takes it, and the checks the
-    two make, as (failed rows, message) pairs in their order."""
-    n = len(alpha_offsets) - 1
-    total = _row_sums(alpha, alpha_offsets)
-    positive = alpha > 0
-    x = alpha[positive]
-    entropy = -_row_sums(x * np.log(x), np.concatenate(([0], np.cumsum(positive)))[alpha_offsets])
-    entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
-    cum_len = np.diff(cum_offsets)
-    above = np.bincount(np.repeat(np.arange(n), cum_len)[cum > delta], minlength=n)
-    cov = np.divide(above, cum_len, out=np.zeros(n), where=cum_len > 0)
-    attention_checks = [
-        (np.diff(alpha_offsets) == 0, "attention vector is empty"),
-        (rows_with(alpha < 0, alpha_offsets), "attention weights must be non-negative"),
-        (np.abs(total - 1.0) > PROB_ATOL, lambda i: f"attention sums to {total[i]:.8f}, expected 1"),
-    ]
-    coverage_checks = [
-        (cum_len == 0, "cumulative attention vector is empty"),
-        (rows_with(cum < 0, cum_offsets), "cumulative attention weights must be non-negative"),
-    ]
-    return entropy, cov, attention_checks, coverage_checks
-
-
 def _raise_first(batch: LogBatch, problems) -> None:
     """Raise FeatureError for the first row failing any of ``problems``,
     (failed rows, message) pairs, with its first failing message."""
@@ -101,17 +76,6 @@ def _raise_first(batch: LogBatch, problems) -> None:
         raise FeatureError(f"{batch.where(row)}: {message(row) if callable(message) else message}")
 
 
-def step_features(batch: LogBatch, rows: np.ndarray, cfg: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's stored (entropy, coverage), except on ``rows``, which get
-    the entropy of their attention and the coverage of their stored
-    cumulative attention, step by step. Every one of ``rows`` must carry both."""
-    entropy, cov, attention_checks, coverage_checks = _attention_features(
-        batch.attention, batch.att_offsets, batch.cum_attention, batch.cum_offsets, cfg.coverage_threshold,
-    )
-    _raise_first(batch, [(rows & failed, message) for failed, message in attention_checks + coverage_checks])
-    return np.where(rows, entropy, batch.entropy), np.where(rows, cov, batch.coverage)
-
-
 def enrich_batch(batch: LogBatch, cfg: FeatureConfig = FeatureConfig()) -> LogBatch:
     """Fill (entropy, coverage) on every row of a batch in one columnar pass.
 
@@ -119,104 +83,99 @@ def enrich_batch(batch: LogBatch, cfg: FeatureConfig = FeatureConfig()) -> LogBa
     the running sum of its sequence's attention up to and including it. A
     step with only ``cum_attention`` gets its attention by differencing
     against the previous step's cumulative attention (zeros at the start
-    of a sequence, or when the previous step's is unknown). Stored
-    features pass through; a step without them gets both from its
-    attention, and a step without ``cum_attention`` gets the running sum
-    filled in. A step that carries only features leaves its attention
-    unknown, so the running sum is unknown until a step stores
-    ``cum_attention`` again; a step in between that needs the sum raises
-    FeatureError. Every check raises FeatureError naming the sequence and
-    step of the first bad row. Idempotent.
+    of a sequence). Stored features pass through; a step without them gets
+    both from its attention, and a step without ``cum_attention`` gets the
+    running sum filled in. A step that carries only features leaves its
+    attention unknown, so the running sum is unknown until a step stores
+    ``cum_attention`` again, and so is the attention of a step in between
+    that stores only ``cum_attention``; such a step without features
+    raises FeatureError. Every check raises FeatureError naming the
+    sequence and step of the first bad row. Idempotent.
 
-    The pass steps through the sequences in lockstep, one step position at
-    a time, so it makes O(longest sequence) numpy calls; the running sums
-    add the same floats in the same order as a per-step loop.
+    Every row of a sequence is as wide as the sequence's first vector, and
+    the sequence's rows lie back to back, so a step's predecessor sits one
+    width earlier. NaN marks an unknown vector. One loop over step
+    positions carries only the cumulative vectors; it adds the same floats
+    in the same order as a per-step loop.
     """
     n = len(batch)
     has_att, has_cum, has_feat = batch.has_attention, batch.has_cum, batch.has_features
     att_len, cum_len = np.diff(batch.att_offsets), np.diff(batch.cum_offsets)
     has_vec = has_att | has_cum
     length = np.where(has_att, att_len, cum_len)
-    bad_len = has_att & has_cum & (att_len != cum_len)
-    # every row's vectors in one layout: attention, stored, running and current cumulative
-    off = offsets_of(length)
-    alpha, stored, running, cum = (np.zeros(off[-1]) for _ in range(4))
-    alpha[spans(off[:-1][has_att], att_len[has_att])] = batch.attention
-    fits = has_cum & ~bad_len
-    stored[spans(off[:-1][fits], cum_len[fits])] = batch.cum_attention[
-        spans(batch.cum_offsets[:-1][fits], cum_len[fits])
-    ]
+    starts, vec_rows = batch.seq_starts, np.flatnonzero(has_vec)
+    # each sequence's first row with a vector, when it is below the sequence's end
+    first = np.append(vec_rows, n)[np.searchsorted(vec_rows, starts[:-1])]
+    seq_width = np.where(first < starts[1:], np.append(length, 0)[first], 0)
+    width = seq_width[batch.seq_index]
+    bad_len = (has_att & (att_len != width)) | (has_cum & (cum_len != width))
+    off = offsets_of(width)
+    alpha, cum = np.full(off[-1], np.nan), np.full(off[-1], np.nan)
+    for out, values, offsets, has in (
+        (alpha, batch.attention, batch.att_offsets, has_att), (cum, batch.cum_attention, batch.cum_offsets, has_cum),
+    ):
+        fits = has & ~bad_len
+        if (has & bad_len).any():  # a vector of the wrong width stays unknown; its row fails
+            values = values[spans(offsets[:-1][fits], width[fits])]
+        out[spans(off[:-1][fits], width[fits])] = values
 
-    def span(rows):
-        return spans(off[rows], length[rows])
-
-    starts, seq_len = batch.seq_starts[:-1], np.diff(batch.seq_starts)
-    by_length = np.argsort(-seq_len, kind="stable")
-    # sequences still running at each step position: a prefix of by_length
-    live_counts = np.searchsorted(-seq_len[by_length], -np.arange(int(seq_len.max(initial=0))), side="left")
-    prev = np.full(len(starts), -1)  # the row holding the previous step's cumulative attention
-    run = np.full(len(starts), -1)   # the row holding the running sum
-    gap = np.zeros(len(starts), dtype=bool)  # running sum unknown since a features-only step
-    known = np.zeros(n, dtype=bool)  # the row's cumulative attention is known
+    # the sequences by length, longest first: those still running at a step are a prefix
+    seq_len = np.diff(starts)
+    order = np.argsort(-seq_len, kind="stable")
+    w = seq_width[order]
+    at_first = spans(off[starts[:-1][order]], w)
+    back = np.repeat(w, w)
+    live = offsets_of(w)[np.searchsorted(-seq_len[order], -np.arange(seq_len.max(initial=0)), side="left")]
     decreased = np.zeros(n, dtype=bool)
-    unknown = np.zeros(n, dtype=bool)
-    for k, live_count in enumerate(live_counts):
-        live = by_length[:live_count]
-        rows = starts[live] + k
-        a, c, g, p, r = has_att[rows], has_cum[rows], gap[live], prev[live], run[live]
-        # attention of a step with only cum_attention, by differencing
-        derive = ~a & c & ~bad_len[rows]
-        based = derive & (p >= 0)
-        based &= ~(mismatch := based & (length[p] != length[rows]))
-        bad_len[rows[mismatch]] = True
-        derive &= ~mismatch
-        if derive.any():
-            dst = span(rows[derive])
-            base = np.zeros(len(dst))
-            base[np.repeat(based[derive], length[rows[derive]])] = cum[span(p[based])]
-            diff = stored[dst] - base
-            decreased[rows[derive]] = rows_with(diff < -PROB_ATOL, offsets_of(length[rows[derive]]))
-            alpha[dst] = np.maximum(diff, 0.0)
-        # the running sum
-        vec = has_vec[rows] & ~bad_len[rows]
-        cont = vec & ~g & (r >= 0)
-        cont &= ~(mismatch := cont & (length[r] != length[rows]))
-        bad_len[rows[mismatch]] = True
-        vec &= ~mismatch
-        fresh, restore, lost = vec & ~g & (r < 0), vec & g & c, vec & g & ~c
-        if cont.any():
-            dst = span(rows[cont])
-            running[dst] = running[span(r[cont])] + alpha[dst]
-        running[span(rows[fresh])] = alpha[span(rows[fresh])]
-        running[span(rows[restore])] = stored[span(rows[restore])]
-        # the current cumulative attention: the stored one, else the running sum when known
-        summed = (cont | fresh) & ~c
-        cum[span(rows[vec & c])] = stored[span(rows[vec & c])]
-        cum[span(rows[summed])] = running[span(rows[summed])]
-        known[rows] = (vec & c) | summed
-        unknown[rows[lost & ~has_feat[rows]]] = True
-        run[live] = np.where(cont | fresh | restore, rows, -1)
-        prev[live] = np.where(known[rows], rows, -1)
-        gap[live] = ~vec | (g & ~c)
+    for k, m in enumerate(live.tolist()):
+        at = at_first[:m] + k * back[:m]
+        a, c = alpha[at], cum[at]
+        derive = np.isnan(a)
+        if derive.any():  # a step with only cum_attention: difference against the previous step's
+            diff = c[derive] - (cum[at[derive] - back[:m][derive]] if k else 0.0)
+            decreased[np.searchsorted(off, at[derive][diff < -PROB_ATOL], "right") - 1] = True
+            a[derive] = alpha[at[derive]] = np.maximum(diff, 0.0)
+        running = a if k == 0 else running[:m] + a
+        restart = np.isnan(running)  # a stored cum_attention restarts an unknown running sum
+        running[restart] = c[restart]
+        cum[at] = np.where(np.isnan(c), running, c)
 
-    entropy, cov, attention_checks, coverage_checks = _attention_features(
-        alpha, off, cum, off, cfg.coverage_threshold,
-    )
+    def known(values):
+        """Rows whose vector in ``values`` is known: an unknown one is NaN throughout."""
+        out = np.ones(n, dtype=bool)
+        out[width > 0] = ~np.isnan(values[off[:-1][width > 0]])
+        return out
+
+    known_att, known_cum = has_vec & known(alpha), has_vec & known(cum)
+    total = _row_sums(alpha, off)
+    positive = alpha > 0
+    x = alpha[positive]
+    entropy = -_row_sums(x * np.log(x), np.concatenate(([0], np.cumsum(positive)))[off])
+    entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
+    above = np.bincount(np.repeat(np.arange(n), width)[cum > cfg.coverage_threshold], minlength=n)
+    cov = np.divide(above, width, out=np.zeros(n), where=width > 0)
+    gap = "after a step that carries only features; store {} or features on this step"
     _raise_first(batch, [
         (~has_vec & ~has_feat, "no attention, cumulative attention, or features"),
+        (rows_with(~np.isfinite(batch.attention), batch.att_offsets), "attention weights must be finite"),
+        (rows_with(~np.isfinite(batch.cum_attention), batch.cum_offsets),
+         "cumulative attention weights must be finite"),
         (bad_len, "attention vectors differ in length"),
         (decreased, "cumulative attention decreased"),
-        *((has_vec & failed, message) for failed, message in attention_checks),
-        (unknown, "cumulative attention unknown after a step that carries only features; "
-                  "store cum_attention or features on this step"),
-        *((known & failed, message) for failed, message in coverage_checks),
+        (known_att & (width == 0), "attention vector is empty"),
+        (known_att & rows_with(~(alpha >= 0), off), "attention weights must be non-negative"),
+        (known_att & ~(np.abs(total - 1.0) <= PROB_ATOL), lambda i: f"attention sums to {total[i]:.8f}, expected 1"),
+        (has_vec & ~has_feat & ~known_att, "attention unknown " + gap.format("attention")),
+        (has_vec & ~has_feat & ~known_cum, "cumulative attention unknown " + gap.format("cum_attention")),
+        (known_cum & (width == 0), "cumulative attention vector is empty"),
+        (known_cum & rows_with(~(cum >= 0), off), "cumulative attention weights must be non-negative"),
     ])
-    filled = has_cum | (has_vec & known)
+    filled = has_cum | known_cum
     return replace(
         batch,
         has_cum=filled,
-        cum_offsets=offsets_of(np.where(filled, length, 0)),
-        cum_attention=cum[spans(off[:-1][filled], length[filled])],
+        cum_offsets=offsets_of(np.where(filled, width, 0)),
+        cum_attention=cum[spans(off[:-1][filled], width[filled])],
         has_features=np.ones(n, dtype=bool),
         entropy=np.where(has_feat, batch.entropy, entropy),
         coverage=np.where(has_feat, batch.coverage, cov),
@@ -228,10 +187,6 @@ def enrich(seq: SequenceRecord, cfg: FeatureConfig = FeatureConfig()) -> Sequenc
     on a batch of its steps."""
     batch = replace(LogBatch.from_records(seq.steps), seq_ids=[seq.seq_id], seq_starts=np.array([0, len(seq.steps)]))
     return replace(seq, steps=tuple(enrich_batch(batch, cfg)))
-
-
-def enrich_all(sequences, cfg: FeatureConfig = FeatureConfig()) -> list[SequenceRecord]:
-    return [enrich(seq, cfg) for seq in sequences]
 
 
 def attention_profile(alpha_peakedness: float, aligned: int, k: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
-from .features import FeatureConfig, attention_entropy, coverage, step_features
+from .features import FeatureConfig, attention_entropy, coverage, enrich_batch
 from .records import LogBatch, PooledLayout, TokenRecord, as_batch, densify, offsets_of
 from .sequence import ScoringModel
 
@@ -186,15 +186,6 @@ def eos_correction(
     return corrected
 
 
-def inverse_temperature(a_t: float, l_prime, params: CalibratorParams):
-    """Per-token inverse temperature g(a_t) * h(l') for scalar or vector l'."""
-    g_out, _ = params.g_net.forward(np.asarray([a_t]))
-    l_arr = np.atleast_1d(np.asarray(l_prime, dtype=np.float64))
-    h_out, _ = params.h_net.forward(l_arr)
-    value = (g_out[0] + _offset(params)) * (h_out + _offset(params))
-    return value if np.ndim(l_prime) else float(value[0])
-
-
 # ---------------------------------------------------------------------------
 # Pooled-tail layout: every recalibration path runs on it
 # ---------------------------------------------------------------------------
@@ -219,17 +210,17 @@ def _dense_pool(dense: np.ndarray, eos_id: int) -> PooledLayout:
 def _pool(batch: LogBatch, feature_cfg: FeatureConfig | None = None) -> PooledLayout:
     """The layout of ``batch``; with ``feature_cfg`` a copy that also
     carries the features the variable calibrator needs: the stored ones,
-    else those of the attention vectors."""
+    else those ``enrich_batch`` derives from a row's attention and
+    cum_attention, which a row without stored features must both carry."""
     if feature_cfg is None:
         return batch.layout
-    bare = ~batch.has_features
-    entropy, cov = batch.entropy, batch.coverage
-    if bare.any():
-        vectorless = bare & ~(batch.has_attention & batch.has_cum)
+    enriched = batch
+    if not batch.has_features.all():
+        vectorless = ~batch.has_features & ~(batch.has_attention & batch.has_cum)
         if vectorless.any():
             raise FitError(f"{batch.where(int(np.argmax(vectorless)))}: no features and no attention to derive them")
-        entropy, cov = step_features(batch, bare, feature_cfg)
-    return replace(batch.layout, entropy=entropy, coverage=cov)
+        enriched = enrich_batch(batch, feature_cfg)
+    return replace(batch.layout, entropy=enriched.entropy, coverage=enriched.coverage)
 
 
 def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:

@@ -126,3 +126,56 @@ class TestEnrich:
         ]
         enriched = enrich(seq_of(steps))
         assert enriched.steps[1].cum_attention == pytest.approx((2.0, 0.0))
+
+
+GAP_FEATURES = StepFeatures(entropy=0.4, coverage=0.5)
+
+
+def gap_sequence(cum, features=None, *later):
+    """Attention at step 1, features only at step 2, ``cum_attention`` only at step 3."""
+    steps = [make_record([1.0], gold=0, seq_id="g", t=1, attention=[0.3, 0.7]),
+             make_record([1.0], gold=0, seq_id="g", t=2, features=GAP_FEATURES),
+             make_record([1.0], gold=0, seq_id="g", t=3, cum_attention=cum, features=features)]
+    steps += [make_record([1.0], gold=0, seq_id="g", t=t, cum_attention=c) for t, c in enumerate(later, 4)]
+    return SequenceRecord("g", tuple(steps))
+
+
+class TestFeaturesGap:
+    @pytest.mark.parametrize("cum", [(0.6, 1.4), (0.5, 0.5)])
+    def test_cumulative_only_step_after_the_gap_is_rejected(self, cum):
+        # step 2's cumulative attention is unknown, so step 3's attention cannot be differenced
+        with pytest.raises(FeatureError, match="sequence 'g' step 3: attention unknown after a step that carries "
+                                               "only features"):
+            enrich(gap_sequence(cum))
+
+    def test_cumulative_only_step_after_the_gap_with_features_passes(self):
+        feats = StepFeatures(entropy=0.1, coverage=0.2)
+        out = enrich(gap_sequence((0.6, 1.4), feats, (1.1, 1.9))).steps
+        assert out[2].features == feats and out[2].cum_attention == (0.6, 1.4)
+        # the next step differences against step 3's stored cumulative attention
+        assert out[3].features.entropy == pytest.approx(math.log(2), abs=1e-12)
+        assert out[3].features.coverage == 1.0
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("alpha", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_entropy_rejects(self, alpha):
+        with pytest.raises(FeatureError):
+            attention_entropy(alpha)
+
+    @pytest.mark.parametrize("cum", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_coverage_rejects(self, cum):
+        with pytest.raises(FeatureError, match="non-negative"):
+            coverage(cum, 0.35)
+
+    @pytest.mark.parametrize("vectors, message", [
+        (dict(attention=[math.nan, 1.0], cum_attention=[math.nan, 1.0]), "attention weights must be finite"),
+        (dict(cum_attention=[0.5, math.nan]), "cumulative attention weights must be finite"),
+        (dict(attention=[math.inf, 0.0]), "attention weights must be finite"),
+    ])
+    def test_enrich_rejects_and_names_the_step_not_a_gap(self, vectors, message):
+        steps = [make_record([1.0], gold=0, t=1, attention=[0.5, 0.5]),
+                 make_record([1.0], gold=0, t=2, **vectors),
+                 make_record([1.0], gold=0, t=3, attention=[0.5, 0.5])]
+        with pytest.raises(FeatureError, match=f"sequence 's' step 2: {message}"):
+            enrich(seq_of(steps))

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqcal.errors import FitError
+from seqcal.errors import FeatureError, FitError
+from seqcal.features import attention_entropy, coverage
 from seqcal.recalibrate import (
     CalibratedModel,
     CalibratorParams,
@@ -22,17 +23,26 @@ from seqcal.recalibrate import (
     fit_single_temperature,
     golden_section,
     initial_params,
-    inverse_temperature,
     load_params,
     log_sigmoid,
+    recalibrate_log,
     save_params,
     sigmoid,
     single_temperature_nll,
 )
-from seqcal.records import densify
+from seqcal.records import StepFeatures, densify
+from seqcal.sequence import ScoringModel
 from seqcal.toybench import DistortionSpec, ToyTaskSpec, build_true_model, distort, emit_logs, flatten
 
 from conftest import make_feature_record, make_record, random_simplex
+
+
+def inverse_temperature(a_t: float, l_prime: float, params: CalibratorParams) -> float:
+    """The variable calibrator's inverse temperature g(a_t) * h(l') for one token."""
+    offset = 1.0 if params.plus_one else 0.0
+    g_out, _ = params.g_net.forward(np.asarray([a_t]))
+    h_out, _ = params.h_net.forward(np.asarray([l_prime]))
+    return float((g_out[0] + offset) * (h_out[0] + offset))
 
 
 def zero_params(plus_one=False, w1=1.0, w2=0.35):
@@ -376,3 +386,59 @@ class TestCalibratedModel:
             for t, step in enumerate(seq.steps, start=1):
                 probs, _, state = wrapped.step(state, seq.reference[: t - 1])
                 np.testing.assert_allclose(probs, apply_single_temperature(step, 2.0), atol=1e-12)
+
+
+def attention_records(seed):
+    """Two sequences of records carrying attention and cum_attention but no features."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for seq_id, steps, source in (("a", 4, 3), ("b", 3, 5)):
+        cum = np.zeros(source)
+        for t in range(1, steps + 1):
+            alpha = random_simplex(rng, source)
+            cum = cum + alpha
+            records.append(make_record(random_simplex(rng, 6), gold=int(rng.integers(6)), seq_id=seq_id, t=t,
+                                       attention=alpha, cum_attention=cum))
+    return records
+
+
+class TestDerivedFeatures:
+    def test_apply_derives_the_features_it_would_read(self):
+        params = random_params(8)
+        bare = attention_records(8)
+        stored = [replace(r, features=StepFeatures(attention_entropy(r.attention), coverage(r.cum_attention, 0.35)))
+                  for r in bare]
+        got, want = recalibrate_log(bare, params), recalibrate_log(stored, params)
+        for name in ("offsets", "ids", "probs", "rest_mass"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert not got.has_features.any()
+
+    @pytest.mark.parametrize("missing", ["attention", "cum_attention"])
+    def test_a_bare_record_needs_both_vectors(self, missing):
+        record = replace(attention_records(9)[0], **{missing: None})
+        with pytest.raises(FitError, match="sequence 'a' step 1: no features and no attention"):
+            recalibrate_log([record], random_params(9))
+        with pytest.raises(FitError):
+            apply_calibrator(record, random_params(9))
+
+
+class NanAttentionModel(ScoringModel):
+    vocab_size, eos_id = 3, 2
+
+    def start(self, source):
+        return None
+
+    def step(self, state, prefix):
+        return np.array([0.5, 0.3, 0.2]), np.array([math.nan, 1.0]), state
+
+
+class TestNanAttention:
+    def test_apply_rejects_a_record_with_nan_attention(self):
+        record = make_record([0.5, 0.5], gold=0, attention=[math.nan, 1.0], cum_attention=[math.nan, 1.0])
+        with pytest.raises(FeatureError, match="finite"):
+            apply_calibrator(record, random_params(4))
+
+    def test_calibrated_model_rejects_a_model_with_nan_attention(self):
+        model = CalibratedModel(NanAttentionModel(), random_params(4))
+        with pytest.raises(FeatureError, match="non-negative"):
+            model.step(model.start([0]), [])
