@@ -9,7 +9,7 @@ from .errors import (
     SeqcalError,
     ValidationError,
 )
-from .features import FeatureConfig, attention_entropy, coverage, enrich, enrich_batch
+from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich, enrich_batch
 from .metrics import (
     GroupMetrics,
     PartitionSpec,
@@ -61,6 +61,7 @@ from .recalibrate import (
 from .sequence import (
     BeamConfig,
     Hypothesis,
+    RescoringModel,
     ScoringModel,
     beam_search,
     corpus_bleu,

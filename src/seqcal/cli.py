@@ -10,13 +10,12 @@ one-line summary. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .errors import SeqcalError
-from .features import FeatureConfig, enrich_batch
+from .features import enrich_batch
 from .metrics import (
     PartitionSpec,
     ece,
@@ -39,7 +38,6 @@ from .recalibrate import (
     recalibrate_log,
     save_params,
 )
-from .sequence import BeamConfig
 from .toybench import (
     DistortionSpec,
     ToyTaskSpec,
@@ -48,6 +46,7 @@ from .toybench import (
     distort,
     emit_logs,
     flatten,
+    read_spec,
     sequence_calibration_experiment,
 )
 
@@ -84,7 +83,6 @@ def build_parser() -> _Parser:
     p_fit.add_argument("--logs", type=Path, required=True)
     p_fit.add_argument("--mode", choices=("variable", "single"), required=True)
     p_fit.add_argument("--plus-one", action="store_true", dest="plus_one")
-    p_fit.add_argument("--delta", type=float, default=0.35, help="coverage threshold")
     p_fit.add_argument("--params-out", type=Path, required=True, dest="params_out")
 
     p_apply = sub.add_parser("apply", parents=[shared], help="rewrite logs with recalibrated distributions")
@@ -122,7 +120,10 @@ def _resolve_seed(args) -> int | None:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("SEQCAL_SEED")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError as exc:
+        raise UsageError(f"SEQCAL_SEED must be an integer, got {env!r}") from exc
 
 
 def _require_out(args) -> Path:
@@ -131,22 +132,26 @@ def _require_out(args) -> Path:
     return args.out
 
 
-def _ensure_features(batch: LogBatch, cfg: FeatureConfig) -> LogBatch:
+def _ensure_features(batch: LogBatch) -> LogBatch:
     if batch.has_features.all():
         return batch
     batch.check_step_order()
-    return enrich_batch(batch, cfg)
+    return enrich_batch(batch)
 
 
 def _parse_partition(text: str):
+    kind, _, value = text.partition(":")
     if text == "eos":
         return PartitionSpec.eos()
-    if text.startswith("entropy:"):
-        return PartitionSpec.entropy(float(text.split(":", 1)[1]))
-    if text.startswith("token:"):
-        return PartitionSpec.token(int(text.split(":", 1)[1]))
-    if text.startswith("headtail:"):
-        return [float(v) for v in text.split(":", 1)[1].split(",") if v]
+    try:
+        if kind == "entropy":
+            return PartitionSpec.entropy(float(value))
+        if kind == "token":
+            return PartitionSpec.token(int(value))
+        if kind == "headtail":
+            return [float(v) for v in value.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(f"--partition {text!r}: {exc}") from exc
     raise UsageError(f"unknown partition {text!r}")
 
 
@@ -182,7 +187,7 @@ def _cmd_stats(args) -> int:
         print(f"head_tail thresholds={len(rows)} records={len(records)} -> {out}")
         return 0
     if spec.kind == "entropy_split":
-        records = _ensure_features(records, FeatureConfig())
+        records = _ensure_features(records)
     groups = partitioned_metric(records, spec, bins)
     payload = {
         "metric": "partitioned",
@@ -200,14 +205,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_fit(args) -> int:
     records = read_log_file(args.logs)
-    cfg = FeatureConfig(coverage_threshold=args.delta)
     seed = _resolve_seed(args)
     if args.mode == "single":
         temperature = fit_single_temperature(records)
         save_params(args.params_out, SingleTemperature(temperature=temperature))
         print(f"mode=single temperature={temperature:.6f} records={len(records)} -> {args.params_out}")
         return 0
-    records = _ensure_features(records, cfg)
+    records = _ensure_features(records)
     params = fit_calibrator(
         records, TrainConfig(seed=0 if seed is None else seed), plus_one=args.plus_one
     )
@@ -223,7 +227,7 @@ def _cmd_apply(args) -> int:
     records = read_log_file(args.logs)
     params = load_params(args.params)
     if isinstance(params, CalibratorParams):
-        records = _ensure_features(records, FeatureConfig())
+        records = _ensure_features(records)
     rewritten = recalibrate_log(records, params)
     rewritten.validate()
     write_log_file(args.logs_out, rewritten)
@@ -231,39 +235,41 @@ def _cmd_apply(args) -> int:
     return 0
 
 
-def _load_model(task: ToyTaskSpec, model_spec_path: Path | None,
-                distort_path: Path | None = None, params_path: Path | None = None):
+def _model_spec(payload) -> tuple[DistortionSpec | None, Path | None]:
+    """(distortion, params file) of a decoded model spec, None where absent;
+    a malformed field raises SeqcalError naming it."""
+    if not isinstance(payload, dict):
+        raise SeqcalError("expected a JSON object")
+    distortion, params = payload.get("distort"), payload.get("params")
+    if params is not None and not isinstance(params, str):
+        raise SeqcalError(f"field 'params' must be a file path, got {params!r}")
+    try:
+        distortion = None if distortion is None else DistortionSpec.from_payload(distortion)
+    except SeqcalError as exc:
+        raise SeqcalError(f"field 'distort': {exc}") from exc
+    return distortion, None if params is None else Path(params)
+
+
+def _load_model(task: ToyTaskSpec, distortion: DistortionSpec | None, params_path: Path | None = None):
+    """The task's true model, distorted and then recalibrated where given."""
     model = build_true_model(task)
-    distortion = None
-    params_file = params_path
-    if model_spec_path is not None:
-        with open(model_spec_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("distort") is not None:
-            distortion = DistortionSpec.from_payload(payload["distort"])
-        if payload.get("params") is not None:
-            params_file = Path(payload["params"])
-    if distort_path is not None:
-        distortion = DistortionSpec.load(distort_path)
     if distortion is not None:
         model = distort(model, distortion)
-    if params_file is not None:
-        model = CalibratedModel(model, load_params(params_file))
+    if params_path is not None:
+        model = CalibratedModel(model, load_params(params_path))
     return model
+
+
+def _distortion(path: Path | None) -> DistortionSpec | None:
+    return None if path is None else DistortionSpec.load(path)
 
 
 def _cmd_seqcal(args) -> int:
     out = _require_out(args)
     task = ToyTaskSpec.load(args.task)
-    model = _load_model(task, args.model)
-    seed = _resolve_seed(args)
+    model = _load_model(task, *read_spec(args.model, _model_spec))
     result = sequence_calibration_experiment(
-        model,
-        task,
-        n_eval=args.n,
-        num_samples=args.samples,
-        bins=BinningConfig(args.bins),
-        seed=task.seed if seed is None else seed,
+        model, task, n_eval=args.n, num_samples=args.samples, bins=BinningConfig(args.bins), seed=_resolve_seed(args),
     )
     payload = {
         "metric": "structured_ece",
@@ -279,7 +285,7 @@ def _cmd_seqcal(args) -> int:
 
 def _cmd_toy_gen(args) -> int:
     task = ToyTaskSpec.load(args.spec)
-    model = _load_model(task, None, distort_path=args.distort)
+    model = _load_model(task, _distortion(args.distort))
     seed = _resolve_seed(args)
     sequences = emit_logs(model, task, args.n, seed=task.seed if seed is None else seed)
     records = flatten(sequences)
@@ -291,20 +297,12 @@ def _cmd_toy_gen(args) -> int:
 def _cmd_toy_beamsweep(args) -> int:
     out = _require_out(args)
     task = ToyTaskSpec.load(args.spec)
-    model = _load_model(task, None, distort_path=args.distort, params_path=args.params)
+    model = _load_model(task, _distortion(args.distort), args.params)
     try:
         beams = [int(b) for b in args.beams.split(",") if b]
     except ValueError as exc:
         raise UsageError(f"--beams must be comma-separated integers: {exc}") from exc
-    seed = _resolve_seed(args)
-    rows = beam_sweep(
-        model,
-        task,
-        beams,
-        n_eval=BEAMSWEEP_EVAL_SOURCES,
-        cfg=BeamConfig(),
-        seed=task.seed if seed is None else seed,
-    )
+    rows = beam_sweep(model, task, beams, n_eval=BEAMSWEEP_EVAL_SOURCES, seed=_resolve_seed(args))
     write_report_json(out, {"metric": "beam_sweep", "rows": rows})
     summary = " ".join(f"B={r['beam_width']}:{r['corpus_bleu']:.4f}" for r in rows)
     print(f"beamsweep {summary} -> {out}")

@@ -2,12 +2,15 @@
 
 ``enrich_batch`` derives both for a whole ``LogBatch`` in one columnar
 pass; ``attention_entropy`` and ``coverage`` are the one-step forms a
-decoder calls. Both give the same values bit for bit.
+decoder calls. Both give the same values bit for bit. Entropy is in nats;
+coverage counts the source positions whose cumulative attention exceeds
+``COVERAGE_THRESHOLD``, the one threshold that logs, fits, ``apply`` and
+decoders share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -16,16 +19,7 @@ from .errors import FeatureError
 from .records import PROB_ATOL, LogBatch, SequenceRecord, first_failed, offsets_of, rows_with, spans
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Coverage counts source positions whose cumulative attention exceeds
-    ``coverage_threshold``; entropy is always in nats."""
-
-    coverage_threshold: float = 0.35
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.coverage_threshold < 1.0:
-            raise FeatureError(f"coverage threshold must be in (0, 1), got {self.coverage_threshold}")
+COVERAGE_THRESHOLD = 0.35
 
 
 def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float:
@@ -49,6 +43,8 @@ def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float
         raise FeatureError("cumulative attention vector is empty")
     if not (arr >= 0).all():
         raise FeatureError("cumulative attention weights must be non-negative")
+    if not np.isfinite(arr).all():
+        raise FeatureError("cumulative attention weights must be finite")
     return float(np.count_nonzero(arr > delta)) / arr.size
 
 
@@ -76,7 +72,7 @@ def _raise_first(batch: LogBatch, problems) -> None:
         raise FeatureError(f"{batch.where(row)}: {message(row) if callable(message) else message}")
 
 
-def enrich_batch(batch: LogBatch, cfg: FeatureConfig = FeatureConfig()) -> LogBatch:
+def enrich_batch(batch: LogBatch) -> LogBatch:
     """Fill (entropy, coverage) on every row of a batch in one columnar pass.
 
     A step's cumulative attention is its stored ``cum_attention``, or else
@@ -152,7 +148,7 @@ def enrich_batch(batch: LogBatch, cfg: FeatureConfig = FeatureConfig()) -> LogBa
     x = alpha[positive]
     entropy = -_row_sums(x * np.log(x), np.concatenate(([0], np.cumsum(positive)))[off])
     entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
-    above = np.bincount(np.repeat(np.arange(n), width)[cum > cfg.coverage_threshold], minlength=n)
+    above = np.bincount(np.repeat(np.arange(n), width)[cum > COVERAGE_THRESHOLD], minlength=n)
     cov = np.divide(above, width, out=np.zeros(n), where=width > 0)
     gap = "after a step that carries only features; store {} or features on this step"
     _raise_first(batch, [
@@ -182,11 +178,11 @@ def enrich_batch(batch: LogBatch, cfg: FeatureConfig = FeatureConfig()) -> LogBa
     )
 
 
-def enrich(seq: SequenceRecord, cfg: FeatureConfig = FeatureConfig()) -> SequenceRecord:
+def enrich(seq: SequenceRecord) -> SequenceRecord:
     """Fill (entropy, coverage) on every step of a sequence: ``enrich_batch``
     on a batch of its steps."""
     batch = replace(LogBatch.from_records(seq.steps), seq_ids=[seq.seq_id], seq_starts=np.array([0, len(seq.steps)]))
-    return replace(seq, steps=tuple(enrich_batch(batch, cfg)))
+    return replace(seq, steps=tuple(enrich_batch(batch)))
 
 
 def attention_profile(alpha_peakedness: float, aligned: int, k: int) -> np.ndarray:

@@ -29,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
-from .features import FeatureConfig, attention_entropy, coverage, enrich_batch
+from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich_batch
 from .records import LogBatch, PooledLayout, TokenRecord, as_batch, densify, offsets_of
-from .sequence import ScoringModel
+from .sequence import RescoringModel, ScoringModel
 
 Records = LogBatch | Sequence[TokenRecord]
 
@@ -207,19 +207,19 @@ def _dense_pool(dense: np.ndarray, eos_id: int) -> PooledLayout:
     return PooledLayout(prob, np.ones((1, vocab + 2)), eos, eos)
 
 
-def _pool(batch: LogBatch, feature_cfg: FeatureConfig | None = None) -> PooledLayout:
-    """The layout of ``batch``; with ``feature_cfg`` a copy that also
-    carries the features the variable calibrator needs: the stored ones,
-    else those ``enrich_batch`` derives from a row's attention and
-    cum_attention, which a row without stored features must both carry."""
-    if feature_cfg is None:
+def _pool(batch: LogBatch, with_features: bool = False) -> PooledLayout:
+    """The layout of ``batch``; ``with_features``, a copy that also carries
+    the features the variable calibrator needs: the stored ones, else those
+    ``enrich_batch`` derives from a row's attention and cum_attention, which
+    a row without stored features must both carry."""
+    if not with_features:
         return batch.layout
     enriched = batch
     if not batch.has_features.all():
         vectorless = ~batch.has_features & ~(batch.has_attention & batch.has_cum)
         if vectorless.any():
             raise FitError(f"{batch.where(int(np.argmax(vectorless)))}: no features and no attention to derive them")
-        enriched = enrich_batch(batch, feature_cfg)
+        enriched = enrich_batch(batch)
     return replace(batch.layout, entropy=enriched.entropy, coverage=enriched.coverage)
 
 
@@ -229,8 +229,7 @@ def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
         raise FitError("cannot fit on an empty dataset")
     if with_features and not batch.has_features.all():
         raise FitError(f"{batch.where(int(np.argmin(batch.has_features)))}: features missing; enrich first")
-    # every record stores its features, so the FeatureConfig derives none
-    pool = _pool(batch, FeatureConfig() if with_features else None)
+    pool = _pool(batch, with_features)
     zero = ~pool.active[np.arange(len(batch)), pool.gold]
     if zero.any():
         i = int(np.argmax(zero))
@@ -348,11 +347,7 @@ def _block(pool: PooledLayout, start: int, stop: int, listed: int) -> PooledLayo
     )
 
 
-def recalibrate_log(
-    records: Records,
-    params: CalibratorParams | SingleTemperature,
-    feature_cfg: FeatureConfig = FeatureConfig(),
-) -> LogBatch:
+def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperature) -> LogBatch:
     """Recalibrate a whole log columnar, a block of records at a time;
     records stay sparse. Returns the rewritten batch.
 
@@ -360,14 +355,14 @@ def recalibrate_log(
     unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
     probability differs from the tail's gains its own entry, after the
     others. The variable calibrator reads stored features, or derives them
-    from the attention vectors with ``feature_cfg``.
+    from the attention vectors.
     """
     batch = as_batch(records)
     variable = isinstance(params, CalibratorParams)
     if not variable and params.temperature <= 0:
         raise FitError(f"temperature must be positive, got {params.temperature}")
     n = len(batch)
-    pool = _pool(batch, feature_cfg if variable else None)
+    pool = _pool(batch, variable)
     counts = np.diff(batch.offsets)
     entry_row = np.repeat(np.arange(n), counts)
     entry_col = np.arange(len(batch.ids)) - batch.offsets[entry_row]
@@ -417,17 +412,13 @@ def recalibrate_distribution(
     return _recalibrated(pool, params)[0, : dense.size]
 
 
-def apply_calibrator(
-    record: TokenRecord,
-    params: CalibratorParams,
-    feature_cfg: FeatureConfig = FeatureConfig(),
-) -> np.ndarray:
+def apply_calibrator(record: TokenRecord, params: CalibratorParams) -> np.ndarray:
     """Recalibrate one record's dense distribution using its stored features.
 
     Falls back to computing features from the record's attention vectors
     when they are absent; raises if neither is available.
     """
-    return densify(recalibrate_log([record], params, feature_cfg)[0])
+    return densify(recalibrate_log([record], params)[0])
 
 
 def apply_single_temperature(record: TokenRecord, temperature: float) -> np.ndarray:
@@ -456,11 +447,11 @@ def calibration_gradient(params: CalibratorParams, records: Records) -> np.ndarr
 
 def initial_params(cfg: TrainConfig, plus_one: bool) -> CalibratorParams:
     """Seeded starting point: small symmetric nets, damping engaged near the
-    default coverage threshold."""
+    coverage threshold."""
     rng = np.random.default_rng(cfg.seed)
     theta = np.empty(THETA_SIZE)
     theta[0] = 1.0
-    theta[1] = 0.35
+    theta[1] = COVERAGE_THRESHOLD
     theta[2:] = rng.uniform(-cfg.init_scale, cfg.init_scale, THETA_SIZE - 2)
     return CalibratorParams.from_flat(theta, plus_one)
 
@@ -659,42 +650,17 @@ def load_params(path) -> CalibratorParams | SingleTemperature:
         return params_from_payload(json.load(handle))
 
 
-class CalibratedModel(ScoringModel):
-    """Wrap a scoring model so every step distribution is recalibrated.
+class CalibratedModel(RescoringModel):
+    """Wrap a scoring model so every step distribution is recalibrated, with
+    the features derived online as the log pipeline derives them."""
 
-    Features are derived online exactly as the log pipeline derives them:
-    cumulative attention includes the current step.
-    """
-
-    def __init__(
-        self,
-        inner: ScoringModel,
-        params: CalibratorParams | SingleTemperature,
-        feature_cfg: FeatureConfig = FeatureConfig(),
-    ):
-        self.inner = inner
+    def __init__(self, inner: ScoringModel, params: CalibratorParams | SingleTemperature):
+        super().__init__(inner)
         self.params = params
-        self.feature_cfg = feature_cfg
 
-    @property
-    def vocab_size(self) -> int:
-        return self.inner.vocab_size
-
-    @property
-    def eos_id(self) -> int:
-        return self.inner.eos_id
-
-    def start(self, source):
-        return (self.inner.start(source), None)
-
-    def step(self, state, prefix):
-        inner_state, cum = state
-        probs, alpha, next_inner = self.inner.step(inner_state, prefix)
-        alpha = np.asarray(alpha, dtype=np.float64)
-        cum = alpha.copy() if cum is None else cum + alpha
+    def rescore(self, probs, alpha, cum):
         entropy = cov = 0.0
         if isinstance(self.params, CalibratorParams):
             entropy = attention_entropy(alpha)
-            cov = coverage(cum, self.feature_cfg.coverage_threshold)
-        adjusted = recalibrate_distribution(probs, entropy, cov, self.eos_id, self.params)
-        return adjusted, alpha, (next_inner, cum)
+            cov = coverage(cum, COVERAGE_THRESHOLD)
+        return recalibrate_distribution(probs, entropy, cov, self.eos_id, self.params)

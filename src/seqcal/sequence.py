@@ -43,6 +43,37 @@ class ScoringModel(ABC):
         """Return (probabilities over V, attention over source positions, next state)."""
 
 
+class RescoringModel(ScoringModel):
+    """Wraps a model and rewrites each step's distribution with ``rescore``,
+    given the step's attention and the cumulative attention up to and
+    including it, as the log pipeline derives it."""
+
+    def __init__(self, inner: ScoringModel):
+        self.inner = inner
+
+    @property
+    def vocab_size(self) -> int:
+        return self.inner.vocab_size
+
+    @property
+    def eos_id(self) -> int:
+        return self.inner.eos_id
+
+    def start(self, source):
+        return (self.inner.start(source), None)
+
+    def step(self, state, prefix: Tokens):
+        inner_state, cum = state
+        probs, alpha, next_inner = self.inner.step(inner_state, prefix)
+        alpha = np.asarray(alpha, dtype=np.float64)
+        cum = alpha.copy() if cum is None else cum + alpha
+        return self.rescore(np.asarray(probs, dtype=np.float64), alpha, cum), alpha, (next_inner, cum)
+
+    @abstractmethod
+    def rescore(self, probs: np.ndarray, alpha: np.ndarray, cum: np.ndarray) -> np.ndarray:
+        """The new distribution over V for one step."""
+
+
 @dataclass(frozen=True)
 class BeamConfig:
     beam_width: int = 4

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SeqcalError, ValidationError
-from .features import FeatureConfig, attention_entropy, attention_profile, coverage
+from .features import COVERAGE_THRESHOLD, attention_entropy, attention_profile, coverage
 from .records import (
     BinningConfig,
     PROB_ATOL,
@@ -32,6 +33,8 @@ from .records import (
 )
 from .sequence import (
     BeamConfig,
+    Hypothesis,
+    RescoringModel,
     ScoringModel,
     Tokens,
     beam_search,
@@ -48,8 +51,51 @@ _STREAM_EVAL = 1
 _STREAM_SAMPLES = 2
 
 
+def read_spec(path, from_payload):
+    """``from_payload`` of the JSON in spec file ``path``; a file that is not
+    JSON, or a malformed spec, raises SeqcalError naming the file."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return from_payload(json.load(handle))
+        except (SeqcalError, json.JSONDecodeError) as exc:
+            raise SeqcalError(f"{path}: {exc}") from exc
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float: not a bool, NaN, infinity or
+    an integer past the float range."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _spec_field(payload: dict, name: str, kind: type, default=None):
+    """Field ``name`` of a spec as ``kind``, int or float, or ``default``
+    when absent; a missing or mistyped field raises SeqcalError naming it."""
+    if not isinstance(payload, dict):
+        raise SeqcalError("expected a JSON object")
+    if name not in payload and default is None:
+        raise SeqcalError(f"missing field {name!r}")
+    value = payload.get(name, default)
+    if not _is_number(value) or (kind is int and not isinstance(value, int)):
+        raise SeqcalError(f"field {name!r} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
+    return kind(value)
+
+
+class _JsonSpec:
+    """Saving to and loading from a JSON spec file through ``to_payload``
+    and ``from_payload``."""
+
+    def save(self, path) -> None:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(self.to_payload(), handle, indent=2)
+            handle.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        return read_spec(path, cls.from_payload)
+
+
 @dataclass(frozen=True)
-class ToyTaskSpec:
+class ToyTaskSpec(_JsonSpec):
     """Task definition: emission table, length range, attention peakedness."""
 
     source_vocab_size: int
@@ -130,30 +176,25 @@ class ToyTaskSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ToyTaskSpec":
+        """The spec of a decoded task file; a missing or mistyped field
+        raises SeqcalError naming it."""
+        ints = {name: _spec_field(payload, name, int) for name in (
+            "source_vocab_size", "target_vocab_size", "eos_id", "min_len", "max_len", "seed",
+        )}
+        rows = payload.get("emissions")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(_is_number(p) for p in row) for row in rows
+        ):
+            raise SeqcalError(f"field 'emissions' must be a list of rows of finite numbers, got {rows!r}")
         return cls(
-            source_vocab_size=int(payload["source_vocab_size"]),
-            target_vocab_size=int(payload["target_vocab_size"]),
-            eos_id=int(payload["eos_id"]),
-            min_len=int(payload["min_len"]),
-            max_len=int(payload["max_len"]),
-            gamma=float(payload["gamma"]),
-            seed=int(payload["seed"]),
-            emissions=tuple(tuple(float(p) for p in row) for row in payload["emissions"]),
+            **ints,
+            gamma=_spec_field(payload, "gamma", float),
+            emissions=tuple(tuple(float(p) for p in row) for row in rows),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_payload(), handle, indent=2)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "ToyTaskSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_payload(json.load(handle))
 
 
 @dataclass(frozen=True)
-class DistortionSpec:
+class DistortionSpec(_JsonSpec):
     """Known miscalibration: sharpen/flatten by ``temperature`` (< 1 sharpens,
     making the model overconfident) and add ``eos_bias * (1 - coverage)`` to
     the EOS logit."""
@@ -172,20 +213,12 @@ class DistortionSpec:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "DistortionSpec":
+        """The spec of a decoded distortion; a missing field keeps its
+        default, and a mistyped one raises SeqcalError naming it."""
         return cls(
-            temperature=float(payload.get("temperature", 1.0)),
-            eos_bias=float(payload.get("eos_bias", 0.0)),
+            temperature=_spec_field(payload, "temperature", float, 1.0),
+            eos_bias=_spec_field(payload, "eos_bias", float, 0.0),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_payload(), handle, indent=2)
-            handle.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "DistortionSpec":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_payload(json.load(handle))
 
 
 class ToyModel(ScoringModel):
@@ -219,48 +252,26 @@ class ToyModel(ScoringModel):
         return probs, alpha, state
 
 
-class DistortedModel(ScoringModel):
+class DistortedModel(RescoringModel):
     """Wrap a model with softmax(ln p / temperature + eos_bias * (1 - coverage) on EOS)."""
 
-    def __init__(
-        self,
-        inner: ScoringModel,
-        distortion: DistortionSpec,
-        feature_cfg: FeatureConfig = FeatureConfig(),
-    ):
-        self.inner = inner
+    def __init__(self, inner: ScoringModel, distortion: DistortionSpec):
+        super().__init__(inner)
         self.distortion = distortion
-        self.feature_cfg = feature_cfg
 
-    @property
-    def vocab_size(self) -> int:
-        return self.inner.vocab_size
-
-    @property
-    def eos_id(self) -> int:
-        return self.inner.eos_id
-
-    def start(self, source):
-        return (self.inner.start(source), None)
-
-    def step(self, state, prefix: Tokens):
-        inner_state, cum = state
-        probs, alpha, next_inner = self.inner.step(inner_state, prefix)
-        probs = np.asarray(probs, dtype=np.float64)
-        alpha = np.asarray(alpha, dtype=np.float64)
-        cum = alpha.copy() if cum is None else cum + alpha
+    def rescore(self, probs, alpha, cum):
         active = probs > 0
         z = np.full(probs.shape, -np.inf)
         z[active] = np.log(probs[active]) / self.distortion.temperature
         if self.distortion.eos_bias > 0 and active[self.eos_id]:
-            c_t = coverage(cum, self.feature_cfg.coverage_threshold)
+            c_t = coverage(cum, COVERAGE_THRESHOLD)
             z[self.eos_id] += self.distortion.eos_bias * (1.0 - c_t)
         out = np.zeros(probs.shape)
         zs = z[active]
         m = zs.max()
         e = np.exp(zs - m)
         out[active] = e / e.sum()
-        return out, alpha, (next_inner, cum)
+        return out
 
 
 def build_true_model(spec: ToyTaskSpec) -> ToyModel:
@@ -285,7 +296,6 @@ def emit_logs(
     task: ToyTaskSpec,
     n_sequences: int,
     seed: int,
-    feature_cfg: FeatureConfig = FeatureConfig(),
 ) -> list[SequenceRecord]:
     """Teacher-forced logs: gold pairs drawn from the true task, step
     distributions recorded from ``model`` conditioned on the gold prefix."""
@@ -314,10 +324,7 @@ def emit_logs(
                     rest_mass=0.0,
                     attention=tuple(alpha.tolist()),
                     cum_attention=tuple(cum.tolist()),
-                    features=StepFeatures(
-                        entropy=attention_entropy(alpha),
-                        coverage=coverage(cum, feature_cfg.coverage_threshold),
-                    ),
+                    features=StepFeatures(attention_entropy(alpha), coverage(cum, COVERAGE_THRESHOLD)),
                 )
             )
         sequences.append(
@@ -343,12 +350,18 @@ def _eval_pairs(task: ToyTaskSpec, n_eval: int, seed: int) -> list[tuple[Tokens,
     ]
 
 
+def _top_hypothesis(model: ScoringModel, source: Tokens, width: int) -> Hypothesis:
+    """Best beam-search hypothesis of ``width`` beams, long enough for the
+    source plus EOS."""
+    cfg = BeamConfig(beam_width=width, max_len=max(BeamConfig().max_len, len(source) + 1))
+    return beam_search(model, source, cfg)[0]
+
+
 def beam_sweep(
     model: ScoringModel,
     task: ToyTaskSpec,
     beams: Sequence[int],
     n_eval: int,
-    cfg: BeamConfig = BeamConfig(),
     seed: int | None = None,
 ) -> list[dict]:
     """Corpus BLEU and mean top log-score per beam width on held-out sources."""
@@ -360,12 +373,7 @@ def beam_sweep(
         scored: list[tuple[Tokens, Tokens]] = []
         log_scores: list[float] = []
         for source, reference in pairs:
-            beam_cfg = BeamConfig(
-                beam_width=width,
-                max_len=max(cfg.max_len, len(source) + 1),
-                length_normalize=cfg.length_normalize,
-            )
-            top = beam_search(model, source, beam_cfg)[0]
+            top = _top_hypothesis(model, source, width)
             scored.append((strip_eos(top.tokens, model.eos_id), strip_eos(reference, model.eos_id)))
             log_scores.append(top.score)
         rows.append(
@@ -391,7 +399,6 @@ def sequence_calibration_experiment(
     n_eval: int,
     num_samples: int = 100,
     bins: BinningConfig = BinningConfig(),
-    cfg: BeamConfig = BeamConfig(),
     seed: int | None = None,
 ) -> SequenceCalibrationResult:
     """Expected-vs-actual BLEU calibration of beam-search predictions."""
@@ -399,12 +406,7 @@ def sequence_calibration_experiment(
     pairs = _eval_pairs(task, n_eval, seed)
     rows: list[dict] = []
     for i, (source, reference) in enumerate(pairs):
-        beam_cfg = BeamConfig(
-            beam_width=cfg.beam_width,
-            max_len=max(cfg.max_len, len(source) + 1),
-            length_normalize=cfg.length_normalize,
-        )
-        prediction = beam_search(model, source, beam_cfg)[0].tokens
+        prediction = _top_hypothesis(model, source, BeamConfig().beam_width).tokens
         rng = np.random.default_rng((seed, _STREAM_SAMPLES, i))
         expected = expected_bleu(
             model, source, prediction, rng, num_samples=num_samples, max_len=len(source) + 1

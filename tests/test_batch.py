@@ -27,7 +27,7 @@ import pytest
 from seqcal import records, recalibrate
 from seqcal.cli import main
 from seqcal.errors import FeatureError, MetricError, ParseError, ValidationError
-from seqcal.features import FeatureConfig, attention_entropy, coverage, enrich, enrich_batch
+from seqcal.features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich, enrich_batch
 from seqcal.metrics import nll
 from seqcal.records import (
     PROB_ATOL,
@@ -298,7 +298,7 @@ def test_each_command_builds_one_pooled_layout(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def reference_enrich(seq: SequenceRecord, cfg: FeatureConfig = FeatureConfig()) -> SequenceRecord:
+def reference_enrich(seq: SequenceRecord) -> SequenceRecord:
     """The per-step enrichment loop that ``enrich_batch`` replaced."""
     running = None
     prev_cum = None
@@ -317,7 +317,7 @@ def reference_enrich(seq: SequenceRecord, cfg: FeatureConfig = FeatureConfig()) 
             running = alpha.copy() if running is None else running + alpha
             current_cum = cum if cum is not None else running
             feats = StepFeatures(
-                entropy=attention_entropy(alpha), coverage=coverage(current_cum, cfg.coverage_threshold),
+                entropy=attention_entropy(alpha), coverage=coverage(current_cum, COVERAGE_THRESHOLD),
             )
             updated = step
             if step.features is None:

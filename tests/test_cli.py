@@ -252,3 +252,110 @@ class TestParamsFileErrors:
         payload = {"version": "seqcal-params-v1", "mode": "variable", "w1": float("-inf"), "w2": 0.35}
         assert self.run_apply(tmp_path, appendix_log, payload) == 2
         assert "field 'w1' must be finite" in capsys.readouterr().err
+
+
+class TestSpecFileErrors:
+    """A malformed task, distortion or model spec file is a data error
+    (exit 2) on one line naming the file and the field."""
+
+    TASK = ToyTaskSpec.two_way_default(min_len=3, max_len=4, seed=1).to_payload()
+
+    def run_gen(self, tmp_path, task=None, distortion=None):
+        argv = ["toy", "gen", "--n", "2", "--logs-out", str(tmp_path / "logs.jsonl")]
+        for flag, payload in (("--spec", self.TASK if task is None else task), ("--distort", distortion)):
+            if payload is not None:
+                path = tmp_path / f"{flag[2:]}.json"
+                path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+                argv += [flag, str(path)]
+        return main(argv)
+
+    def assert_one_error_line(self, capsys, *parts):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for part in parts:
+            assert part in err, err
+
+    @pytest.mark.parametrize("task, message", [
+        ({"source_vocab_size": 3}, "missing field 'target_vocab_size'"),
+        ([1, 2], "expected a JSON object"),
+        ({**TASK, "gamma": "high"}, "field 'gamma' must be a finite number"),
+        ({**TASK, "min_len": 3.5}, "field 'min_len' must be an integer"),
+        ({**TASK, "seed": True}, "field 'seed' must be an integer"),
+        ({**TASK, "emissions": 5}, "field 'emissions'"),
+        ({**TASK, "emissions": [[0.5, None]]}, "field 'emissions'"),
+        ({**TASK, "emissions": [[float("nan")] * 21] * 20}, "field 'emissions'"),
+        ("{not json", "Expecting property name"),
+    ])
+    def test_task_spec(self, tmp_path, capsys, task, message):
+        assert self.run_gen(tmp_path, task=task) == 2
+        self.assert_one_error_line(capsys, "spec.json", message)
+
+    @pytest.mark.parametrize("distortion, message", [
+        ([0.5], "expected a JSON object"),
+        ({"temperature": "hot"}, "field 'temperature' must be a finite number"),
+        ({"temperature": 0.5, "eos_bias": None}, "field 'eos_bias' must be a finite number"),
+        ('{"temperature": NaN}', "field 'temperature' must be a finite number"),
+        ('{"eos_bias": Infinity}', "field 'eos_bias' must be a finite number"),
+    ])
+    def test_distortion_spec(self, tmp_path, capsys, distortion, message):
+        assert self.run_gen(tmp_path, distortion=distortion) == 2
+        self.assert_one_error_line(capsys, "distort.json", message)
+
+    @pytest.mark.parametrize("model, message", [
+        ([], "expected a JSON object"),
+        ({"distort": 5}, "field 'distort': expected a JSON object"),
+        ({"distort": {"temperature": [0.5]}}, "field 'distort': field 'temperature' must be a finite number"),
+        ({"params": 3}, "field 'params' must be a file path"),
+    ])
+    def test_model_spec(self, tmp_path, small_task, capsys, model, message):
+        model_spec = tmp_path / "model.json"
+        model_spec.write_text(json.dumps(model))
+        rc = main(["seqcal", "--task", str(small_task), "--model", str(model_spec),
+                   "--n", "2", "--out", str(tmp_path / "seq.json")])
+        assert rc == 2
+        self.assert_one_error_line(capsys, "model.json", message)
+
+    def test_defaults_still_fill_a_partial_distortion(self, tmp_path):
+        assert self.run_gen(tmp_path, distortion={"temperature": 2}) == 0
+
+
+class TestUsageErrors:
+    """A malformed number in an option or in $SEQCAL_SEED is a usage error (exit 1)."""
+
+    @pytest.mark.parametrize("partition", ["entropy:abc", "token:1.5", "headtail:0.2,x"])
+    def test_partition_number(self, tmp_path, appendix_log, capsys, partition):
+        rc = main(["stats", "--logs", str(appendix_log), "--partition", partition, "--out", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert partition in capsys.readouterr().err
+
+    def test_env_seed(self, tmp_path, small_task, monkeypatch, capsys):
+        monkeypatch.setenv("SEQCAL_SEED", "eleven")
+        rc = main(["toy", "gen", "--spec", str(small_task), "--n", "2", "--logs-out", str(tmp_path / "l.jsonl")])
+        assert rc == 1
+        assert "SEQCAL_SEED" in capsys.readouterr().err
+
+    def test_delta_is_not_an_option(self, tmp_path, appendix_log):
+        assert main(["fit", "--logs", str(appendix_log), "--mode", "variable", "--delta", "0.5",
+                     "--params-out", str(tmp_path / "p.json")]) == 1
+
+
+def test_fit_and_apply_derive_the_stored_features(tmp_path, small_task):
+    """A log without features and cum_attention fits and applies to the same
+    bytes as the log that stores them."""
+    logs = tmp_path / "stored.jsonl"
+    distortion = write_distortion(tmp_path, temperature=0.6, eos_bias=1.0)
+    assert main(["toy", "gen", "--spec", str(small_task), "--n", "60", "--distort", str(distortion),
+                 "--seed", "4", "--logs-out", str(logs)]) == 0
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(
+        json.dumps({k: v for k, v in json.loads(line).items() if k not in ("features", "cum_attention")}) + "\n"
+        for line in logs.read_text().splitlines()
+    ))
+    written = []
+    for log in (logs, bare):
+        params, out = tmp_path / f"{log.stem}.params.json", tmp_path / f"{log.stem}.out.jsonl"
+        assert main(["fit", "--logs", str(log), "--mode", "variable", "--seed", "1", "--params-out", str(params)]) == 0
+        assert main(["apply", "--logs", str(log), "--params", str(params), "--logs-out", str(out)]) == 0
+        written.append((params.read_bytes(), out.read_bytes()))
+    assert "cum_attention" not in bare.read_text()
+    assert written[0] == written[1]

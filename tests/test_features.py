@@ -3,7 +3,7 @@ import math
 import pytest
 
 from seqcal.errors import FeatureError
-from seqcal.features import FeatureConfig, attention_entropy, coverage, enrich
+from seqcal.features import attention_entropy, coverage, enrich
 from seqcal.records import SequenceRecord, StepFeatures
 
 from conftest import make_record, random_simplex
@@ -48,11 +48,9 @@ class TestCoverage:
         with pytest.raises(FeatureError):
             coverage([], 0.35)
 
-    def test_threshold_range_enforced(self):
-        with pytest.raises(FeatureError):
-            FeatureConfig(coverage_threshold=0.0)
-        with pytest.raises(FeatureError):
-            FeatureConfig(coverage_threshold=1.0)
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(FeatureError, match="must be finite"):
+            coverage([math.inf, 0.0], 0.35)
 
 
 def seq_of(steps):

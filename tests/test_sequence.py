@@ -7,6 +7,7 @@ from seqcal.errors import MetricError, ModelError
 from seqcal.records import BinningConfig
 from seqcal.sequence import (
     BeamConfig,
+    RescoringModel,
     ScoringModel,
     beam_search,
     corpus_bleu,
@@ -84,6 +85,33 @@ def random_positional_model(rng, steps=5, vocab=6, eos_leak=0.05):
     rows[-1] = 0.0
     rows[-1, -1] = 1.0
     return PositionalModel(rows, steps - 1)
+
+
+class Reversed(RescoringModel):
+    """Reverses each step's distribution and keeps what ``rescore`` saw."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.seen = []
+
+    def rescore(self, probs, alpha, cum):
+        self.seen.append((alpha.tolist(), cum.tolist()))
+        return probs[::-1].copy()
+
+
+class TestRescoringModel:
+    def test_rescores_each_step_with_running_cumulative_attention(self):
+        model = Reversed(TwoStepModel())
+        assert (model.vocab_size, model.eos_id) == (5, 4)
+        for _ in range(2):  # a fresh start resets the cumulative attention
+            state, prefix = model.start(None), ()
+            for token in (1, 3, 4):
+                probs, alpha, state = model.step(state, prefix)
+                inner_probs, _, _ = TwoStepModel().step(None, prefix)
+                np.testing.assert_array_equal(probs, inner_probs[::-1])
+                assert alpha.tolist() == [1.0]
+                prefix += (token,)
+        assert model.seen == [([1.0], [1.0]), ([1.0], [2.0]), ([1.0], [3.0])] * 2
 
 
 class TestBeamSearch:

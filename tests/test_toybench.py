@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqcal.errors import ValidationError
+from seqcal.errors import SeqcalError, ValidationError
 from seqcal.features import attention_entropy
 from seqcal.metrics import weighted_ece
 from seqcal.recalibrate import (
@@ -242,6 +242,18 @@ class TestSpecFiles:
         path = tmp_path / "distort.json"
         spec.save(path)
         assert DistortionSpec.load(path) == spec
+
+    @pytest.mark.parametrize("spec, payload, message", [
+        (ToyTaskSpec, "task", "expected a JSON object"),
+        (ToyTaskSpec, {"source_vocab_size": 3}, "missing field 'target_vocab_size'"),
+        (ToyTaskSpec, {**ToyTaskSpec.two_way_default().to_payload(), "max_len": "8"}, "field 'max_len' must be an integer"),
+        (ToyTaskSpec, {**ToyTaskSpec.two_way_default().to_payload(), "gamma": 10**400}, "field 'gamma' must be a finite"),
+        (DistortionSpec, None, "expected a JSON object"),
+        (DistortionSpec, {"eos_bias": False}, "field 'eos_bias' must be a finite number"),
+    ])
+    def test_malformed_payload_names_the_field(self, spec, payload, message):
+        with pytest.raises(SeqcalError, match=message):
+            spec.from_payload(payload)
 
     def test_sample_pair_lengths_within_range(self, rng):
         task = ToyTaskSpec.two_way_default()
