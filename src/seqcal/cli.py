@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import SeqcalError
 from .features import enrich_batch
+from .jsonfile import read_json, write_json
 from .metrics import (
     PartitionSpec,
     ece,
@@ -23,7 +24,6 @@ from .metrics import (
     head_tail_curve,
     partitioned_metric,
     weighted_ece,
-    write_report_json,
     write_reliability_csv,
 )
 from .records import BinningConfig, LogBatch, read_log_file, write_log_file
@@ -46,7 +46,6 @@ from .toybench import (
     distort,
     emit_logs,
     flatten,
-    read_spec,
     sequence_calibration_experiment,
 )
 
@@ -63,14 +62,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="RNG seed (falls back to $SEQCAL_SEED)")
-    shared.add_argument("--out", type=Path, default=None, help="report output path (JSON)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="RNG seed (falls back to $SEQCAL_SEED)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, required=True, help="report output path (JSON)")
 
     parser = _Parser(prog="seqcal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_stats = sub.add_parser("stats", parents=[shared], help="calibration metrics from a log file")
+    p_stats = sub.add_parser("stats", parents=[out], help="calibration metrics from a log file")
     p_stats.add_argument("--logs", type=Path, required=True)
     p_stats.add_argument("--bins", type=int, default=20)
     p_stats.add_argument("--weighted", action="store_true", help="also report full-distribution calibration")
@@ -79,18 +79,18 @@ def build_parser() -> _Parser:
         help="eos | entropy:H | token:ID | headtail:T1,T2,...",
     )
 
-    p_fit = sub.add_parser("fit", parents=[shared], help="fit a calibrator on validation logs")
+    p_fit = sub.add_parser("fit", parents=[seed], help="fit a calibrator on validation logs")
     p_fit.add_argument("--logs", type=Path, required=True)
     p_fit.add_argument("--mode", choices=("variable", "single"), required=True)
     p_fit.add_argument("--plus-one", action="store_true", dest="plus_one")
     p_fit.add_argument("--params-out", type=Path, required=True, dest="params_out")
 
-    p_apply = sub.add_parser("apply", parents=[shared], help="rewrite logs with recalibrated distributions")
+    p_apply = sub.add_parser("apply", help="rewrite logs with recalibrated distributions")
     p_apply.add_argument("--logs", type=Path, required=True)
     p_apply.add_argument("--params", type=Path, required=True)
     p_apply.add_argument("--logs-out", type=Path, required=True, dest="logs_out")
 
-    p_seqcal = sub.add_parser("seqcal", parents=[shared], help="sequence-level calibration experiment")
+    p_seqcal = sub.add_parser("seqcal", parents=[seed, out], help="sequence-level calibration experiment")
     p_seqcal.add_argument("--task", type=Path, required=True)
     p_seqcal.add_argument("--model", type=Path, required=True,
                           help='model spec JSON: {"distort": {...}?, "params": "path"?}')
@@ -101,13 +101,13 @@ def build_parser() -> _Parser:
     p_toy = sub.add_parser("toy", help="synthetic bench")
     toy_sub = p_toy.add_subparsers(dest="toy_command", required=True, parser_class=_Parser)
 
-    p_gen = toy_sub.add_parser("gen", parents=[shared], help="emit teacher-forced logs")
+    p_gen = toy_sub.add_parser("gen", parents=[seed], help="emit teacher-forced logs")
     p_gen.add_argument("--spec", type=Path, required=True)
     p_gen.add_argument("--n", type=int, required=True, help="number of sequences")
     p_gen.add_argument("--distort", type=Path, default=None)
     p_gen.add_argument("--logs-out", type=Path, required=True, dest="logs_out")
 
-    p_sweep = toy_sub.add_parser("beamsweep", parents=[shared], help="corpus BLEU per beam width")
+    p_sweep = toy_sub.add_parser("beamsweep", parents=[seed, out], help="corpus BLEU per beam width")
     p_sweep.add_argument("--spec", type=Path, required=True)
     p_sweep.add_argument("--distort", type=Path, default=None)
     p_sweep.add_argument("--params", type=Path, default=None)
@@ -124,12 +124,6 @@ def _resolve_seed(args) -> int | None:
         return int(env) if env else None
     except ValueError as exc:
         raise UsageError(f"SEQCAL_SEED must be an integer, got {env!r}") from exc
-
-
-def _require_out(args) -> Path:
-    if args.out is None:
-        raise UsageError("--out is required for this command")
-    return args.out
 
 
 def _ensure_features(batch: LogBatch) -> LogBatch:
@@ -156,7 +150,6 @@ def _parse_partition(text: str):
 
 
 def _cmd_stats(args) -> int:
-    out = _require_out(args)
     records = read_log_file(args.logs)
     bins = BinningConfig(args.bins)
     if args.partition is None:
@@ -174,17 +167,17 @@ def _cmd_stats(args) -> int:
             score, hist = plain_score, plain_hist
             payload = {"metric": "ece", "score": score, "bins": export_reliability(hist)}
             summary = f"ece={score:.6f}"
-        write_report_json(out, payload)
-        write_reliability_csv(out.with_suffix(".csv"), payload["bins"])
-        print(f"{summary} records={len(records)} -> {out}")
+        write_json(args.out, payload)
+        write_reliability_csv(args.out.with_suffix(".csv"), payload["bins"])
+        print(f"{summary} records={len(records)} -> {args.out}")
         return 0
 
     spec = _parse_partition(args.partition)
     if isinstance(spec, list):
         rows = head_tail_curve(records, spec)
         payload = {"metric": "head_tail", "rows": rows}
-        write_report_json(out, payload)
-        print(f"head_tail thresholds={len(rows)} records={len(records)} -> {out}")
+        write_json(args.out, payload)
+        print(f"head_tail thresholds={len(rows)} records={len(records)} -> {args.out}")
         return 0
     if spec.kind == "entropy_split":
         records = _ensure_features(records)
@@ -197,9 +190,9 @@ def _cmd_stats(args) -> int:
             for label, g in groups.items()
         },
     }
-    write_report_json(out, payload)
+    write_json(args.out, payload)
     parts = " ".join(f"{label}:{g.count}" for label, g in groups.items())
-    print(f"partition={args.partition} {parts} -> {out}")
+    print(f"partition={args.partition} {parts} -> {args.out}")
     return 0
 
 
@@ -265,9 +258,8 @@ def _distortion(path: Path | None) -> DistortionSpec | None:
 
 
 def _cmd_seqcal(args) -> int:
-    out = _require_out(args)
     task = ToyTaskSpec.load(args.task)
-    model = _load_model(task, *read_spec(args.model, _model_spec))
+    model = _load_model(task, *read_json(args.model, _model_spec))
     result = sequence_calibration_experiment(
         model, task, n_eval=args.n, num_samples=args.samples, bins=BinningConfig(args.bins), seed=_resolve_seed(args),
     )
@@ -277,9 +269,9 @@ def _cmd_seqcal(args) -> int:
         "bins": export_reliability(result.histogram),
         "rows": result.rows,
     }
-    write_report_json(out, payload)
-    write_reliability_csv(out.with_suffix(".csv"), payload["bins"])
-    print(f"structured_ece={result.score:.6f} n={args.n} samples={args.samples} -> {out}")
+    write_json(args.out, payload)
+    write_reliability_csv(args.out.with_suffix(".csv"), payload["bins"])
+    print(f"structured_ece={result.score:.6f} n={args.n} samples={args.samples} -> {args.out}")
     return 0
 
 
@@ -295,7 +287,6 @@ def _cmd_toy_gen(args) -> int:
 
 
 def _cmd_toy_beamsweep(args) -> int:
-    out = _require_out(args)
     task = ToyTaskSpec.load(args.spec)
     model = _load_model(task, _distortion(args.distort), args.params)
     try:
@@ -303,9 +294,9 @@ def _cmd_toy_beamsweep(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--beams must be comma-separated integers: {exc}") from exc
     rows = beam_sweep(model, task, beams, n_eval=BEAMSWEEP_EVAL_SOURCES, seed=_resolve_seed(args))
-    write_report_json(out, {"metric": "beam_sweep", "rows": rows})
+    write_json(args.out, {"metric": "beam_sweep", "rows": rows})
     summary = " ".join(f"B={r['beam_width']}:{r['corpus_bleu']:.4f}" for r in rows)
-    print(f"beamsweep {summary} -> {out}")
+    print(f"beamsweep {summary} -> {args.out}")
     return 0
 
 

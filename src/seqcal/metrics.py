@@ -12,7 +12,6 @@ bit-identical under record permutation.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -258,12 +257,6 @@ def export_reliability(hist: ReliabilityHistogram) -> list[dict]:
             }
         )
     return rows
-
-
-def write_report_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
 def write_reliability_csv(path, rows: Iterable[dict]) -> None:

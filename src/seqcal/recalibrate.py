@@ -21,7 +21,6 @@ All fitting is deterministic given the seed and input order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -30,6 +29,7 @@ import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
 from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich_batch
+from .jsonfile import field, is_number, read_json, write_json
 from .records import LogBatch, PooledLayout, TokenRecord, as_batch, densify, offsets_of
 from .sequence import RescoringModel, ScoringModel
 
@@ -555,8 +555,20 @@ def _net_to_json(net: ScalarNet) -> tuple[list, list]:
     return weights, biases
 
 
+def _leaves(value):
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 def _net_from_json(payload: dict, weights_key: str, bias_key: str) -> ScalarNet:
-    weights, biases = _field(payload, weights_key), _field(payload, bias_key)
+    weights, biases = field(payload, weights_key), field(payload, bias_key)
+    bad = [leaf for leaf in _leaves([weights, biases]) if not is_number(leaf)]
+    if bad:
+        raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} hold a non-finite weight "
+                          f"or one that is not a JSON number: {bad[0]!r}")
     try:
         net = ScalarNet(
             w1=np.asarray([row[0] for row in weights[0]], dtype=np.float64),
@@ -567,30 +579,11 @@ def _net_from_json(payload: dict, weights_key: str, bias_key: str) -> ScalarNet:
             b3=float(biases[2][0]),
         )
         flat = net.to_flat()
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        raise SeqcalError(f"params file: fields {weights_key!r}/{bias_key!r} are malformed: {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} are malformed: {exc}") from exc
     if flat.shape != (NET_SIZE,) or net.w2.shape != (NET_HIDDEN, NET_HIDDEN):
-        raise SeqcalError(f"params file: fields {weights_key!r}/{bias_key!r} do not describe a 1-3-3-1 net")
-    if not np.isfinite(flat).all():
-        raise SeqcalError(f"params file: fields {weights_key!r}/{bias_key!r} hold a non-finite weight")
+        raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} do not describe a 1-3-3-1 net")
     return net
-
-
-def _field(payload: dict, name: str):
-    if name not in payload:
-        raise SeqcalError(f"params file: missing field {name!r}")
-    return payload[name]
-
-
-def _finite_field(payload: dict, name: str) -> float:
-    value = _field(payload, name)
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise SeqcalError(f"params file: field {name!r} is not a number: {value!r}") from exc
-    if not math.isfinite(number):
-        raise SeqcalError(f"params file: field {name!r} must be finite, got {number}")
-    return number
 
 
 def params_to_payload(params: CalibratorParams | SingleTemperature) -> dict:
@@ -616,38 +609,35 @@ def params_to_payload(params: CalibratorParams | SingleTemperature) -> dict:
 
 
 def params_from_payload(payload: dict) -> CalibratorParams | SingleTemperature:
-    """Parameters from a decoded params file; a missing or invalid field
-    raises SeqcalError naming it."""
-    if not isinstance(payload, dict):
-        raise SeqcalError("params file: expected a JSON object")
-    if payload.get("version") != PARAMS_VERSION:
-        raise SeqcalError(f"unsupported params file version {payload.get('version')!r}")
-    mode = _field(payload, "mode")
+    """Parameters from a decoded params file; a missing or mistyped field
+    raises SeqcalError naming it. Numbers must be finite JSON numbers and
+    ``plus_one`` a JSON bool."""
+    version = field(payload, "version")
+    if version != PARAMS_VERSION:
+        raise SeqcalError(f"unsupported params file version {version!r}")
+    mode = field(payload, "mode")
     if mode == "single":
-        temperature = _finite_field(payload, "temperature")
+        temperature = field(payload, "temperature", float)
         if temperature <= 0:
-            raise SeqcalError(f"params file: field 'temperature' must be positive, got {temperature}")
+            raise SeqcalError(f"field 'temperature' must be positive, got {temperature}")
         return SingleTemperature(temperature=temperature)
     if mode != "variable":
-        raise SeqcalError(f"params file: field 'mode' must be 'single' or 'variable', got {mode!r}")
+        raise SeqcalError(f"field 'mode' must be 'single' or 'variable', got {mode!r}")
     return CalibratorParams(
-        w1=_finite_field(payload, "w1"),
-        w2=_finite_field(payload, "w2"),
+        w1=field(payload, "w1", float),
+        w2=field(payload, "w2", float),
         g_net=_net_from_json(payload, "g_net", "g_bias"),
         h_net=_net_from_json(payload, "h_net", "h_bias"),
-        plus_one=bool(_field(payload, "plus_one")),
+        plus_one=field(payload, "plus_one", bool),
     )
 
 
 def save_params(path, params: CalibratorParams | SingleTemperature) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(params_to_payload(params), handle, indent=2)
-        handle.write("\n")
+    write_json(path, params_to_payload(params))
 
 
 def load_params(path) -> CalibratorParams | SingleTemperature:
-    with open(path, "r", encoding="utf-8") as handle:
-        return params_from_payload(json.load(handle))
+    return read_json(path, params_from_payload)
 
 
 class CalibratedModel(RescoringModel):

@@ -13,9 +13,7 @@ not depend on evaluation order.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +21,7 @@ import numpy as np
 
 from .errors import SeqcalError, ValidationError
 from .features import COVERAGE_THRESHOLD, attention_entropy, attention_profile, coverage
+from .jsonfile import field, is_number, read_json, write_json
 from .records import (
     BinningConfig,
     PROB_ATOL,
@@ -51,47 +50,16 @@ _STREAM_EVAL = 1
 _STREAM_SAMPLES = 2
 
 
-def read_spec(path, from_payload):
-    """``from_payload`` of the JSON in spec file ``path``; a file that is not
-    JSON, or a malformed spec, raises SeqcalError naming the file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return from_payload(json.load(handle))
-        except (SeqcalError, json.JSONDecodeError) as exc:
-            raise SeqcalError(f"{path}: {exc}") from exc
-
-
-def _is_number(value) -> bool:
-    """A JSON number that is a finite float: not a bool, NaN, infinity or
-    an integer past the float range."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-def _spec_field(payload: dict, name: str, kind: type, default=None):
-    """Field ``name`` of a spec as ``kind``, int or float, or ``default``
-    when absent; a missing or mistyped field raises SeqcalError naming it."""
-    if not isinstance(payload, dict):
-        raise SeqcalError("expected a JSON object")
-    if name not in payload and default is None:
-        raise SeqcalError(f"missing field {name!r}")
-    value = payload.get(name, default)
-    if not _is_number(value) or (kind is int and not isinstance(value, int)):
-        raise SeqcalError(f"field {name!r} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
-    return kind(value)
-
-
 class _JsonSpec:
     """Saving to and loading from a JSON spec file through ``to_payload``
     and ``from_payload``."""
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_payload(), handle, indent=2)
-            handle.write("\n")
+        write_json(path, self.to_payload())
 
     @classmethod
     def load(cls, path):
-        return read_spec(path, cls.from_payload)
+        return read_json(path, cls.from_payload)
 
 
 @dataclass(frozen=True)
@@ -178,17 +146,17 @@ class ToyTaskSpec(_JsonSpec):
     def from_payload(cls, payload: dict) -> "ToyTaskSpec":
         """The spec of a decoded task file; a missing or mistyped field
         raises SeqcalError naming it."""
-        ints = {name: _spec_field(payload, name, int) for name in (
+        ints = {name: field(payload, name, int) for name in (
             "source_vocab_size", "target_vocab_size", "eos_id", "min_len", "max_len", "seed",
         )}
         rows = payload.get("emissions")
         if not isinstance(rows, list) or not all(
-            isinstance(row, list) and all(_is_number(p) for p in row) for row in rows
+            isinstance(row, list) and all(is_number(p) for p in row) for row in rows
         ):
             raise SeqcalError(f"field 'emissions' must be a list of rows of finite numbers, got {rows!r}")
         return cls(
             **ints,
-            gamma=_spec_field(payload, "gamma", float),
+            gamma=field(payload, "gamma", float),
             emissions=tuple(tuple(float(p) for p in row) for row in rows),
         )
 
@@ -216,8 +184,8 @@ class DistortionSpec(_JsonSpec):
         """The spec of a decoded distortion; a missing field keeps its
         default, and a mistyped one raises SeqcalError naming it."""
         return cls(
-            temperature=_spec_field(payload, "temperature", float, 1.0),
-            eos_bias=_spec_field(payload, "eos_bias", float, 0.0),
+            temperature=field(payload, "temperature", float, 1.0),
+            eos_bias=field(payload, "eos_bias", float, 0.0),
         )
 
 

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from seqcal.cli import main
+from seqcal.cli import build_parser, main
 from seqcal.records import read_log_file, validate_dataset
 from seqcal.recalibrate import load_params, SingleTemperature
 from seqcal.toybench import DistortionSpec, ToyTaskSpec
@@ -224,7 +226,7 @@ class TestParamsFileErrors:
     def test_nan_temperature(self, tmp_path, appendix_log, capsys):
         payload = {"version": "seqcal-params-v1", "mode": "single", "temperature": float("nan")}
         assert self.run_apply(tmp_path, appendix_log, payload) == 2
-        assert "field 'temperature' must be finite" in capsys.readouterr().err
+        assert "field 'temperature' must be a finite number" in capsys.readouterr().err
 
     def test_non_positive_temperature(self, tmp_path, appendix_log, capsys):
         payload = {"version": "seqcal-params-v1", "mode": "single", "temperature": 0.0}
@@ -251,7 +253,63 @@ class TestParamsFileErrors:
     def test_non_finite_w1(self, tmp_path, appendix_log, capsys):
         payload = {"version": "seqcal-params-v1", "mode": "variable", "w1": float("-inf"), "w2": 0.35}
         assert self.run_apply(tmp_path, appendix_log, payload) == 2
-        assert "field 'w1' must be finite" in capsys.readouterr().err
+        assert "field 'w1' must be a finite number" in capsys.readouterr().err
+
+    ZEROS = [0.0, 0.0, 0.0]
+    NET, BIAS = [[[0.0]] * 3, [ZEROS] * 3, [ZEROS]], [ZEROS, ZEROS, [0.0]]
+    VARIABLE = {"version": "seqcal-params-v1", "mode": "variable", "w1": 1.0, "w2": 0.35, "plus_one": False,
+                "g_net": NET, "g_bias": BIAS, "h_net": NET, "h_bias": BIAS}
+    SINGLE = {"version": "seqcal-params-v1", "mode": "single", "temperature": 0.5}
+
+    @pytest.fixture
+    def toy_log(self, tmp_path, small_task):
+        path = tmp_path / "toy.jsonl"
+        assert main(["toy", "gen", "--spec", str(small_task), "--n", "3", "--logs-out", str(path)]) == 0
+        return path
+
+    def assert_error_starts_with_path(self, capsys, path, *parts):
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+        for part in parts:
+            assert part in err, err
+
+    @pytest.mark.parametrize("payload", [VARIABLE, SINGLE])
+    def test_well_typed_params_apply(self, tmp_path, toy_log, payload):
+        assert self.run_apply(tmp_path, toy_log, payload) == 0
+
+    @pytest.mark.parametrize("payload, name", [
+        ({**VARIABLE, "plus_one": "false"}, "plus_one"),
+        ({**VARIABLE, "plus_one": 1}, "plus_one"),
+        ({**SINGLE, "temperature": "0.5"}, "temperature"),
+        ({**SINGLE, "temperature": True}, "temperature"),
+        ({**VARIABLE, "w1": "1.0"}, "w1"),
+        ({**VARIABLE, "g_net": [[["0.0"]] * 3, [ZEROS] * 3, [ZEROS]]}, "g_net"),
+        ({**VARIABLE, "h_bias": [ZEROS, [0.0, True, 0.0], [0.0]]}, "h_bias"),
+    ], ids=["plus_one-string", "plus_one-int", "temperature-string", "temperature-bool", "w1-string",
+            "g_net-string-leaf", "h_bias-bool-leaf"])
+    def test_json_types_are_strict(self, tmp_path, toy_log, capsys, payload, name):
+        assert self.run_apply(tmp_path, toy_log, payload) == 2
+        self.assert_error_starts_with_path(capsys, tmp_path / "params.json", f"'{name}'")
+
+    NOT_PARAMS = [("nope", "Expecting value"),
+                  ('{"version": "seqcal-params-v1", "mode": "single"}', "missing field 'temperature'")]
+
+    @pytest.mark.parametrize("text, message", NOT_PARAMS, ids=["not-json", "missing-field"])
+    def test_apply_error_names_the_params_file(self, tmp_path, toy_log, capsys, text, message):
+        params = tmp_path / "bad.json"
+        params.write_text(text)
+        assert main(["apply", "--logs", str(toy_log), "--params", str(params),
+                     "--logs-out", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_error_starts_with_path(capsys, params, message)
+
+    @pytest.mark.parametrize("text, message", NOT_PARAMS, ids=["not-json", "missing-field"])
+    def test_model_spec_error_names_the_params_file(self, tmp_path, small_task, capsys, text, message):
+        params, model = tmp_path / "bad.json", tmp_path / "model.json"
+        params.write_text(text)
+        model.write_text(json.dumps({"params": str(params)}))
+        assert main(["seqcal", "--task", str(small_task), "--model", str(model),
+                     "--n", "2", "--out", str(tmp_path / "seq.json")]) == 2
+        self.assert_error_starts_with_path(capsys, params, message)
 
 
 class TestSpecFileErrors:
@@ -337,6 +395,51 @@ class TestUsageErrors:
     def test_delta_is_not_an_option(self, tmp_path, appendix_log):
         assert main(["fit", "--logs", str(appendix_log), "--mode", "variable", "--delta", "0.5",
                      "--params-out", str(tmp_path / "p.json")]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--mode", "single", "--params-out", "p.json", "--out", "x.json"],
+        ["apply", "--params", "p.json", "--logs-out", "o.jsonl", "--out", "x.json"],
+        ["apply", "--params", "p.json", "--logs-out", "o.jsonl", "--seed", "3"],
+        ["stats", "--out", "r.json", "--seed", "1"],
+        ["stats"],
+    ])
+    def test_options_no_command_reads(self, tmp_path, appendix_log, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], "--logs", str(appendix_log), *argv[1:]]) == 1
+
+    def test_gen_takes_no_out(self, tmp_path, small_task, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["toy", "gen", "--spec", str(small_task), "--n", "2", "--logs-out", "l.jsonl",
+                     "--out", "x.json"]) == 1
+
+
+def readme_commands():
+    """The ``seqcal ...`` lines of README.md's fenced code blocks, with their
+    backslash continuations joined."""
+    commands, in_block, pending = [], False, ""
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines():
+        if line.strip().startswith("```"):
+            in_block = not in_block
+            continue
+        if not in_block:
+            continue
+        pending += line.strip()
+        if pending.endswith("\\"):
+            pending = pending[:-1]
+            continue
+        if pending.startswith("seqcal "):
+            commands.append(pending)
+        pending = ""
+    return commands
+
+
+def test_readme_shows_every_command():
+    assert {shlex.split(c)[1] for c in readme_commands()} == {"stats", "fit", "apply", "seqcal", "toy"}
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_example_parses(command):
+    build_parser().parse_args(shlex.split(command)[1:])
 
 
 def test_fit_and_apply_derive_the_stored_features(tmp_path, small_task):
