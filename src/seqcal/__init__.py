@@ -9,7 +9,7 @@ from .errors import (
     SeqcalError,
     ValidationError,
 )
-from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich, enrich_batch
+from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich, enrich_batch, ensure_features
 from .metrics import (
     GroupMetrics,
     PartitionSpec,
@@ -29,7 +29,6 @@ from .records import (
     StepFeatures,
     TokenRecord,
     densify,
-    group_into_sequences,
     parse_log_line,
     read_log,
     read_log_file,

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .errors import SeqcalError
-from .features import enrich_batch
 from .jsonfile import read_json, write_json
 from .metrics import (
     PartitionSpec,
@@ -26,10 +25,9 @@ from .metrics import (
     weighted_ece,
     write_reliability_csv,
 )
-from .records import BinningConfig, LogBatch, read_log_file, write_log_file
+from .records import BinningConfig, read_log_file, write_log_file
 from .recalibrate import (
     CalibratedModel,
-    CalibratorParams,
     SingleTemperature,
     TrainConfig,
     fit_calibrator,
@@ -126,13 +124,6 @@ def _resolve_seed(args) -> int | None:
         raise UsageError(f"SEQCAL_SEED must be an integer, got {env!r}") from exc
 
 
-def _ensure_features(batch: LogBatch) -> LogBatch:
-    if batch.has_features.all():
-        return batch
-    batch.check_step_order()
-    return enrich_batch(batch)
-
-
 def _parse_partition(text: str):
     kind, _, value = text.partition(":")
     if text == "eos":
@@ -179,8 +170,6 @@ def _cmd_stats(args) -> int:
         write_json(args.out, payload)
         print(f"head_tail thresholds={len(rows)} records={len(records)} -> {args.out}")
         return 0
-    if spec.kind == "entropy_split":
-        records = _ensure_features(records)
     groups = partitioned_metric(records, spec, bins)
     payload = {
         "metric": "partitioned",
@@ -204,7 +193,6 @@ def _cmd_fit(args) -> int:
         save_params(args.params_out, SingleTemperature(temperature=temperature))
         print(f"mode=single temperature={temperature:.6f} records={len(records)} -> {args.params_out}")
         return 0
-    records = _ensure_features(records)
     params = fit_calibrator(
         records, TrainConfig(seed=0 if seed is None else seed), plus_one=args.plus_one
     )
@@ -217,11 +205,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    records = read_log_file(args.logs)
-    params = load_params(args.params)
-    if isinstance(params, CalibratorParams):
-        records = _ensure_features(records)
-    rewritten = recalibrate_log(records, params)
+    rewritten = recalibrate_log(read_log_file(args.logs), load_params(args.params))
     rewritten.validate()
     write_log_file(args.logs_out, rewritten)
     print(f"recalibrated records={len(rewritten)} -> {args.logs_out}")
@@ -259,7 +243,9 @@ def _distortion(path: Path | None) -> DistortionSpec | None:
 
 def _cmd_seqcal(args) -> int:
     task = ToyTaskSpec.load(args.task)
-    model = _load_model(task, *read_json(args.model, _model_spec))
+    distortion, params = read_json(args.model, _model_spec)
+    # a relative params path names a file beside the spec; an absolute one stays as given
+    model = _load_model(task, distortion, None if params is None else args.model.parent / params)
     result = sequence_calibration_experiment(
         model, task, n_eval=args.n, num_samples=args.samples, bins=BinningConfig(args.bins), seed=_resolve_seed(args),
     )

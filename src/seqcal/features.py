@@ -5,7 +5,9 @@ pass; ``attention_entropy`` and ``coverage`` are the one-step forms a
 decoder calls. Both give the same values bit for bit. Entropy is in nats;
 coverage counts the source positions whose cumulative attention exceeds
 ``COVERAGE_THRESHOLD``, the one threshold that logs, fits, ``apply`` and
-decoders share.
+decoders share. ``ensure_features`` is the one rule for rows without
+stored features, which fits, apply, the entropy partition and the CLI
+share.
 """
 
 from __future__ import annotations
@@ -176,6 +178,15 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         entropy=np.where(has_feat, batch.entropy, entropy),
         coverage=np.where(has_feat, batch.coverage, cov),
     )
+
+
+def ensure_features(batch: LogBatch) -> LogBatch:
+    """``batch`` itself when every row stores features; else, once its steps
+    are checked to run t = 1..n, ``enrich_batch`` of it."""
+    if batch.has_features.all():
+        return batch
+    batch.check_step_order()
+    return enrich_batch(batch)
 
 
 def enrich(seq: SequenceRecord) -> SequenceRecord:

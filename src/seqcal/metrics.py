@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import MetricError
+from .features import ensure_features
 from .records import BinningConfig, LogBatch, PooledLayout, ReliabilityHistogram, TokenRecord, as_batch, pooled_layout
 
 Records = LogBatch | Iterable[TokenRecord]
@@ -169,8 +170,13 @@ def partitioned_metric(
     spec: PartitionSpec,
     bins: BinningConfig = BinningConfig(),
 ) -> dict[str, GroupMetrics]:
-    """Metrics per partition group; empty groups report count 0 with no scores."""
-    batch = as_batch(records, vectors=False)
+    """Metrics per partition group; empty groups report count 0 with no scores.
+    The entropy split reads the entropy of ``ensure_features``."""
+    entropy_split = spec.kind == "entropy_split"
+    batch = as_batch(records, vectors=entropy_split)
+    # derived before the layout, keeping only the entropy column, so that the
+    # enriched batch and the layout are never alive at once
+    entropy = ensure_features(batch).entropy if entropy_split else None
     layout = batch.layout
     if spec.kind == "token_class":
         pred, _ = _top1(layout)
@@ -180,11 +186,8 @@ def partitioned_metric(
             target, label = spec.token_id, f"token:{spec.token_id}"
         hit = pred == target
         groups = {label: hit, "rest": ~hit}
-    elif spec.kind == "entropy_split":
-        if not batch.has_features.all():
-            bare = int(np.argmin(batch.has_features))
-            raise MetricError(f"entropy partition needs features; {batch.where(bare)} has none")
-        high = batch.entropy >= spec.threshold
+    elif entropy_split:
+        high = entropy >= spec.threshold
         groups = {"high": high, "low": ~high}
     elif spec.kind == "confidence_threshold":
         _, conf = _top1(layout)

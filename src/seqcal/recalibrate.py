@@ -14,7 +14,9 @@ Fitting, applying and ``CalibratedModel`` all run on the pooled-tail layout
 of ``records.pooled_layout``, as the metrics do: the listed entries, an
 unlisted EOS and the unlisted tail pooled into one slot, so a sparse top-K
 log costs O(N*K), not O(N*V). Fits and apply take a ``LogBatch`` (or
-records, which become one) and use its one cached layout.
+records, which become one) and use its one cached layout. The variable
+calibrator reads each row's stored features, or those
+``features.ensure_features`` derives from its attention.
 
 All fitting is deterministic given the seed and input order.
 """
@@ -28,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
-from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich_batch
+from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, ensure_features
 from .jsonfile import field, is_number, read_json, write_json
 from .records import LogBatch, PooledLayout, TokenRecord, as_batch, densify, offsets_of
 from .sequence import RescoringModel, ScoringModel
@@ -36,6 +38,7 @@ from .sequence import RescoringModel, ScoringModel
 Records = LogBatch | Sequence[TokenRecord]
 
 PARAMS_VERSION = "seqcal-params-v1"
+INIT_SCALE = 0.1  # half-width of the uniform draw of the nets' initial weights
 
 NET_HIDDEN = 3
 NET_SIZE = 4 * NET_HIDDEN + NET_HIDDEN * NET_HIDDEN + 1  # 22 scalars per net
@@ -166,7 +169,6 @@ class TrainConfig:
     max_epochs: int = 2000
     tolerance: float = 1e-10
     seed: int = 0
-    init_scale: float = 0.1
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.max_epochs <= 0 or self.tolerance <= 0:
@@ -209,26 +211,17 @@ def _dense_pool(dense: np.ndarray, eos_id: int) -> PooledLayout:
 
 def _pool(batch: LogBatch, with_features: bool = False) -> PooledLayout:
     """The layout of ``batch``; ``with_features``, a copy that also carries
-    the features the variable calibrator needs: the stored ones, else those
-    ``enrich_batch`` derives from a row's attention and cum_attention, which
-    a row without stored features must both carry."""
+    the features the variable calibrator reads, from ``ensure_features``."""
     if not with_features:
         return batch.layout
-    enriched = batch
-    if not batch.has_features.all():
-        vectorless = ~batch.has_features & ~(batch.has_attention & batch.has_cum)
-        if vectorless.any():
-            raise FitError(f"{batch.where(int(np.argmax(vectorless)))}: no features and no attention to derive them")
-        enriched = enrich_batch(batch)
-    return replace(batch.layout, entropy=enriched.entropy, coverage=enriched.coverage)
+    enriched = ensure_features(batch)
+    return replace(enriched.layout, entropy=enriched.entropy, coverage=enriched.coverage)
 
 
 def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
-    batch = as_batch(records, vectors=False)
+    batch = as_batch(records, vectors=with_features)
     if not len(batch):
         raise FitError("cannot fit on an empty dataset")
-    if with_features and not batch.has_features.all():
-        raise FitError(f"{batch.where(int(np.argmin(batch.has_features)))}: features missing; enrich first")
     pool = _pool(batch, with_features)
     zero = ~pool.active[np.arange(len(batch)), pool.gold]
     if zero.any():
@@ -354,12 +347,14 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     Every input entry keeps its position (zeros are written as 0.0) and the
     unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
     probability differs from the tail's gains its own entry, after the
-    others. The variable calibrator reads stored features, or derives them
-    from the attention vectors.
+    others. The variable calibrator reads the features of
+    ``ensure_features``, and rewrites the batch it returns.
     """
     batch = as_batch(records)
     variable = isinstance(params, CalibratorParams)
-    if not variable and params.temperature <= 0:
+    if variable:
+        batch = ensure_features(batch)
+    elif params.temperature <= 0:
         raise FitError(f"temperature must be positive, got {params.temperature}")
     n = len(batch)
     pool = _pool(batch, variable)
@@ -413,11 +408,8 @@ def recalibrate_distribution(
 
 
 def apply_calibrator(record: TokenRecord, params: CalibratorParams) -> np.ndarray:
-    """Recalibrate one record's dense distribution using its stored features.
-
-    Falls back to computing features from the record's attention vectors
-    when they are absent; raises if neither is available.
-    """
+    """Recalibrate one record's dense distribution using its stored features,
+    or those its attention vectors give (``ensure_features``)."""
     return densify(recalibrate_log([record], params)[0])
 
 
@@ -452,7 +444,7 @@ def initial_params(cfg: TrainConfig, plus_one: bool) -> CalibratorParams:
     theta = np.empty(THETA_SIZE)
     theta[0] = 1.0
     theta[1] = COVERAGE_THRESHOLD
-    theta[2:] = rng.uniform(-cfg.init_scale, cfg.init_scale, THETA_SIZE - 2)
+    theta[2:] = rng.uniform(-INIT_SCALE, INIT_SCALE, THETA_SIZE - 2)
     return CalibratorParams.from_flat(theta, plus_one)
 
 
@@ -464,7 +456,7 @@ def fit_calibrator(
 ) -> CalibratorParams:
     """Full-batch gradient descent on validation NLL; returns the best-seen
     parameters, never worse than the initialization."""
-    batch = as_batch(records, vectors=False)
+    batch = as_batch(records)
     prep = _fit_pool(batch)
     theta = initial_params(cfg, plus_one).to_flat()
     best_theta = theta.copy()

@@ -810,22 +810,3 @@ def write_log_file(path, records: LogBatch | Iterable[TokenRecord]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for line in lines:
             handle.write(line + "\n")
-
-
-def group_into_sequences(records: Iterable[TokenRecord]) -> list[SequenceRecord]:
-    """Group consecutive records with equal seq_id into SequenceRecords.
-
-    Steps must arrive ordered t = 1..n with no gaps. The source length is
-    inferred from the first step carrying an attention vector.
-    """
-    records = list(records)
-    batch = LogBatch.from_records(records, vectors=False)
-    batch.check_step_order()
-    sequences: list[SequenceRecord] = []
-    for seq_id, lo, hi in zip(batch.seq_ids, batch.seq_starts[:-1].tolist(), batch.seq_starts[1:].tolist()):
-        steps = tuple(records[lo:hi])
-        vectors = (s.attention if s.attention is not None else s.cum_attention for s in steps)
-        source_len = next((len(v) for v in vectors if v is not None), None)
-        sequences.append(SequenceRecord(seq_id=seq_id, steps=steps, source_len=source_len))
-    return sequences
-

@@ -12,7 +12,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -177,6 +177,15 @@ def _ngram_counts(tokens: Sequence[int], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _clipped_matches(candidate: Sequence[int], reference: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """For n = 1..4, lazily: the candidate's n-grams matched in the reference,
+    each clipped to its reference count, and the candidate's n-gram total."""
+    for n in range(1, 5):
+        ref_counts = _ngram_counts(reference, n)
+        matched = sum(min(count, ref_counts[gram]) for gram, count in _ngram_counts(candidate, n).items())
+        yield matched, max(len(candidate) - n + 1, 0)
+
+
 def sentence_bleu(candidate: Sequence[int], reference: Sequence[int]) -> float:
     """Smoothed sentence BLEU-4 in [0, 1].
 
@@ -190,11 +199,7 @@ def sentence_bleu(candidate: Sequence[int], reference: Sequence[int]) -> float:
     if len(candidate) == 0:
         return 0.0
     log_precisions = []
-    for n in range(1, 5):
-        cand_counts = _ngram_counts(candidate, n)
-        ref_counts = _ngram_counts(reference, n)
-        matched = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-        total = max(len(candidate) - n + 1, 0)
+    for n, (matched, total) in enumerate(_clipped_matches(candidate, reference), start=1):
         if n == 1:
             if matched == 0:
                 return 0.0
@@ -216,11 +221,9 @@ def corpus_bleu(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> float:
     for candidate, reference in pairs:
         cand_len += len(candidate)
         ref_len += len(reference)
-        for n in range(1, 5):
-            cand_counts = _ngram_counts(candidate, n)
-            ref_counts = _ngram_counts(reference, n)
-            matched[n - 1] += sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-            totals[n - 1] += max(len(candidate) - n + 1, 0)
+        for k, (m, t) in enumerate(_clipped_matches(candidate, reference)):
+            matched[k] += m
+            totals[k] += t
     if cand_len == 0 or any(m == 0 for m in matched) or any(t == 0 for t in totals):
         return 0.0
     log_precisions = [math.log(m / t) for m, t in zip(matched, totals)]

@@ -5,8 +5,18 @@ from pathlib import Path
 import pytest
 
 from seqcal.cli import build_parser, main
-from seqcal.records import read_log_file, validate_dataset
-from seqcal.recalibrate import load_params, SingleTemperature
+from seqcal.errors import ValidationError
+from seqcal.metrics import PartitionSpec, partitioned_metric
+from seqcal.records import BinningConfig, read_log_file, validate_dataset, write_log_file
+from seqcal.recalibrate import (
+    SingleTemperature,
+    TrainConfig,
+    fit_calibrator,
+    initial_params,
+    load_params,
+    recalibrate_log,
+    save_params,
+)
 from seqcal.toybench import DistortionSpec, ToyTaskSpec
 
 APPENDIX_LINES = [
@@ -462,3 +472,78 @@ def test_fit_and_apply_derive_the_stored_features(tmp_path, small_task):
         written.append((params.read_bytes(), out.read_bytes()))
     assert "cum_attention" not in bare.read_text()
     assert written[0] == written[1]
+
+
+# one sequence whose steps store attention only, no features
+PROBE_LINES = [
+    '{"seq_id":"a","t":1,"vocab_size":3,"eos_id":2,"gold_id":0,'
+    '"entries":[[0,0.6],[1,0.3],[2,0.1]],"rest_mass":0.0,"attention":[0.7,0.3]}',
+    '{"seq_id":"a","t":2,"vocab_size":3,"eos_id":2,"gold_id":2,'
+    '"entries":[[0,0.2],[1,0.3],[2,0.5]],"rest_mass":0.0,"attention":[0.2,0.8]}',
+]
+
+
+class TestLibraryMatchesCliWithoutFeatures:
+    """The library functions derive missing features by the rule the CLI uses."""
+
+    @pytest.fixture
+    def probe_log(self, tmp_path):
+        path = tmp_path / "probe.jsonl"
+        path.write_text("\n".join(PROBE_LINES) + "\n")
+        return path
+
+    def test_fit(self, tmp_path, probe_log):
+        cli_params, lib_params = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert main(["fit", "--logs", str(probe_log), "--mode", "variable", "--seed", "3",
+                     "--params-out", str(cli_params)]) == 0
+        save_params(lib_params, fit_calibrator(read_log_file(probe_log), TrainConfig(seed=3)))
+        assert lib_params.read_bytes() == cli_params.read_bytes()
+
+    def test_apply(self, tmp_path, probe_log):
+        params, cli_out, lib_out = tmp_path / "params.json", tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+        save_params(params, fit_calibrator(read_log_file(probe_log), TrainConfig(seed=3)))
+        assert main(["apply", "--logs", str(probe_log), "--params", str(params), "--logs-out", str(cli_out)]) == 0
+        write_log_file(lib_out, recalibrate_log(read_log_file(probe_log), load_params(params)))
+        assert lib_out.read_bytes() == cli_out.read_bytes()
+
+    def test_entropy_partition(self, tmp_path, probe_log):
+        out = tmp_path / "parts.json"
+        assert main(["stats", "--logs", str(probe_log), "--partition", "entropy:0.5", "--out", str(out)]) == 0
+        groups = partitioned_metric(read_log_file(probe_log), PartitionSpec.entropy(0.5), BinningConfig(20))
+        assert {label: vars(g) for label, g in groups.items()} == {
+            label: {"ece": g["ece"], "weighted_ece": g["weighted_ece"], "count": g["count"]}
+            for label, g in json.loads(out.read_text())["groups"].items()
+        }
+
+    def test_steps_out_of_order_rejected(self, tmp_path):
+        swapped = tmp_path / "swapped.jsonl"
+        swapped.write_text("\n".join(reversed(PROBE_LINES)) + "\n")
+        batch = read_log_file(swapped)
+        calls = (
+            lambda: fit_calibrator(batch, TrainConfig(max_epochs=2)),
+            lambda: recalibrate_log(batch, initial_params(TrainConfig(), plus_one=False)),
+            lambda: partitioned_metric(batch, PartitionSpec.entropy(0.5)),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError) as caught:
+                call()
+            assert caught.value.field == "t"
+
+
+def test_model_spec_params_path_is_relative_to_the_spec(tmp_path, small_task, monkeypatch):
+    """A relative "params" path names the file beside the spec, not one in
+    the working directory."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    save_params(sub / "var.json", SingleTemperature(temperature=1.0))
+    save_params(tmp_path / "var.json", SingleTemperature(temperature=8.0))  # a decoy
+    (sub / "model.json").write_text(json.dumps({"params": "var.json"}))
+    (sub / "absolute.json").write_text(json.dumps({"params": str(sub / "var.json")}))
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for spec in ("model.json", "absolute.json"):
+        out = tmp_path / f"{spec}.out.json"
+        assert main(["seqcal", "--task", str(small_task), "--model", f"sub/{spec}",
+                     "--samples", "5", "--n", "8", "--seed", "2", "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]

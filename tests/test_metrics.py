@@ -4,7 +4,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from seqcal.errors import MetricError
+from seqcal.errors import FeatureError, MetricError
 from seqcal.metrics import (
     PartitionSpec,
     ece,
@@ -224,7 +224,8 @@ class TestPartitions:
                 assert groups[label].weighted_ece == weighted_ece(members)[0]
 
     def test_entropy_split_requires_features(self):
-        with pytest.raises(MetricError):
+        # no stored features and no attention to derive them from
+        with pytest.raises(FeatureError, match="sequence 's' step 1: no attention"):
             partitioned_metric([make_record([0.6, 0.4], gold=0)], PartitionSpec.entropy())
 
     def test_confidence_partition_by_top1(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqcal.errors import FeatureError, FitError
-from seqcal.features import attention_entropy, coverage
+from seqcal.features import attention_entropy, coverage, enrich_batch
 from seqcal.recalibrate import (
     CalibratedModel,
     CalibratorParams,
@@ -30,7 +30,7 @@ from seqcal.recalibrate import (
     sigmoid,
     single_temperature_nll,
 )
-from seqcal.records import StepFeatures, densify
+from seqcal.records import LogBatch, StepFeatures, densify
 from seqcal.sequence import ScoringModel
 from seqcal.toybench import DistortionSpec, ToyTaskSpec, build_true_model, distort, emit_logs, flatten
 
@@ -183,7 +183,7 @@ class TestApply:
 
     def test_missing_features_rejected(self):
         record = make_record([0.5, 0.5], gold=0)
-        with pytest.raises(FitError):
+        with pytest.raises(FeatureError, match="no attention, cumulative attention, or features"):
             apply_calibrator(record, zero_params())
 
 
@@ -246,17 +246,16 @@ class TestFit:
         with pytest.raises(FitError):
             fit_calibrator([], TrainConfig())
 
-    def test_records_without_features_rejected(self):
-        # attention alone is not enough: the fit does not know the coverage threshold
+    def test_records_without_features_fit_as_their_enriched_copy(self):
         records = random_feature_records(4, seed=6)
         records[2] = replace(records[2], features=None,
                              attention=np.array([0.5, 0.5]), cum_attention=np.array([1.0, 0.5]))
-        with pytest.raises(FitError, match="sequence 'r2' step 1: features missing"):
-            fit_calibrator(records, TrainConfig(max_epochs=5))
-        with pytest.raises(FitError, match="features missing"):
-            calibration_nll(records, random_params(3))
-        with pytest.raises(FitError, match="features missing"):
-            calibration_gradient(random_params(3), records)
+        enriched = enrich_batch(LogBatch.from_records(records))
+        params = random_params(3)
+        cfg = TrainConfig(max_epochs=5)
+        assert np.array_equal(fit_calibrator(records, cfg).to_flat(), fit_calibrator(enriched, cfg).to_flat())
+        assert calibration_nll(records, params) == calibration_nll(enriched, params)
+        assert np.array_equal(calibration_gradient(params, records), calibration_gradient(params, enriched))
 
     def test_divergence_aborts_with_record_context(self):
         # an absurd learning rate slams the EOS damping into hard sigmoid
@@ -411,15 +410,22 @@ class TestDerivedFeatures:
         got, want = recalibrate_log(bare, params), recalibrate_log(stored, params)
         for name in ("offsets", "ids", "probs", "rest_mass"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert not got.has_features.any()
+        # got carries the features it derived
+        assert got.has_features.all()
+        assert np.array_equal(got.entropy, want.entropy) and np.array_equal(got.coverage, want.coverage)
 
     @pytest.mark.parametrize("missing", ["attention", "cum_attention"])
-    def test_a_bare_record_needs_both_vectors(self, missing):
-        record = replace(attention_records(9)[0], **{missing: None})
-        with pytest.raises(FitError, match="sequence 'a' step 1: no features and no attention"):
-            recalibrate_log([record], random_params(9))
-        with pytest.raises(FitError):
-            apply_calibrator(record, random_params(9))
+    def test_a_bare_record_needs_one_vector(self, missing):
+        both = attention_records(9)[0]
+        record, params = replace(both, **{missing: None}), random_params(9)
+        got, want = recalibrate_log([record], params), recalibrate_log([both], params)
+        for name in ("offsets", "ids", "probs", "rest_mass", "entropy", "coverage"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(apply_calibrator(record, params), apply_calibrator(both, params))
+        neither = replace(both, attention=None, cum_attention=None)
+        for call in (lambda: recalibrate_log([neither], params), lambda: apply_calibrator(neither, params)):
+            with pytest.raises(FeatureError, match="sequence 'a' step 1: no attention"):
+                call()
 
 
 class NanAttentionModel(ScoringModel):

@@ -7,9 +7,9 @@ import pytest
 from seqcal.errors import ParseError, ValidationError
 from seqcal.records import (
     BinningConfig,
+    LogBatch,
     ReliabilityHistogram,
     densify,
-    group_into_sequences,
     parse_log_line,
     serialize_record,
     validate_dataset,
@@ -222,24 +222,13 @@ class TestValidateDataset:
 
 
 class TestSequences:
-    def test_grouping_by_consecutive_seq_id(self):
-        records = [
-            make_record([1.0], gold=0, seq_id="a", t=1, attention=[0.5, 0.5]),
-            make_record([1.0], gold=0, seq_id="a", t=2, attention=[0.5, 0.5]),
-            make_record([1.0], gold=0, seq_id="b", t=1),
-        ]
-        sequences = group_into_sequences(records)
-        assert [s.seq_id for s in sequences] == ["a", "b"]
-        assert sequences[0].source_len == 2
-        assert sequences[1].source_len is None
-
     def test_step_gap_rejected(self):
         records = [
             make_record([1.0], gold=0, seq_id="a", t=1),
             make_record([1.0], gold=0, seq_id="a", t=3),
         ]
         with pytest.raises(ValidationError):
-            group_into_sequences(records)
+            LogBatch.from_records(records).check_step_order()
 
 
 class TestBinning:
