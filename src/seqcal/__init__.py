@@ -77,6 +77,7 @@ from .toybench import (
     beam_sweep,
     build_true_model,
     distort,
+    emit_log_batch,
     emit_logs,
     flatten,
     sample_pair,

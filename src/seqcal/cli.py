@@ -42,8 +42,7 @@ from .toybench import (
     beam_sweep,
     build_true_model,
     distort,
-    emit_logs,
-    flatten,
+    emit_log_batch,
     sequence_calibration_experiment,
 )
 
@@ -265,10 +264,9 @@ def _cmd_toy_gen(args) -> int:
     task = ToyTaskSpec.load(args.spec)
     model = _load_model(task, _distortion(args.distort))
     seed = _resolve_seed(args)
-    sequences = emit_logs(model, task, args.n, seed=task.seed if seed is None else seed)
-    records = flatten(sequences)
-    write_log_file(args.logs_out, records)
-    print(f"sequences={len(sequences)} records={len(records)} -> {args.logs_out}")
+    batch = emit_log_batch(model, task, args.n, seed=task.seed if seed is None else seed)
+    write_log_file(args.logs_out, batch)
+    print(f"sequences={len(batch.seq_ids)} records={len(batch)} -> {args.logs_out}")
     return 0
 
 

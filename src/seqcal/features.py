@@ -2,7 +2,8 @@
 
 ``enrich_batch`` derives both for a whole ``LogBatch`` in one columnar
 pass; ``attention_entropy`` and ``coverage`` are the one-step forms a
-decoder calls. Both give the same values bit for bit. Entropy is in nats;
+decoder calls (``coverage`` also takes a batch of rows). Both give the
+same values bit for bit. Entropy is in nats;
 coverage counts the source positions whose cumulative attention exceeds
 ``COVERAGE_THRESHOLD``, the one threshold that logs, fits, ``apply`` and
 decoders share. ``ensure_features`` is the one rule for rows without
@@ -38,16 +39,19 @@ def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float:
     return max(0.0, -float((positive * np.log(positive)).sum()))
 
 
-def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float:
-    """Fraction of source positions with cumulative attention strictly above delta."""
+def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float | np.ndarray:
+    """Fraction of source positions with cumulative attention strictly above
+    delta: a float for one vector, one per row of a 2-D array."""
     arr = np.asarray(cum_attention, dtype=np.float64)
-    if arr.size == 0:
+    if arr.shape[-1] == 0:
         raise FeatureError("cumulative attention vector is empty")
     if not (arr >= 0).all():
         raise FeatureError("cumulative attention weights must be non-negative")
     if not np.isfinite(arr).all():
         raise FeatureError("cumulative attention weights must be finite")
-    return float(np.count_nonzero(arr > delta)) / arr.size
+    if arr.ndim == 1:
+        return float(np.count_nonzero(arr > delta)) / arr.size
+    return (arr > delta).sum(axis=-1) / arr.shape[-1]
 
 
 def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -61,6 +65,15 @@ def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         if len(group) and lengths[group[0]]:
             sums[group] = values[offsets[group, None] + np.arange(lengths[group[0]])].sum(axis=1)
     return sums
+
+
+def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Each row's ``np.sum`` of its entries where ``mask`` holds, bit for
+    bit, shaped to broadcast against ``values``: a 1-D ``values`` is one
+    row."""
+    if values.ndim == 1 or len(values) == 1:
+        return values[mask].sum(keepdims=True)
+    return _row_sums(values[mask], offsets_of(mask.sum(axis=1)))[:, None]
 
 
 def _raise_first(batch: LogBatch, problems) -> None:
@@ -194,14 +207,3 @@ def enrich(seq: SequenceRecord) -> SequenceRecord:
     on a batch of its steps."""
     batch = replace(LogBatch.from_records(seq.steps), seq_ids=[seq.seq_id], seq_starts=np.array([0, len(seq.steps)]))
     return replace(seq, steps=tuple(enrich_batch(batch)))
-
-
-def attention_profile(alpha_peakedness: float, aligned: int, k: int) -> np.ndarray:
-    """Interpolate between one-hot alignment (0) and uniform attention (1)."""
-    if not 0.0 <= alpha_peakedness <= 1.0:
-        raise FeatureError(f"interpolation weight must be in [0, 1], got {alpha_peakedness}")
-    # (1 - a) * one_hot + a * uniform, with the same roundings
-    profile = np.full(k, alpha_peakedness * (1.0 / k))
-    profile[aligned] += 1.0 - alpha_peakedness
-    return profile
-

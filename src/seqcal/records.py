@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 PROB_ATOL = 1e-6
+_ROWS_PER_CHUNK = 4096
 
 INT_FIELDS = ("t", "vocab_size", "eos_id", "gold_id")
 VECTOR_FIELDS = ("attention", "cum_attention")
@@ -245,28 +246,32 @@ class LogBatch:
 
     def _rows(self, start: int, stop: int) -> Iterator[tuple]:
         """Rows start..stop-1 as plain Python values, in TokenRecord field
-        order; entries as (id, prob) pairs and features as a pair or None."""
+        order; entries as (id, prob) pairs and features as a pair or None.
+        The columns become Python values ``_ROWS_PER_CHUNK`` rows at a time,
+        so a long log's rows never all exist as Python objects at once."""
+        for lo in range(start, stop, _ROWS_PER_CHUNK):
+            hi = min(lo + _ROWS_PER_CHUNK, stop)
 
-        def column(values, offsets):
-            lo = offsets[start]
-            return values[lo : offsets[stop]].tolist(), (offsets[start : stop + 1] - lo).tolist()
+            def column(values, offsets):
+                first = offsets[lo]
+                return values[first : offsets[hi]].tolist(), (offsets[lo : hi + 1] - first).tolist()
 
-        ids, off = column(self.ids, self.offsets)
-        probs, _ = column(self.probs, self.offsets)
-        att, att_off = column(self.attention, self.att_offsets)
-        cum, cum_off = column(self.cum_attention, self.cum_offsets)
-        rows = zip(*(c[start:stop].tolist() for c in (
-            self.seq_index, self.t, self.vocab_size, self.eos_id, self.gold_id, self.rest_mass,
-            self.has_attention, self.has_cum, self.has_features, self.entropy, self.coverage,
-        )))
-        for k, (seq, t, vocab, eos, gold, rest, has_att, has_cum, has_feat, ent, cov) in enumerate(rows):
-            yield (
-                self.seq_ids[seq], t, vocab, eos, gold,
-                zip(ids[off[k] : off[k + 1]], probs[off[k] : off[k + 1]]), rest,
-                att[att_off[k] : att_off[k + 1]] if has_att else None,
-                cum[cum_off[k] : cum_off[k + 1]] if has_cum else None,
-                (ent, cov) if has_feat else None,
-            )
+            ids, off = column(self.ids, self.offsets)
+            probs, _ = column(self.probs, self.offsets)
+            att, att_off = column(self.attention, self.att_offsets)
+            cum, cum_off = column(self.cum_attention, self.cum_offsets)
+            rows = zip(*(c[lo:hi].tolist() for c in (
+                self.seq_index, self.t, self.vocab_size, self.eos_id, self.gold_id, self.rest_mass,
+                self.has_attention, self.has_cum, self.has_features, self.entropy, self.coverage,
+            )))
+            for k, (seq, t, vocab, eos, gold, rest, has_att, has_cum, has_feat, ent, cov) in enumerate(rows):
+                yield (
+                    self.seq_ids[seq], t, vocab, eos, gold,
+                    zip(ids[off[k] : off[k + 1]], probs[off[k] : off[k + 1]]), rest,
+                    att[att_off[k] : att_off[k + 1]] if has_att else None,
+                    cum[cum_off[k] : cum_off[k + 1]] if has_cum else None,
+                    (ent, cov) if has_feat else None,
+                )
 
     @classmethod
     def from_records(

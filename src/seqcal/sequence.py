@@ -42,11 +42,20 @@ class ScoringModel(ABC):
     def step(self, state, prefix: Tokens):
         """Return (probabilities over V, attention over source positions, next state)."""
 
+    def step_batch(self, states: Sequence, prefixes: Sequence[Tokens]):
+        """``step`` for B rows whose sources all have length S: (B, V)
+        probabilities, (B, S) attention and the B next states. This default
+        calls ``step`` row by row; a model that overrides it computes the
+        rows as whole arrays, each equal bit for bit to its ``step``."""
+        probs, alpha, next_states = zip(*map(self.step, states, prefixes))
+        return np.array(probs, dtype=np.float64), np.array(alpha, dtype=np.float64), list(next_states)
+
 
 class RescoringModel(ScoringModel):
     """Wraps a model and rewrites each step's distribution with ``rescore``,
     given the step's attention and the cumulative attention up to and
-    including it, as the log pipeline derives it."""
+    including it, as the log pipeline derives it; ``step_batch`` does the
+    same for a batch of rows through ``rescore_batch``."""
 
     def __init__(self, inner: ScoringModel):
         self.inner = inner
@@ -69,9 +78,25 @@ class RescoringModel(ScoringModel):
         cum = alpha.copy() if cum is None else cum + alpha
         return self.rescore(np.asarray(probs, dtype=np.float64), alpha, cum), alpha, (next_inner, cum)
 
+    def step_batch(self, states: Sequence, prefixes: Sequence[Tokens]):
+        inner_states, cums = zip(*states)
+        probs, alpha, next_inner = self.inner.step_batch(inner_states, prefixes)
+        alpha = np.asarray(alpha, dtype=np.float64)
+        cum = alpha.copy()
+        started = [i for i, c in enumerate(cums) if c is not None]
+        if started:  # this step's attention plus the sum so far, the two terms ``step`` adds
+            cum[started] += np.array([cums[i] for i in started])
+        return self.rescore_batch(np.asarray(probs, dtype=np.float64), alpha, cum), alpha, list(zip(next_inner, cum))
+
     @abstractmethod
     def rescore(self, probs: np.ndarray, alpha: np.ndarray, cum: np.ndarray) -> np.ndarray:
         """The new distribution over V for one step."""
+
+    def rescore_batch(self, probs: np.ndarray, alpha: np.ndarray, cum: np.ndarray) -> np.ndarray:
+        """``rescore`` for the rows of (B, V) probabilities, (B, S) attention
+        and (B, S) cumulative attention. This default calls ``rescore`` row
+        by row."""
+        return np.array(list(map(self.rescore, probs, alpha, cum)))
 
 
 @dataclass(frozen=True)

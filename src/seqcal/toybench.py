@@ -15,20 +15,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .errors import SeqcalError, ValidationError
-from .features import COVERAGE_THRESHOLD, attention_entropy, attention_profile, coverage
+from .errors import ModelError, SeqcalError, ValidationError
+from .features import COVERAGE_THRESHOLD, coverage, enrich_batch, masked_row_sums
 from .jsonfile import field, is_number, read_json, write_json
 from .records import (
     BinningConfig,
     PROB_ATOL,
+    LogBatch,
     ReliabilityHistogram,
     SequenceRecord,
-    StepFeatures,
     TokenRecord,
+    offsets_of,
 )
 from .sequence import (
     BeamConfig,
@@ -40,7 +42,6 @@ from .sequence import (
     bleu_or_degenerate,
     corpus_bleu,
     expected_bleu,
-    sample_sequence,
     strip_eos,
     structured_ece,
 )
@@ -194,7 +195,11 @@ class ToyModel(ScoringModel):
 
     def __init__(self, spec: ToyTaskSpec):
         self.spec = spec
-        self._emissions = np.asarray(spec.emissions, dtype=np.float64)
+        eos_row = np.zeros((1, spec.target_vocab_size))
+        eos_row[0, spec.eos_id] = 1.0
+        # the emission rows, then the certain EOS that follows the last source token
+        self._rows = np.concatenate((np.asarray(spec.emissions, dtype=np.float64), eos_row))
+        self._profiles: dict[int, np.ndarray] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -208,16 +213,37 @@ class ToyModel(ScoringModel):
         return tuple(source)
 
     def step(self, state, prefix: Tokens):
-        source = state
-        k = len(source)
-        t = len(prefix) + 1
-        if t <= k:
-            probs = self._emissions[source[t - 1]].copy()
-        else:
-            probs = np.zeros(self.vocab_size)
-            probs[self.eos_id] = 1.0
-        alpha = attention_profile(self.spec.gamma, min(t, k) - 1, k)
+        t, k = len(prefix), len(state)
+        probs, alpha = self._lookup(state[t] if t < k else -1, min(t, k - 1), k)
         return probs, alpha, state
+
+    def step_batch(self, states, prefixes):
+        """Each row's emission row and attention, looked up as ``step``
+        looks them up."""
+        k = len(states[0])
+        position = [len(prefix) for prefix in prefixes]
+        token = [source[t] if t < k else -1 for source, t in zip(states, position)]
+        probs, alpha = self._lookup(token, [min(t, k - 1) for t in position], k)
+        return probs, alpha, list(states)
+
+    def _lookup(self, token, aligned, k: int):
+        """The emission row of source token ``token`` (-1: the certain EOS
+        past the last source token) and the attention over k source
+        positions aligned to position ``aligned``: one row each for ints,
+        a row per entry for lists. Every step reads these two tables, so
+        ``step`` and ``step_batch`` agree bit for bit."""
+        return self._rows.take(token, axis=0), self._profile(k).take(aligned, axis=0)
+
+    def _profile(self, k: int) -> np.ndarray:
+        """Row j: the attention over k source positions aligned to position j,
+        between one-hot alignment (gamma 0) and uniform attention (gamma 1)."""
+        if k not in self._profiles:
+            gamma = self.spec.gamma
+            # (1 - gamma) * one_hot + gamma * uniform, with the same roundings
+            profile = np.full((k, k), gamma * (1.0 / k))
+            profile[np.arange(k), np.arange(k)] += 1.0 - gamma
+            self._profiles[k] = profile
+        return self._profiles[k]
 
 
 class DistortedModel(RescoringModel):
@@ -228,18 +254,21 @@ class DistortedModel(RescoringModel):
         self.distortion = distortion
 
     def rescore(self, probs, alpha, cum):
+        return self.rescore_batch(probs, alpha, cum)
+
+    def rescore_batch(self, probs, alpha, cum):
+        """The softmax over each row's active (nonzero) tokens, for the rows
+        of 2-D arrays or for the one row of 1-D arrays. Each row's sum is
+        the one its own ``np.sum`` takes, so a row's result does not depend
+        on the rows beside it."""
         active = probs > 0
         z = np.full(probs.shape, -np.inf)
         z[active] = np.log(probs[active]) / self.distortion.temperature
-        if self.distortion.eos_bias > 0 and active[self.eos_id]:
-            c_t = coverage(cum, COVERAGE_THRESHOLD)
-            z[self.eos_id] += self.distortion.eos_bias * (1.0 - c_t)
-        out = np.zeros(probs.shape)
-        zs = z[active]
-        m = zs.max()
-        e = np.exp(zs - m)
-        out[active] = e / e.sum()
-        return out
+        if self.distortion.eos_bias > 0:  # an inactive EOS stays at -inf
+            # z.T[eos]: the EOS logit of one row, or the EOS column of a batch
+            z.T[self.eos_id] += self.distortion.eos_bias * (1.0 - coverage(cum, COVERAGE_THRESHOLD))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / masked_row_sums(e, active)
 
 
 def build_true_model(spec: ToyTaskSpec) -> ToyModel:
@@ -251,12 +280,97 @@ def distort(model: ScoringModel, distortion: DistortionSpec) -> ScoringModel:
     return DistortedModel(model, distortion)
 
 
-def sample_pair(task: ToyTaskSpec, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
-    """Draw one (source, gold target) pair from the true task distribution."""
+def _draw_pair(model: ToyModel, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
+    task = model.spec
     k = int(rng.integers(task.min_len, task.max_len + 1))
-    source = tuple(int(s) for s in rng.integers(0, task.source_vocab_size, k))
-    reference = sample_sequence(ToyModel(task), source, rng, max_len=k + 1)
-    return source, reference
+    source = rng.integers(0, task.source_vocab_size, k)
+    rows = model._rows[np.append(source, len(model._rows) - 1)]  # each step's row, the last one EOS
+    cdf = (rows / rows.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    # searchsorted(cdf, u, side="right") of each row: the count of cdf values <= u
+    tokens = np.count_nonzero(cdf <= rng.random(k + 1)[:, None], axis=1)
+    end = int(np.argmax(tokens == task.eos_id)) + 1
+    return tuple(source.tolist()), tuple(tokens[:end].tolist())
+
+
+def sample_pair(task: ToyTaskSpec, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
+    """Draw one (source, gold target) pair from the true task distribution.
+
+    ``rng`` draws the length k and the source, then k + 1 uniforms at once,
+    one per step. Each step's token is the one ``Generator.choice`` would
+    pick with that uniform from the step's emission row (EOS after the last
+    source token): the first index whose normalised cdf exceeds it. The
+    true model ignores the prefix, so the pair equals ancestral sampling
+    with ``sample_sequence``; the reference ends at its first EOS.
+    """
+    return _draw_pair(ToyModel(task), rng)
+
+
+def _pairs(task: ToyTaskSpec, n: int, seed: int, stream: int) -> list[tuple[Tokens, Tokens]]:
+    """Pair i of the (seed, stream) series, drawn from its own generator."""
+    model = ToyModel(task)
+    return [_draw_pair(model, np.random.default_rng((seed, stream, i))) for i in range(n)]
+
+
+def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) -> LogBatch:
+    """The checked, enriched log of ``model`` teacher-forced on ``pairs``:
+    one model call per step position for the sequences of one source
+    length, longest reference first, so the sequences still running at a
+    step are a prefix of the bucket."""
+    src_len = np.array([len(source) for source, _ in pairs], dtype=np.int64)
+    ref_len = np.array([len(reference) for _, reference in pairs], dtype=np.int64)
+    starts = offsets_of(ref_len)
+    n = int(starts[-1])
+    width = np.repeat(src_len, ref_len)
+    att_offsets = offsets_of(width)
+    probs = np.zeros((n, model.vocab_size))
+    attention = np.zeros(int(att_offsets[-1]))
+    order = np.lexsort((-ref_len, src_len))
+    for bucket in np.split(order, np.flatnonzero(np.diff(src_len[order])) + 1) if len(order) else ():
+        states = [model.start(pairs[i][0]) for i in bucket]
+        references = [pairs[i][1] for i in bucket]
+        for t in range(int(ref_len[bucket[0]])):
+            live = int(np.count_nonzero(ref_len[bucket] > t))
+            rows = starts[bucket[:live]] + t
+            step_probs, alpha, states = model.step_batch(states[:live], [r[:t] for r in references[:live]])
+            step_probs, alpha = np.asarray(step_probs, dtype=np.float64), np.asarray(alpha, dtype=np.float64)
+            if step_probs.shape != (live, model.vocab_size) or alpha.shape != (live, src_len[bucket[0]]):
+                raise ModelError(
+                    f"model emitted {step_probs.shape} probabilities and {alpha.shape} attention "
+                    f"for {live} rows, V={model.vocab_size} and {src_len[bucket[0]]} source positions"
+                )
+            probs[rows] = step_probs
+            attention[att_offsets[rows, None] + np.arange(alpha.shape[1])] = alpha
+    listed = probs != 0
+    batch = LogBatch(
+        seq_ids=[f"toy-{i:06d}" for i in range(len(pairs))],
+        seq_starts=starts,
+        t=np.arange(n) - np.repeat(starts[:-1], ref_len) + 1,
+        vocab_size=np.full(n, model.vocab_size, dtype=np.int64),
+        eos_id=np.full(n, model.eos_id, dtype=np.int64),
+        gold_id=np.fromiter(chain.from_iterable(reference for _, reference in pairs), dtype=np.int64, count=n),
+        offsets=offsets_of(np.count_nonzero(listed, axis=1)),
+        ids=np.nonzero(listed)[1],
+        probs=probs[listed],
+        rest_mass=np.zeros(n),
+        has_attention=np.ones(n, dtype=bool), att_offsets=att_offsets, attention=attention,
+        has_cum=np.zeros(n, dtype=bool), cum_offsets=np.zeros(n + 1, dtype=np.int64), cum_attention=np.zeros(0),
+        has_features=np.zeros(n, dtype=bool), entropy=np.full(n, np.nan), coverage=np.full(n, np.nan),
+    )
+    for row, error in batch.errors():  # the first row that breaks a record invariant
+        raise ModelError(f"{batch.where(row)}: {error}")
+    return enrich_batch(batch)
+
+
+def emit_log_batch(model: ScoringModel, task: ToyTaskSpec, n_sequences: int, seed: int) -> LogBatch:
+    """Teacher-forced logs as one checked batch: gold pairs drawn from the
+    true task, pair i from generator (seed, 0, i), and step distributions
+    recorded from ``model`` conditioned on the gold prefix. Sequences are
+    teacher-forced a source length at a time, one ``step_batch`` call per
+    step position. Each row stores its attention, cumulative attention and
+    features; a row that breaks a record invariant raises ModelError
+    naming its sequence, step and field."""
+    return _teacher_force(model, _pairs(task, n_sequences, seed, _STREAM_LOGS))
 
 
 def emit_logs(
@@ -265,57 +379,19 @@ def emit_logs(
     n_sequences: int,
     seed: int,
 ) -> list[SequenceRecord]:
-    """Teacher-forced logs: gold pairs drawn from the true task, step
-    distributions recorded from ``model`` conditioned on the gold prefix."""
-    sequences: list[SequenceRecord] = []
-    for i in range(n_sequences):
-        rng = np.random.default_rng((seed, _STREAM_LOGS, i))
-        source, reference = sample_pair(task, rng)
-        seq_id = f"toy-{i:06d}"
-        state = model.start(source)
-        cum: np.ndarray | None = None
-        steps: list[TokenRecord] = []
-        for t, gold in enumerate(reference, start=1):
-            probs, alpha, state = model.step(state, reference[: t - 1])
-            probs = np.asarray(probs, dtype=np.float64)
-            alpha = np.asarray(alpha, dtype=np.float64)
-            cum = alpha.copy() if cum is None else cum + alpha
-            nonzero = np.flatnonzero(probs)
-            steps.append(
-                TokenRecord(
-                    seq_id=seq_id,
-                    t=t,
-                    vocab_size=model.vocab_size,
-                    eos_id=model.eos_id,
-                    gold_id=int(gold),
-                    entries=tuple(zip(nonzero.tolist(), probs[nonzero].tolist())),
-                    rest_mass=0.0,
-                    attention=tuple(alpha.tolist()),
-                    cum_attention=tuple(cum.tolist()),
-                    features=StepFeatures(attention_entropy(alpha), coverage(cum, COVERAGE_THRESHOLD)),
-                )
-            )
-        sequences.append(
-            SequenceRecord(
-                seq_id=seq_id,
-                steps=tuple(steps),
-                source_len=len(source),
-                source=source,
-                reference=reference,
-            )
-        )
-    return sequences
+    """``emit_log_batch`` as one SequenceRecord per sequence, carrying its
+    source and reference."""
+    pairs = _pairs(task, n_sequences, seed, _STREAM_LOGS)
+    batch = _teacher_force(model, pairs)
+    steps, bounds = list(batch), batch.seq_starts.tolist()
+    return [
+        SequenceRecord(seq_id, tuple(steps[lo:hi]), source_len=len(source), source=source, reference=reference)
+        for seq_id, lo, hi, (source, reference) in zip(batch.seq_ids, bounds, bounds[1:], pairs)
+    ]
 
 
 def flatten(sequences: Sequence[SequenceRecord]) -> list[TokenRecord]:
     return [step for seq in sequences for step in seq.steps]
-
-
-def _eval_pairs(task: ToyTaskSpec, n_eval: int, seed: int) -> list[tuple[Tokens, Tokens]]:
-    return [
-        sample_pair(task, np.random.default_rng((seed, _STREAM_EVAL, i)))
-        for i in range(n_eval)
-    ]
 
 
 def _top_hypothesis(model: ScoringModel, source: Tokens, width: int) -> Hypothesis:
@@ -335,7 +411,7 @@ def beam_sweep(
     """Corpus BLEU and mean top log-score per beam width on held-out sources."""
     if not beams:
         raise SeqcalError("beam sweep needs at least one beam width")
-    pairs = _eval_pairs(task, n_eval, task.seed if seed is None else seed)
+    pairs = _pairs(task, n_eval, task.seed if seed is None else seed, _STREAM_EVAL)
     rows: list[dict] = []
     for width in beams:
         scored: list[tuple[Tokens, Tokens]] = []
@@ -371,7 +447,7 @@ def sequence_calibration_experiment(
 ) -> SequenceCalibrationResult:
     """Expected-vs-actual BLEU calibration of beam-search predictions."""
     seed = task.seed if seed is None else seed
-    pairs = _eval_pairs(task, n_eval, seed)
+    pairs = _pairs(task, n_eval, seed, _STREAM_EVAL)
     rows: list[dict] = []
     for i, (source, reference) in enumerate(pairs):
         prediction = _top_hypothesis(model, source, BeamConfig().beam_width).tokens
