@@ -77,16 +77,17 @@ class ScalarNet:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray) -> "ScalarNet":
+        """The net whose weights are views of ``flat``, not copies."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (NET_SIZE,):
             raise ValidationError("net", f"expected {NET_SIZE} weights, got {flat.shape}")
         h = NET_HIDDEN
         return cls(
-            w1=flat[0:h].copy(),
-            b1=flat[h : 2 * h].copy(),
-            w2=flat[2 * h : 2 * h + h * h].reshape(h, h).copy(),
-            b2=flat[2 * h + h * h : 3 * h + h * h].copy(),
-            w3=flat[3 * h + h * h : 4 * h + h * h].copy(),
+            w1=flat[0:h],
+            b1=flat[h : 2 * h],
+            w2=flat[2 * h : 2 * h + h * h].reshape(h, h),
+            b2=flat[2 * h + h * h : 3 * h + h * h],
+            w3=flat[3 * h + h * h : 4 * h + h * h],
             b3=float(flat[4 * h + h * h]),
         )
 
@@ -96,32 +97,32 @@ class ScalarNet:
         )
 
     def forward(self, x: np.ndarray):
-        """Sigmoid output in (0, 1) for a batch of scalar inputs."""
+        """Sigmoid output in (0, 1) for a batch of M scalar inputs, and the
+        cache ``backward`` reads: the inputs, the output and both hidden
+        activations, stored hidden-major as (3, M) so that every op runs
+        along the long batch axis."""
         x = np.asarray(x, dtype=np.float64)
-        z1 = x[:, None] * self.w1 + self.b1
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ self.w2.T + self.b2
-        a2 = np.maximum(z2, 0.0)
-        z3 = a2 @ self.w3 + self.b3
-        out = sigmoid(z3)
+        a1 = np.multiply.outer(self.w1, x)
+        a1 += self.b1[:, None]
+        np.maximum(a1, 0.0, out=a1)
+        a2 = self.w2 @ a1
+        a2 += self.b2[:, None]
+        np.maximum(a2, 0.0, out=a2)
+        out = sigmoid(self.w3 @ a2 + self.b3)
         return out, (x, a1, a2, out)
 
     def backward(self, cache, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Parameter gradients (flat, 22) and input gradients for ``dout``."""
+        """Parameter gradients (flat, 22) and input gradients for ``dout``,
+        from the hidden-major cache of ``forward``."""
         x, a1, a2, out = cache
-        m1, m2 = a1 > 0, a2 > 0  # the ReLU masks: a > 0 exactly where z > 0
         dz3 = dout * out * (1.0 - out)
-        g_w3 = a2.T @ dz3
-        g_b3 = dz3.sum()
-        dz2 = (dz3[:, None] * self.w3) * m2
-        g_w2 = dz2.T @ a1
-        g_b2 = dz2.sum(axis=0)
-        dz1 = (dz2 @ self.w2) * m1
-        g_w1 = dz1.T @ x
-        g_b1 = dz1.sum(axis=0)
-        dx = dz1 @ self.w1
-        grads = np.concatenate([g_w1, g_b1, g_w2.reshape(-1), g_b2, g_w3, [g_b3]])
-        return grads, dx
+        dz2 = np.multiply.outer(self.w3, dz3)
+        dz2 *= a2 > 0  # the ReLU masks: a > 0 exactly where z > 0
+        dz1 = self.w2.T @ dz2
+        dz1 *= a1 > 0
+        grads = np.concatenate([dz1 @ x, dz1.sum(axis=1), (dz2 @ a1.T).reshape(-1),
+                                dz2.sum(axis=1), a2 @ dz3, [dz3.sum()]])
+        return grads, self.w1 @ dz1
 
 
 @dataclass
@@ -238,33 +239,35 @@ def _forward(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
 
     The variable map evaluates h once per active slot, so the pooled tail
     costs one evaluation for all of its tokens; an unlisted EOS has its own
-    slot and so its own correction term.
+    slot and so its own correction term. It runs on the layout's active
+    slots as flat vectors (``PooledLayout.slots``). Saturating parameters
+    overflow to inf rather than warn; the fit reports a non-finite loss.
     """
     if isinstance(params, SingleTemperature):
         return pool.logp / params.temperature, None
     offset = _offset(params)
-    u = params.w1 * (pool.coverage - params.w2)
-    lp = pool.logp.copy()
-    np.add.at(lp, (np.arange(len(lp)), pool.eos), log_sigmoid(u))
+    slots = pool.slots
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = params.w1 * (pool.coverage - params.w2)
+        z = pool.logp.copy()  # -inf where inactive, as it stays
+        z.ravel()[slots.eos] += log_sigmoid(u)
+        lp = z.take(slots.index)
+        g_out, g_cache = params.g_net.forward(pool.entropy)
+        gf = (g_out + offset)[slots.row]
+        h_out, h_cache = params.h_net.forward(lp)
+        hf = h_out + offset
+        z.put(slots.index, lp * gf * hf)
+    return z, (u, lp, gf, hf, g_cache, h_cache)
 
-    g_out, g_cache = params.g_net.forward(pool.entropy)
-    gf = g_out + offset
-    h_out, h_cache = params.h_net.forward(lp[pool.active])
-    hf = np.ones(lp.shape)
-    hf[pool.active] = h_out + offset
 
-    lp0 = np.where(pool.active, lp, 0.0)
-    z = np.where(pool.active, lp0 * gf[:, None] * hf, -np.inf)
-    return z, (u, lp0, gf, hf, g_cache, h_cache)
-
-
-def _softmax(z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-token probability of each slot and each row's log partition
-    function, in which a slot counts ``mult`` times."""
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    denom = (e * mult).sum(axis=1, keepdims=True)
-    return e / denom, (m + np.log(denom))[:, 0]
+def _softmax(z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token probability of each slot, and each row's max logit and sum
+    over the max, in which a slot counts ``mult`` times."""
+    m = z.T.copy().max(axis=0)  # the row max, exact, reduced along the long axis of a copy
+    e = np.exp(z - m[:, None])
+    denom = (e * mult).sum(axis=1)
+    e /= denom[:, None]
+    return e, m, denom
 
 
 def _recalibrated(pool: PooledLayout, params: CalibratorParams | SingleTemperature) -> np.ndarray:
@@ -275,8 +278,8 @@ def _recalibrated(pool: PooledLayout, params: CalibratorParams | SingleTemperatu
 def _losses(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
     """Per-row gold NLL, slot probabilities and the forward cache."""
     z, cache = _forward(pool, params)
-    probs, log_z = _softmax(z, pool.mult)
-    return log_z - z[np.arange(len(z)), pool.gold], probs, cache
+    probs, m, denom = _softmax(z, pool.mult)
+    return m + np.log(denom) - z.take(pool.slots.gold), probs, cache
 
 
 def _forward_backward(theta: np.ndarray, prep: PooledLayout, plus_one: bool, want_grad: bool = True):
@@ -296,23 +299,19 @@ def _forward_backward(theta: np.ndarray, prep: PooledLayout, plus_one: bool, wan
 
 def _backward(prep: PooledLayout, params: CalibratorParams, probs: np.ndarray, cache) -> np.ndarray:
     n = len(prep.gold)
-    rows = np.arange(n)
-    u, lp0, gf, hf, g_cache, h_cache = cache
+    slots = prep.slots
+    u, lp, gf, hf, g_cache, h_cache = cache
     # d(mean NLL)/dz: each slot's softmax mass, minus one on the gold slot
     r = probs * prep.mult
-    r[rows, prep.gold] -= 1.0
-    r /= n
+    r.ravel()[slots.gold] -= 1.0
+    r = r.take(slots.index) / n
 
-    d_gf = np.sum(np.where(prep.active, r * lp0 * hf, 0.0), axis=1)
-    g_grads, _ = params.g_net.backward(g_cache, d_gf)
+    g_grads, _ = params.g_net.backward(g_cache, np.bincount(slots.row, r * lp * hf, minlength=n))
+    h_grads, d_inputs = params.h_net.backward(h_cache, r * lp * gf)
 
-    d_hf_flat = (r * lp0 * gf[:, None])[prep.active]
-    h_grads, d_inputs = params.h_net.backward(h_cache, d_hf_flat)
-
-    dlp = np.where(prep.active, r * gf[:, None] * hf, 0.0)
-    dlp[prep.active] += d_inputs
-
-    du = dlp[rows, prep.eos] * (1.0 - sigmoid(u))
+    dlp = np.zeros(prep.prob.size)
+    dlp.put(slots.index, r * gf * hf + d_inputs)
+    du = dlp[slots.eos] * (1.0 - sigmoid(u))
     d_w1 = float(np.sum(du * (prep.coverage - params.w2)))
     d_w2 = float(np.sum(du * (-params.w1)))
     return np.concatenate([[d_w1, d_w2], g_grads, h_grads])

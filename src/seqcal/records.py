@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import attrgetter, is_not
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -684,6 +684,25 @@ class PooledLayout:
         logp = np.full(self.prob.shape, -np.inf)
         np.log(self.prob, out=logp, where=self.active)
         return logp
+
+    @cached_property
+    def slots(self) -> ActiveSlots:
+        """Flat indices into the layout, built once per layout, so the
+        variable calibrator's epochs gather instead of masking."""
+        n, width = self.prob.shape
+        index = self.active.ravel().nonzero()[0]
+        start = np.arange(0, n * width, width)
+        return ActiveSlots(index, index // width, start + self.gold, start + self.eos)
+
+
+class ActiveSlots(NamedTuple):
+    """``PooledLayout.slots``: the M active slots in row-major order, and
+    the gold and EOS slot of each of the N rows."""
+
+    index: np.ndarray  # (M,) flat index of each active slot
+    row: np.ndarray    # (M,) its row
+    gold: np.ndarray   # (N,) flat index of each row's gold slot
+    eos: np.ndarray    # (N,) flat index of each row's EOS slot
 
 
 def pooled_layout(records: LogBatch | Sequence[TokenRecord]) -> PooledLayout:

@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,25 @@ class TestApplyVariable:
         assert rc == 0
         records = read_log_file(recal)
         assert len(records) == len(read_log_file(logs))
+
+    def test_saturating_params_apply_without_warnings(self, tmp_path, small_task, capsys):
+        """Finite net weights of 1e200 overflow the nets to inf, which
+        saturates their sigmoids; apply says nothing and writes a valid log."""
+        logs = tmp_path / "logs.jsonl"
+        assert main(["toy", "gen", "--spec", str(small_task), "--n", "20", "--logs-out", str(logs)]) == 0
+        big = [1e200] * 3
+        net, bias = [[[1e200]] * 3, [big] * 3, [big]], [big, big, [1e200]]
+        params = tmp_path / "big.json"
+        params.write_text(json.dumps({"version": "seqcal-params-v1", "mode": "variable", "w1": 1.0, "w2": 0.35,
+                                      "plus_one": False, "g_net": net, "g_bias": bias, "h_net": net, "h_bias": bias}))
+        capsys.readouterr()
+        recal = tmp_path / "recal.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["apply", "--logs", str(logs), "--params", str(params), "--logs-out", str(recal)]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+        assert len(read_log_file(recal)) == len(read_log_file(logs))
 
 
 class TestParamsFileErrors:

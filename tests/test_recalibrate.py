@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from seqcal.recalibrate import (
     CalibratedModel,
     CalibratorParams,
     ScalarNet,
+    THETA_SIZE,
     SingleTemperature,
     TrainConfig,
     _forward_backward,
@@ -385,6 +387,21 @@ class TestCalibratedModel:
             for t, step in enumerate(seq.steps, start=1):
                 probs, _, state = wrapped.step(state, seq.reference[: t - 1])
                 np.testing.assert_allclose(probs, apply_single_temperature(step, 2.0), atol=1e-12)
+
+    def test_saturating_params_step_without_warnings(self):
+        """Net weights of 1e200 overflow the nets to inf; the step stays quiet and valid."""
+        task = ToyTaskSpec.two_way_default(eos_floor=0.02)
+        model = distort(build_true_model(task), DistortionSpec(temperature=0.6, eos_bias=1.0))
+        theta = np.full(THETA_SIZE, 1e200)
+        theta[:2] = [1.0, 0.35]
+        wrapped = CalibratedModel(model, CalibratorParams.from_flat(theta, False))
+        seq = emit_logs(model, task, 1, seed=13)[0]
+        state = wrapped.start(seq.source)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(1, len(seq.steps) + 1):
+                probs, _, state = wrapped.step(state, seq.reference[: t - 1])
+                assert np.isfinite(probs).all() and abs(probs.sum() - 1.0) < 1e-9
 
 
 def attention_records(seed):
