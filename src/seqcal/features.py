@@ -45,21 +45,20 @@ def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float
     arr = np.asarray(cum_attention, dtype=np.float64)
     if arr.shape[-1] == 0:
         raise FeatureError("cumulative attention vector is empty")
-    if not (arr >= 0).all():
-        raise FeatureError("cumulative attention weights must be non-negative")
-    if not np.isfinite(arr).all():
-        raise FeatureError("cumulative attention weights must be finite")
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < np.inf):  # NaN fails the first
+        problem = "non-negative" if not (arr >= 0).all() else "finite"
+        raise FeatureError(f"cumulative attention weights must be {problem}")
     if arr.ndim == 1:
         return float(np.count_nonzero(arr > delta)) / arr.size
     return (arr > delta).sum(axis=-1) / arr.shape[-1]
 
 
 def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each CSR row's ``np.sum``, bit for bit: the rows of one length are
-    summed together as the rows of a 2-D array, which numpy reduces row by
-    row with the same pairwise summation."""
+    """Each CSR row's ``np.sum``, bit for bit, or its count of True values:
+    the rows of one length are summed together as the rows of a 2-D array,
+    which numpy reduces row by row with the same pairwise summation."""
     lengths = np.diff(offsets)
-    sums = np.zeros(len(lengths))
+    sums = np.zeros(len(lengths), dtype=np.int64 if values.dtype == bool else np.float64)
     order = np.argsort(lengths, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         if len(group) and lengths[group[0]]:
@@ -127,8 +126,8 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
     ):
         fits = has & ~bad_len
         if (has & bad_len).any():  # a vector of the wrong width stays unknown; its row fails
-            values = values[spans(offsets[:-1][fits], width[fits])]
-        out[spans(off[:-1][fits], width[fits])] = values
+            values = values[np.repeat(fits, np.diff(offsets))]
+        out[np.repeat(fits, width)] = values
 
     # the sequences by length, longest first: those still running at a step are a prefix
     seq_len = np.diff(starts)
@@ -158,13 +157,18 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         return out
 
     known_att, known_cum = has_vec & known(alpha), has_vec & known(cum)
-    total = _row_sums(alpha, off)
+    total, negative = _row_sums(alpha, off), rows_with(~(alpha >= 0), off)
     positive = alpha > 0
-    x = alpha[positive]
-    entropy = -_row_sums(x * np.log(x), np.concatenate(([0], np.cumsum(positive)))[off])
+    count = _row_sums(positive, off)
+    entropy = np.zeros(n)
+    for length in sorted(set(count.tolist()) - {0}):  # the rows with this many positive weights
+        rows = count == length
+        x = alpha[np.repeat(rows, width) & positive].reshape(-1, length)
+        x *= np.log(x)
+        entropy[rows] = -x.sum(axis=1)
+    del alpha, positive  # the copy of cum below takes their place
     entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
-    above = np.bincount(np.repeat(np.arange(n), width)[cum > COVERAGE_THRESHOLD], minlength=n)
-    cov = np.divide(above, width, out=np.zeros(n), where=width > 0)
+    cov = np.divide(_row_sums(cum > COVERAGE_THRESHOLD, off), width, out=np.zeros(n), where=width > 0)
     gap = "after a step that carries only features; store {} or features on this step"
     _raise_first(batch, [
         (~has_vec & ~has_feat, "no attention, cumulative attention, or features"),
@@ -174,7 +178,7 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         (bad_len, "attention vectors differ in length"),
         (decreased, "cumulative attention decreased"),
         (known_att & (width == 0), "attention vector is empty"),
-        (known_att & rows_with(~(alpha >= 0), off), "attention weights must be non-negative"),
+        (known_att & negative, "attention weights must be non-negative"),
         (known_att & ~(np.abs(total - 1.0) <= PROB_ATOL), lambda i: f"attention sums to {total[i]:.8f}, expected 1"),
         (has_vec & ~has_feat & ~known_att, "attention unknown " + gap.format("attention")),
         (has_vec & ~has_feat & ~known_cum, "cumulative attention unknown " + gap.format("cum_attention")),
@@ -186,7 +190,7 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         batch,
         has_cum=filled,
         cum_offsets=offsets_of(np.where(filled, width, 0)),
-        cum_attention=cum[spans(off[:-1][filled], width[filled])],
+        cum_attention=cum[np.repeat(filled, width)],
         has_features=np.ones(n, dtype=bool),
         entropy=np.where(has_feat, batch.entropy, entropy),
         coverage=np.where(has_feat, batch.coverage, cov),

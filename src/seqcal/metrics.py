@@ -4,9 +4,9 @@ Every metric takes a ``LogBatch`` (or records, which become one) and runs
 on its pooled-tail layout ``LogBatch.layout``, built once per batch and
 shared with fit and apply: each record's listed entries, an unlisted EOS
 and one slot for the unlisted tail, whose tokens share one probability and
-therefore one bin. That equals densifying first at O(N*K) cost. Per-bin
-sums use ``math.fsum`` over items stably sorted by bin, so scores are
-bit-identical under record permutation.
+therefore one bin. That equals densifying first at O(N*K) cost. Each
+bin's sums are ``math.fsum`` over its items, exact in any order, so scores
+are bit-identical under record permutation.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,8 +28,13 @@ Records = LogBatch | Iterable[TokenRecord]
 
 def _top1(layout: PooledLayout) -> tuple[np.ndarray, np.ndarray]:
     """Each row's predicted token and its confidence; ties go to the smallest id."""
-    conf = layout.prob.max(axis=1)
-    pred = np.where(layout.prob == conf[:, None], layout.ids, np.iinfo(np.int64).max).min(axis=1)
+    columns = layout.prob.T  # the row max, exact, one slot column at a time: no (N, W) temporary
+    conf = columns[0].copy()
+    for column in columns[1:]:
+        np.maximum(conf, column, out=conf)
+    pred = np.full(len(conf), np.iinfo(np.int64).max)
+    for slot_prob, slot_ids in zip(columns, layout.ids.T):
+        np.minimum(pred, slot_ids, out=pred, where=slot_prob == conf)
     return pred, conf
 
 
@@ -38,67 +44,74 @@ def top1(record: TokenRecord) -> tuple[int, float]:
     return int(pred[0]), float(conf[0])
 
 
-# A metric's items are parallel arrays (bin key, weight, confidence, accuracy,
-# gap): the value that picks an item's bin and its contributions to the
-# bin's sums.
+# A metric's items each add (weight, confidence, accuracy, gap) values to
+# the sums of the bin their key falls in. ``items(mask)`` gives those values
+# for the items in ``mask``, one array at a time, so a metric pass holds the
+# keys, a narrow bin index and the values of one bin.
+Items = Callable[[np.ndarray], Iterator[np.ndarray]]
 
 
-def _top1_items(batch: LogBatch) -> list[np.ndarray]:
-    """One item per row: its top-1 confidence and whether it is the gold token."""
-    pred, conf = _top1(batch.layout)
-    correct = (pred == batch.gold_id).astype(np.float64)
-    return [conf, np.ones(len(conf)), conf, correct, correct - conf]
+def _unit_items(conf: np.ndarray, acc: np.ndarray, mask: np.ndarray) -> Iterator[np.ndarray]:
+    """Items of weight 1 with the given confidence and accuracy, keyed by ``conf``."""
+    yield from (np.ones(np.count_nonzero(mask)), conf[mask], acc[mask], acc[mask] - conf[mask])
 
 
-def _slots(layout: PooledLayout, members: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Per-token probability, token count and gold indicator of every active
-    slot, of the ``members`` rows only if given; zero-probability tokens
-    contribute nothing."""
-    active = layout.active if members is None else layout.active & members[:, None]
-    row, col = np.nonzero(active)
-    is_gold = (col == layout.gold[row]).astype(np.float64)
-    return layout.prob[active], layout.mult[active], is_gold
+def _slots(layout: PooledLayout, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-token probability, token count and whether it is the gold token, of each slot in ``mask``."""
+    n, width = layout.prob.shape
+    is_gold = np.zeros(n * width, dtype=bool)
+    is_gold[np.arange(0, n * width, width) + layout.gold] = True
+    return layout.prob[mask], layout.mult[mask], is_gold.reshape(n, width)[mask]
 
 
-def _weighted_items(layout: PooledLayout, members: np.ndarray | None = None) -> list[np.ndarray]:
-    """One item per active slot, contributing p * (correct - p) for each of
-    its tokens; only one token of a slot can be gold."""
-    p, mult, is_gold = _slots(layout, members)
-    weight = mult * p
-    return [p, weight, weight * p, p * is_gold, p * (is_gold - weight)]
+def _weighted_items(layout: PooledLayout, mask: np.ndarray) -> Iterator[np.ndarray]:
+    """Items of the slots in ``mask``, keyed by ``layout.prob``, each
+    contributing p * (correct - p) for each of its tokens; only one token of
+    a slot can be gold."""
+    p, weight, is_gold = _slots(layout, mask)
+    weight *= p  # mult * p
+    yield weight
+    yield weight * p
+    yield p * is_gold
+    gap = is_gold - weight
+    gap *= p
+    yield gap
+
+
+def _fsum(values: np.ndarray) -> float:
+    """``math.fsum`` of an array, read through a memoryview: faster than over numpy scalars."""
+    return math.fsum(memoryview(values))
 
 
 def _finalize(
-    bins: BinningConfig,
-    count: int,
-    key: np.ndarray,
-    weight: np.ndarray,
-    conf: np.ndarray,
-    acc: np.ndarray,
-    gap: np.ndarray,
+    bins: BinningConfig, count: int, key: np.ndarray, items: Items, keep: np.ndarray | None = None,
 ) -> tuple[float, ReliabilityHistogram]:
-    """Score and histogram of ``count`` distributions from their items:
-    the mean over bins of each bin's absolute summed gap."""
+    """Score and histogram of ``count`` distributions from their items (those
+    where ``keep`` holds, if given): the mean over bins of each bin's
+    absolute summed gap. Each bin is summed on its own by ``math.fsum``,
+    which rounds exactly, so no sum depends on the order of the items."""
     if count == 0:
         raise MetricError("metric undefined on an empty record stream")
     hist = ReliabilityHistogram.empty(bins.num_bins)
     hist.count = float(count)
     bin_idx = bins.index_array(key)
-    order = np.argsort(bin_idx, kind="stable")
-    present, starts = np.unique(bin_idx[order], return_index=True)
-    spans = list(zip(starts, np.append(starts[1:], len(order))))
-    sums = []
-    for values in (gap, weight, conf, acc):  # one sorted copy alive at a time
-        ordered = np.asarray(values)[order]
-        sums.append([math.fsum(ordered[lo:hi]) for lo, hi in spans])
-    gap_sums, hist.weight[present], hist.confidence_sum[present], hist.accuracy_sum[present] = sums
+    if keep is not None:
+        bin_idx[~keep] = bins.num_bins  # in no bin
+    ordered = np.sort(bin_idx, axis=None, kind="stable")  # a radix sort; np.unique would import numpy.ma
+    present = np.append(ordered[:-1][ordered[1:] != ordered[:-1]], ordered[-1:])
+    gap_sums = []
+    for b in present[present < bins.num_bins].tolist():
+        sums = map(_fsum, items(bin_idx == b))
+        hist.weight[b], hist.confidence_sum[b], hist.accuracy_sum[b], gap = sums
+        gap_sums.append(gap)
     return math.fsum(abs(g) for g in gap_sums) / count, hist
 
 
 def ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
     """Top-1 expected calibration error plus its reliability histogram."""
     batch = as_batch(records, vectors=False)
-    return _finalize(bins, len(batch), *_top1_items(batch))
+    pred, conf = _top1(batch.layout)
+    return _finalize(bins, len(batch), conf, partial(_unit_items, conf, (pred == batch.gold_id).astype(np.float64)))
 
 
 def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
@@ -106,7 +119,8 @@ def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tup
     is binned and contributes p * (correct - p); zero-probability tokens
     contribute nothing."""
     batch = as_batch(records, vectors=False)
-    return _finalize(bins, len(batch), *_weighted_items(batch.layout))
+    layout = batch.layout
+    return _finalize(bins, len(batch), layout.prob, partial(_weighted_items, layout), layout.active)
 
 
 def nll(records: Records) -> float:
@@ -178,8 +192,8 @@ def partitioned_metric(
     # enriched batch and the layout are never alive at once
     entropy = ensure_features(batch).entropy if entropy_split else None
     layout = batch.layout
+    pred, conf = _top1(layout)
     if spec.kind == "token_class":
-        pred, _ = _top1(layout)
         if spec.token_id is None:
             target, label = layout.ids[np.arange(len(batch)), layout.eos], "eos"
         else:
@@ -190,21 +204,22 @@ def partitioned_metric(
         high = entropy >= spec.threshold
         groups = {"high": high, "low": ~high}
     elif spec.kind == "confidence_threshold":
-        _, conf = _top1(layout)
         head = conf >= spec.threshold
         groups = {"head": head, "tail": ~head}
     else:
         raise MetricError(f"unknown partition kind {spec.kind!r}")
 
-    top_items = _top1_items(batch)
+    top = partial(_unit_items, conf, (pred == batch.gold_id).astype(np.float64))
     result: dict[str, GroupMetrics] = {}
     for label, members in groups.items():
         count = int(members.sum())
         if count == 0:
             result[label] = GroupMetrics(ece=None, weighted_ece=None, count=0)
             continue
-        plain, _ = _finalize(bins, count, *(a[members] for a in top_items))
-        weighted, _ = _finalize(bins, count, *_weighted_items(layout, members))
+        plain, _ = _finalize(bins, count, conf, top, members)
+        weighted, _ = _finalize(
+            bins, count, layout.prob, partial(_weighted_items, layout), layout.active & members[:, None],
+        )
         result[label] = GroupMetrics(ece=plain, weighted_ece=weighted, count=count)
     return result
 
@@ -220,7 +235,8 @@ def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]
     for t in thresholds:
         if not 0.0 < t <= 1.0:
             raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
-    p, mult, is_gold = _slots(as_batch(records, vectors=False).layout)
+    layout = as_batch(records, vectors=False).layout
+    p, mult, is_gold = _slots(layout, layout.active)
     mass = mult * p
     rows: list[dict] = []
     for t in thresholds:
@@ -228,10 +244,10 @@ def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]
         rows.append(
             {
                 "threshold": t,
-                "tail_conf_sum": math.fsum(mass[tail]),
-                "tail_acc_sum": math.fsum(is_gold[tail]),
-                "head_conf_sum": math.fsum(mass[~tail]),
-                "head_acc_sum": math.fsum(is_gold[~tail]),
+                "tail_conf_sum": _fsum(mass[tail]),
+                "tail_acc_sum": _fsum(is_gold[tail]),
+                "head_conf_sum": _fsum(mass[~tail]),
+                "head_acc_sum": _fsum(is_gold[~tail]),
             }
         )
     return rows

@@ -100,8 +100,10 @@ class BinningConfig:
         return min(int(p * self.num_bins), self.num_bins - 1)
 
     def index_array(self, p: np.ndarray) -> np.ndarray:
-        idx = (np.asarray(p, dtype=np.float64) * self.num_bins).astype(np.int64)
-        return np.clip(idx, 0, self.num_bins - 1)
+        """Each ``p``'s bin, as ``index`` gives it, in the narrowest unsigned
+        dtype that also holds ``num_bins``, which can then mark no bin."""
+        idx = np.multiply(p, self.num_bins, dtype=np.float64)
+        return np.clip(idx, 0, self.num_bins - 1, out=idx).astype(np.min_scalar_type(self.num_bins))
 
     def edges(self, b: int) -> tuple[float, float]:
         return b / self.num_bins, (b + 1) / self.num_bins
@@ -177,8 +179,8 @@ def first_failed(checks: Sequence[np.ndarray]) -> np.ndarray:
 
 def rows_with(flagged: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Rows of a CSR column holding at least one flagged value."""
-    counts = np.diff(offsets)
-    return np.bincount(np.repeat(np.arange(len(counts)), counts)[flagged], minlength=len(counts)) > 0
+    at = np.searchsorted(np.flatnonzero(flagged), offsets)  # the flagged values before each row
+    return at[1:] > at[:-1]
 
 
 @dataclass(eq=False, repr=False)

@@ -12,12 +12,13 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import MetricError, ModelError
-from .metrics import _finalize
+from .metrics import _finalize, _unit_items
 from .records import PROB_ATOL, BinningConfig, ReliabilityHistogram
 
 Tokens = tuple[int, ...]
@@ -297,5 +298,4 @@ def structured_ece(
         if not (0.0 <= expected <= 1.0 and 0.0 <= actual <= 1.0):
             raise MetricError(f"BLEU values must lie in [0, 1], got ({expected}, {actual})")
     expected, actual = np.array(materialized, dtype=np.float64).T
-    n = len(materialized)
-    return _finalize(bins, n, expected, np.ones(n), expected, actual, actual - expected)
+    return _finalize(bins, len(materialized), expected, partial(_unit_items, expected, actual))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from seqcal.errors import FeatureError
@@ -51,6 +52,20 @@ class TestCoverage:
     def test_infinite_weight_rejected(self):
         with pytest.raises(FeatureError, match="must be finite"):
             coverage([math.inf, 0.0], 0.35)
+
+    @pytest.mark.parametrize("weight, message", [
+        (-0.1, "must be non-negative"),
+        (math.nan, "must be non-negative"),
+        (-math.inf, "must be non-negative"),
+        (math.inf, "must be finite"),
+    ])
+    def test_invalid_weight_messages(self, weight, message):
+        for cum in ([0.5, weight], [[0.5, 0.2], [weight, 0.9]]):  # one vector, and a batch of rows
+            with pytest.raises(FeatureError, match=f"^cumulative attention weights {message}$"):
+                coverage(cum, 0.35)
+
+    def test_batch_without_rows(self):
+        assert coverage(np.zeros((0, 3)), 0.35).shape == (0,)
 
 
 def seq_of(steps):

@@ -1,0 +1,147 @@
+"""Peak memory of the metric and enrichment passes, and the bin-by-bin sums
+they rest on.
+
+The peaks are ``tracemalloc`` peaks over one call on a seeded NMT-shaped
+batch (about 2,000 rows, top-10 entries over V=32000, attention over 20-40
+source positions), with the batch's pooled layout already built. Each is
+bounded by a multiple of the batch's own column bytes, set from the
+bin-by-bin ``_finalize`` and the index-free ``enrich_batch`` with at most
+25 % headroom (they measured 0.077, 0.56, 1.46 and 1.46). The earlier
+passes, which stably sorted every item by bin and built int64 indices with
+one entry per attention weight, peaked at 0.24, 2.26, 3.19 and 3.19: 1.8 to
+3.3 times these bounds.
+
+``_finalize`` sums each bin on its own; ``reference_finalize`` below is the
+earlier version, which summed slices of the items sorted by bin. Both use
+``math.fsum``, which rounds exactly, so they must agree bit for bit.
+"""
+
+import math
+import tracemalloc
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from seqcal.features import enrich_batch
+from seqcal.metrics import PartitionSpec, _finalize, _weighted_items, ece, partitioned_metric, weighted_ece
+from seqcal.records import BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord
+
+VOCAB, TOP_K, EOS_ID = 32000, 10, 2
+
+
+def sparse_batch(seed: int = 12, rows: int = 2000) -> LogBatch:
+    """Whole sequences of top-K steps with Dirichlet attention over one
+    source length per sequence, about ``rows`` steps in all."""
+    rng = np.random.default_rng(seed)
+    records = []
+    seq = 0
+    while len(records) < rows:
+        width, steps = int(rng.integers(20, 41)), int(rng.integers(10, 40))
+        for t in range(1, steps + 1):
+            tail = rng.uniform(0.02, 0.25)
+            head = np.sort(rng.dirichlet(np.full(TOP_K, 0.3)))[::-1] * (1.0 - tail)
+            ids = rng.choice(np.arange(3, VOCAB), TOP_K, replace=False)
+            if t == steps:
+                ids[0] = EOS_ID
+            gold = int(ids[rng.integers(TOP_K)]) if rng.random() > tail else int(rng.integers(3, VOCAB))
+            records.append(TokenRecord(
+                seq_id=f"s{seq}", t=t, vocab_size=VOCAB, eos_id=EOS_ID, gold_id=gold,
+                entries=tuple(zip(ids.tolist(), head.tolist())), rest_mass=float(tail),
+                attention=tuple(rng.dirichlet(np.full(width, 0.5)).tolist()),
+            ))
+        seq += 1
+    return LogBatch.from_records(records)
+
+
+@pytest.fixture(scope="module")
+def batch():
+    batch = sparse_batch()
+    batch.layout  # built once, as every CLI command that scores a log builds it
+    return batch
+
+
+def column_bytes(batch: LogBatch) -> int:
+    return sum(getattr(batch, f.name).nbytes for f in fields(batch) if isinstance(getattr(batch, f.name), np.ndarray))
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, call, multiple", [
+    ("ece", lambda b: ece(b), 0.085),
+    ("weighted_ece", lambda b: weighted_ece(b), 0.68),
+    ("enrich_batch", lambda b: enrich_batch(b), 1.8),
+    ("entropy partition", lambda b: partitioned_metric(b, PartitionSpec.entropy(2.0)), 1.8),
+])
+def test_peak_is_a_bounded_multiple_of_the_input(batch, name, call, multiple):
+    call(batch)  # any lazy set-up, such as a first call's imports, is not the pass's own memory
+    peak = traced_peak(lambda: call(batch))
+    assert peak <= multiple * column_bytes(batch), f"{name} peaked at {peak / column_bytes(batch):.3f}x the input"
+
+
+def reference_finalize(bins, count, key, weight, conf, acc, gap):
+    """The earlier ``_finalize``: fsum over slices of the items stably sorted by bin."""
+    hist = ReliabilityHistogram.empty(bins.num_bins)
+    hist.count = float(count)
+    bin_idx = np.clip((np.asarray(key, dtype=np.float64) * bins.num_bins).astype(np.int64), 0, bins.num_bins - 1)
+    order = np.argsort(bin_idx, kind="stable")
+    present, starts = np.unique(bin_idx[order], return_index=True)
+    spans = list(zip(starts, np.append(starts[1:], len(order))))
+    sums = []
+    for values in (gap, weight, conf, acc):
+        ordered = np.asarray(values)[order]
+        sums.append([math.fsum(ordered[lo:hi]) for lo, hi in spans])
+    gap_sums, hist.weight[present], hist.confidence_sum[present], hist.accuracy_sum[present] = sums
+    return math.fsum(abs(g) for g in gap_sums) / count, hist
+
+
+def assert_same_bits(got, want):
+    assert got[0].hex() == want[0].hex()
+    for name in ("weight", "confidence_sum", "accuracy_sum"):
+        assert getattr(got[1], name).tobytes() == getattr(want[1], name).tobytes(), name
+    assert got[1].count == want[1].count
+
+
+@pytest.mark.parametrize("num_bins", [1, 7, 20, 300])
+@pytest.mark.parametrize("case", ["random", "members", "empty bins", "edges and p = 1"])
+def test_bin_by_bin_sums_equal_the_sorted_slices(num_bins, case):
+    rng = np.random.default_rng(num_bins)
+    n = 5000
+    key = rng.random(n)
+    if case == "empty bins":
+        key = rng.choice([0.01, 0.5, 0.97], n) + rng.uniform(0, 1e-3, n)
+    elif case == "edges and p = 1":
+        key = rng.integers(0, num_bins + 1, n) / num_bins  # every bin edge, and 1.0 itself
+    # magnitudes over many orders with both signs, so that the summation order would show
+    weight, conf, acc, gap = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 6, n) for _ in range(4))
+    keep = rng.random(n) < 0.3 if case == "members" else np.ones(n, dtype=bool)
+    count = int(keep.sum())
+    got = _finalize(BinningConfig(num_bins), count, key,
+                    lambda mask: (weight[mask], conf[mask], acc[mask], gap[mask]), keep)
+    want = reference_finalize(BinningConfig(num_bins), count, *(a[keep] for a in (key, weight, conf, acc, gap)))
+    assert_same_bits(got, want)
+
+
+def test_weighted_ece_equals_the_earlier_whole_array_items(batch):
+    """The slot values computed one bin at a time equal those computed over
+    every active slot at once and then sorted."""
+    layout = batch.layout
+    for members in (np.arange(len(batch)) % 3 == 0, batch.gold_id % 2 == 0, np.ones(len(batch), dtype=bool)):
+        active = layout.active & members[:, None]
+        row, col = np.nonzero(active)
+        is_gold = (col == layout.gold[row]).astype(np.float64)
+        p, mult = layout.prob[active], layout.mult[active]
+        weight = mult * p
+        count = int(members.sum())
+        want = reference_finalize(BinningConfig(), count, p, weight, weight * p, p * is_gold, p * (is_gold - weight))
+        got = _finalize(BinningConfig(), count, layout.prob, lambda mask: _weighted_items(layout, mask), active)
+        assert_same_bits(got, want)
+    assert_same_bits(weighted_ece(batch), want)  # all rows, the last members above
