@@ -52,7 +52,6 @@ from .recalibrate import (
     fit_single_temperature,
     golden_section,
     load_params,
-    recalibrate_distribution,
     recalibrate_log,
     save_params,
     single_temperature_nll,

@@ -25,18 +25,26 @@ from .records import PROB_ATOL, LogBatch, SequenceRecord, first_failed, offsets_
 COVERAGE_THRESHOLD = 0.35
 
 
-def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float:
-    """Shannon entropy (nats) of an attention distribution, with 0*ln 0 := 0."""
+def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Shannon entropy (nats) of an attention distribution, with 0*ln 0 := 0:
+    a float for one vector, one per row of a 2-D array."""
     arr = np.asarray(alpha, dtype=np.float64)
-    if arr.size == 0:
+    if arr.shape[-1] == 0:
         raise FeatureError("attention vector is empty")
-    if not (arr >= 0).all():
+    if not arr.min() >= 0:  # NaN fails too
         raise FeatureError("attention weights must be non-negative")
-    total = float(arr.sum())
-    if not abs(total - 1.0) <= PROB_ATOL:
-        raise FeatureError(f"attention sums to {total:.8f}, expected 1")
-    positive = arr[arr > 0]
-    return max(0.0, -float((positive * np.log(positive)).sum()))
+    total = arr.sum(axis=-1)
+    ok = abs(total - 1.0) <= PROB_ATOL
+    if not ok.all():
+        raise FeatureError(f"attention sums to {np.ravel(total)[np.argmin(ok)]:.8f}, expected 1")
+    positive = arr > 0
+    x = arr[positive]
+    x *= np.log(x)
+    if arr.ndim == 1:
+        return max(0.0, -float(x.sum()))
+    entropy = -_row_sums(x, offsets_of(positive.sum(axis=1)))
+    entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
+    return entropy
 
 
 def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float | np.ndarray:

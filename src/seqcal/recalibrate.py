@@ -194,22 +194,6 @@ def eos_correction(
 # ---------------------------------------------------------------------------
 
 
-def _dense_pool(dense: np.ndarray, eos_id: int) -> PooledLayout:
-    """One-row layout of a dense distribution: every token is a listed slot
-    in id order, zero-probability ones inactive, and there is no tail.
-
-    The probabilities are taken as given, not renormalized. Decoders call
-    this once per hypothesis and step, so it builds the row directly, without
-    token ids, instead of going through a ``TokenRecord`` and
-    ``pooled_layout``.
-    """
-    vocab = dense.size
-    prob = np.zeros((1, vocab + 2))
-    prob[0, :vocab] = dense
-    eos = np.array([eos_id])
-    return PooledLayout(prob, np.ones((1, vocab + 2)), eos, eos)
-
-
 def _pool(batch: LogBatch, with_features: bool = False) -> PooledLayout:
     """The layout of ``batch``; ``with_features``, a copy that also carries
     the features the variable calibrator reads, from ``ensure_features``."""
@@ -380,30 +364,6 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     last = offsets[1:][own_eos] - 1
     ids[last], new_probs[last] = batch.eos_id[own_eos], eos_prob[own_eos]
     return replace(batch, offsets=offsets, ids=ids, probs=new_probs, rest_mass=rest)
-
-
-def recalibrate_distribution(
-    dense: np.ndarray,
-    entropy: float,
-    cov: float,
-    eos_id: int,
-    params: CalibratorParams | SingleTemperature,
-) -> np.ndarray:
-    """Recalibrated dense distribution: softmax of corrected-logit times
-    inverse temperature, or of log p / T for a single temperature.
-
-    Runs as a one-row batch with one slot per token (``_dense_pool``).
-    Zero-probability tokens stay at exactly zero; the output is a valid distribution
-    (non-negative, sums to 1 within 1e-9). A distribution with no positive
-    probability raises ModelError.
-    """
-    dense = np.asarray(dense, dtype=np.float64)
-    pool = _dense_pool(dense, eos_id)
-    if not pool.active.any():
-        raise ModelError("the scoring model returned no positive probability")
-    if isinstance(params, CalibratorParams):
-        pool.entropy, pool.coverage = np.array([entropy]), np.array([cov])
-    return _recalibrated(pool, params)[0, : dense.size]
 
 
 def apply_calibrator(record: TokenRecord, params: CalibratorParams) -> np.ndarray:
@@ -640,8 +600,22 @@ class CalibratedModel(RescoringModel):
         self.params = params
 
     def rescore(self, probs, alpha, cum):
-        entropy = cov = 0.0
+        """Softmax of the corrected logit times the inverse temperature, or
+        of log p / T, for each row, run as one layout: every token is a
+        listed slot in id order, zero-probability ones inactive, and no row
+        has a tail. The probabilities are taken as given, not renormalized,
+        and zero ones stay exactly zero. A row with no positive probability
+        raises ModelError."""
+        vocab = probs.shape[-1]
+        rows = probs.reshape(-1, vocab)
+        prob = np.zeros((len(rows), vocab + 2))
+        prob[:, :vocab] = rows
+        eos = np.full(len(rows), self.eos_id)
+        entropy = cov = None
         if isinstance(self.params, CalibratorParams):
-            entropy = attention_entropy(alpha)
-            cov = coverage(cum, COVERAGE_THRESHOLD)
-        return recalibrate_distribution(probs, entropy, cov, self.eos_id, self.params)
+            entropy = np.atleast_1d(attention_entropy(alpha))
+            cov = np.atleast_1d(coverage(cum, COVERAGE_THRESHOLD))
+        pool = PooledLayout(prob, np.ones(prob.shape), eos, eos, entropy=entropy, coverage=cov)
+        if not pool.active.any(axis=1).all():
+            raise ModelError("the scoring model returned no positive probability")
+        return _recalibrated(pool, self.params)[:, :vocab].reshape(probs.shape)

@@ -58,13 +58,6 @@ class TokenRecord:
     cum_attention: tuple[float, ...] | None = None
     features: StepFeatures | None = None
 
-    def gold_prob(self) -> float:
-        """Probability assigned to the gold token after densification."""
-        for token_id, prob in self.entries:
-            if token_id == self.gold_id:
-                return prob
-        return self.rest_share()
-
     def rest_share(self) -> float:
         """Per-token probability of each unlisted token; a ``rest_mass`` that
         validation let through slightly below 0 counts as 0."""
@@ -141,17 +134,6 @@ class ReliabilityHistogram:
         if self.count <= 0:
             return np.zeros(self.num_bins)
         return self.weight / self.count
-
-    def merge(self, other: "ReliabilityHistogram") -> "ReliabilityHistogram":
-        if other.num_bins != self.num_bins:
-            raise ValidationError("num_bins", "cannot merge histograms with different binning")
-        return ReliabilityHistogram(
-            num_bins=self.num_bins,
-            weight=self.weight + other.weight,
-            confidence_sum=self.confidence_sum + other.confidence_sum,
-            accuracy_sum=self.accuracy_sum + other.accuracy_sum,
-            count=self.count + other.count,
-        )
 
 
 def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number: int | None = None) -> None:

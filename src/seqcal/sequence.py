@@ -53,10 +53,10 @@ class ScoringModel(ABC):
 
 
 class RescoringModel(ScoringModel):
-    """Wraps a model and rewrites each step's distribution with ``rescore``,
-    given the step's attention and the cumulative attention up to and
-    including it, as the log pipeline derives it; ``step_batch`` does the
-    same for a batch of rows through ``rescore_batch``."""
+    """Wraps a model and rewrites its step distributions with ``rescore``,
+    given each step's attention and the cumulative attention up to and
+    including it, as the log pipeline derives it: one row from ``step``, a
+    batch of rows from ``step_batch``."""
 
     def __init__(self, inner: ScoringModel):
         self.inner = inner
@@ -87,17 +87,13 @@ class RescoringModel(ScoringModel):
         started = [i for i, c in enumerate(cums) if c is not None]
         if started:  # this step's attention plus the sum so far, the two terms ``step`` adds
             cum[started] += np.array([cums[i] for i in started])
-        return self.rescore_batch(np.asarray(probs, dtype=np.float64), alpha, cum), alpha, list(zip(next_inner, cum))
+        return self.rescore(np.asarray(probs, dtype=np.float64), alpha, cum), alpha, list(zip(next_inner, cum))
 
     @abstractmethod
     def rescore(self, probs: np.ndarray, alpha: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        """The new distribution over V for one step."""
-
-    def rescore_batch(self, probs: np.ndarray, alpha: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        """``rescore`` for the rows of (B, V) probabilities, (B, S) attention
-        and (B, S) cumulative attention. This default calls ``rescore`` row
-        by row."""
-        return np.array(list(map(self.rescore, probs, alpha, cum)))
+        """The new distributions over V: one row for 1-D probabilities,
+        attention and cumulative attention, or the rows of (B, V), (B, S)
+        and (B, S) arrays. Each row must equal the row rescored alone."""
 
 
 @dataclass(frozen=True)
@@ -124,20 +120,27 @@ class Hypothesis:
         return math.exp(self.log_prob)
 
 
-def _checked_step(model: ScoringModel, state, prefix: Tokens):
-    probs, alpha, next_state = model.step(state, prefix)
+def _checked(model: ScoringModel, probs, rows: int | None = None) -> np.ndarray:
+    """``probs`` as float64, checked to be one distribution over V (``rows``
+    None) or ``rows`` of them, as ``step`` and ``step_batch`` return them."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (model.vocab_size,):
-        raise ModelError(f"model emitted {probs.shape} probabilities for V={model.vocab_size}")
-    if (probs < 0).any() or abs(float(probs.sum()) - 1.0) > PROB_ATOL:
-        raise ModelError(f"model emitted an invalid distribution (sum={float(probs.sum()):.8f})")
-    return probs, alpha, next_state
+    shape = (model.vocab_size,) if rows is None else (rows, model.vocab_size)
+    if probs.shape != shape:
+        raise ModelError(f"model emitted {probs.shape} probabilities, expected {shape}")
+    sums = probs.sum(axis=-1)
+    if not (probs.min() >= 0 and (abs(sums - 1.0) <= PROB_ATOL).all()):  # NaN fails both
+        table, sums = probs.reshape(-1, model.vocab_size), np.ravel(sums)
+        i = int(np.argmin((table >= 0).all(axis=1) & (abs(sums - 1.0) <= PROB_ATOL)))
+        problem = "a non-finite" if not np.isfinite(table[i]).all() else "an invalid"
+        raise ModelError(f"model emitted {problem} distribution (sum={sums[i]:.8f})")
+    return probs
 
 
 def beam_search(model: ScoringModel, source, cfg: BeamConfig) -> list[Hypothesis]:
     """Standard beam search, best hypothesis first.
 
-    Live prefixes each expand with their top-B tokens; the global top-B
+    Each step scores all live prefixes with one ``step_batch`` call. Live
+    prefixes each expand with their top-B tokens; the global top-B
     live candidates survive by cumulative log-probability. A prefix that
     emits EOS retires to a finished pool without consuming a beam slot.
     Ties break toward the lexicographically smaller token sequence.
@@ -147,12 +150,14 @@ def beam_search(model: ScoringModel, source, cfg: BeamConfig) -> list[Hypothesis
     for _ in range(cfg.max_len):
         if not live:
             break
+        log_probs, prefixes, states = zip(*live)
+        probs, _, next_states = model.step_batch(states, prefixes)
+        probs = _checked(model, probs, len(live))
+        orders = np.argsort(-probs, axis=1, kind="stable")[:, : cfg.beam_width]
         candidates: list[tuple[float, Tokens, object]] = []
-        for log_prob, prefix, state in live:
-            probs, _, next_state = _checked_step(model, state, prefix)
-            order = np.argsort(-probs, kind="stable")[: cfg.beam_width]
+        for log_prob, prefix, next_state, row, order in zip(log_probs, prefixes, next_states, probs, orders):
             for token in order:
-                p = probs[token]
+                p = row[token]
                 if p <= 0.0:
                     continue
                 extended = (log_prob + math.log(p), prefix + (int(token),), next_state)
@@ -184,7 +189,8 @@ def sample_sequence(
     state = model.start(source)
     tokens: Tokens = ()
     for _ in range(max_len):
-        probs, _, state = _checked_step(model, state, tokens)
+        probs, _, state = model.step(state, tokens)
+        probs = _checked(model, probs)
         token = int(rng.choice(model.vocab_size, p=probs / probs.sum()))
         tokens = tokens + (token,)
         if token == model.eos_id:

@@ -254,9 +254,6 @@ class DistortedModel(RescoringModel):
         self.distortion = distortion
 
     def rescore(self, probs, alpha, cum):
-        return self.rescore_batch(probs, alpha, cum)
-
-    def rescore_batch(self, probs, alpha, cum):
         """The softmax over each row's active (nonzero) tokens, for the rows
         of 2-D arrays or for the one row of 1-D arrays. Each row's sum is
         the one its own ``np.sum`` takes, so a row's result does not depend

@@ -18,6 +18,7 @@ import pytest
 from seqcal import recalibrate
 from seqcal.cli import main
 from seqcal.errors import ModelError, ValidationError
+from seqcal.features import COVERAGE_THRESHOLD, attention_entropy, coverage
 from seqcal.metrics import PartitionSpec, ece, head_tail_curve, partitioned_metric, top1, weighted_ece
 from seqcal.records import (
     BinningConfig,
@@ -32,6 +33,7 @@ from seqcal.records import (
 )
 from seqcal.recalibrate import (
     THETA_SIZE,
+    CalibratedModel,
     CalibratorParams,
     SingleTemperature,
     apply_calibrator,
@@ -42,6 +44,7 @@ from seqcal.recalibrate import (
     save_params,
     single_temperature_nll,
 )
+from seqcal.sequence import ScoringModel
 
 TOL = 1e-12
 VOCABS = (2, 3, 7, 21, 32000)
@@ -337,11 +340,32 @@ def test_slightly_negative_rest_mass_pools_nothing():
         assert score == pytest.approx(ref_metric([record], bins, items)[0], abs=TOL)
 
 
+class Vocabulary(ScoringModel):
+    """A vocabulary size and an EOS id: all that ``CalibratedModel.rescore``
+    reads of the model it wraps."""
+
+    vocab_size = eos_id = None
+
+    def __init__(self, vocab_size, eos_id):
+        self.vocab_size, self.eos_id = vocab_size, eos_id
+
+    def start(self, source):
+        return None
+
+    def step(self, state, prefix):
+        raise NotImplementedError
+
+
+ALPHA, CUM = np.array([0.5, 0.3, 0.2]), np.array([0.5, 0.3, 1.2])  # a decoder step's attention
+
+
 def test_distribution_without_positive_probability_raises():
-    with pytest.raises(ModelError, match="no positive probability"):
-        recalibrate.recalibrate_distribution(np.zeros(4), 0.5, 0.5, 3, SingleTemperature(1.0))
-    with pytest.raises(ModelError, match="no positive probability"):
-        recalibrate.recalibrate_distribution(np.zeros(4), 0.5, 0.5, 3, random_params(0, False))
+    for params in (SingleTemperature(1.0), random_params(0, False)):
+        model = CalibratedModel(Vocabulary(4, 3), params)
+        with pytest.raises(ModelError, match="no positive probability"):
+            model.rescore(np.zeros(4), ALPHA, CUM)
+        with pytest.raises(ModelError, match="no positive probability"):  # one row of a batch
+            model.rescore(np.array([[0.5, 0.5, 0.0, 0.0], [0.0] * 4]), np.array([ALPHA] * 2), np.array([CUM] * 2))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -396,15 +420,16 @@ def test_unlisted_eos_gains_an_entry_only_when_it_moves():
 def test_dense_input_is_not_renormalized():
     # a decoder's distribution that sums to 1 + 1e-3: the variable map sees its raw logs
     dense = np.array([0.0, 0.4, 0.25, 0.0, 0.351, 0.0])
-    features = StepFeatures(entropy=0.7, coverage=0.2)
+    features = StepFeatures(entropy=attention_entropy(ALPHA), coverage=coverage(CUM, COVERAGE_THRESHOLD))
     for params in (random_params(5, False), random_params(5, True)):
+        model = CalibratedModel(Vocabulary(6, 4), params)
         active, z, _ = ref_dense_logits(dense, 4, features, params)
         expected = np.zeros(6)
         expected[active] = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
-        got = recalibrate.recalibrate_distribution(dense, 0.7, 0.2, 4, params)
+        got = model.rescore(dense, ALPHA, CUM)
         np.testing.assert_allclose(got, expected, rtol=0, atol=TOL)
         assert got[[0, 3, 5]].tolist() == [0.0, 0.0, 0.0]
-        renormalized = recalibrate.recalibrate_distribution(dense / dense.sum(), 0.7, 0.2, 4, params)
+        renormalized = model.rescore(dense / dense.sum(), ALPHA, CUM)
         assert np.abs(got - renormalized).max() > 1e-6
 
 

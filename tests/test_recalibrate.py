@@ -7,6 +7,7 @@ import pytest
 
 from seqcal.errors import FeatureError, FitError
 from seqcal.features import attention_entropy, coverage, enrich_batch
+from seqcal.metrics import nll
 from seqcal.recalibrate import (
     CalibratedModel,
     CalibratorParams,
@@ -283,7 +284,7 @@ class TestFit:
     def test_fit_does_not_damage_calibrated_data(self):
         task = ToyTaskSpec.two_way_default()
         records = flatten(emit_logs(build_true_model(task), task, 400, seed=2))
-        raw = float(np.mean([-math.log(r.gold_prob()) for r in records]))
+        raw = nll(records)
         fitted = fit_calibrator(
             records, TrainConfig(learning_rate=0.5, max_epochs=600, seed=0), plus_one=True
         )

@@ -8,7 +8,6 @@ from seqcal.errors import ParseError, ValidationError
 from seqcal.records import (
     BinningConfig,
     LogBatch,
-    ReliabilityHistogram,
     densify,
     parse_log_line,
     serialize_record,
@@ -248,14 +247,3 @@ class TestBinning:
         with pytest.raises(ValidationError):
             BinningConfig(0)
 
-    def test_histogram_merge(self):
-        a = ReliabilityHistogram.empty(4)
-        a.weight[1] = 2.0
-        a.count = 2.0
-        b = ReliabilityHistogram.empty(4)
-        b.weight[2] = 1.0
-        b.count = 1.0
-        merged = a.merge(b)
-        assert merged.count == 3.0
-        assert merged.weight[1] == 2.0 and merged.weight[2] == 1.0
-        assert abs(merged.mass.sum() - 1.0) < 1e-12

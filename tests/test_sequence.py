@@ -95,6 +95,8 @@ class Reversed(RescoringModel):
         self.seen = []
 
     def rescore(self, probs, alpha, cum):
+        if probs.ndim == 2:  # a batch: each row as one step rescores it
+            return np.array([self.rescore(*row) for row in zip(probs, alpha, cum)])
         self.seen.append((alpha.tolist(), cum.tolist()))
         return probs[::-1].copy()
 

@@ -62,14 +62,16 @@ class ReferenceToyModel(ScoringModel):
 
 
 class ReferenceDistortedModel(RescoringModel):
-    """The distortion's per-step ``rescore`` before ``rescore_batch``; its
-    batches go through the default, row-by-row ``rescore_batch``."""
+    """The distortion's per-step ``rescore`` before it took batches; a batch
+    runs it row by row."""
 
     def __init__(self, inner, distortion):
         super().__init__(inner)
         self.distortion = distortion
 
     def rescore(self, probs, alpha, cum):
+        if probs.ndim == 2:
+            return np.array([self.rescore(*row) for row in zip(probs, alpha, cum)])
         active = probs > 0
         z = np.full(probs.shape, -np.inf)
         z[active] = np.log(probs[active]) / self.distortion.temperature
