@@ -56,26 +56,30 @@ def _unit_items(conf: np.ndarray, acc: np.ndarray, mask: np.ndarray) -> Iterator
     yield from (np.ones(np.count_nonzero(mask)), conf[mask], acc[mask], acc[mask] - conf[mask])
 
 
-def _slots(layout: PooledLayout, mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-token probability, token count and whether it is the gold token, of each slot in ``mask``."""
-    n, width = layout.prob.shape
-    is_gold = np.zeros(n * width, dtype=bool)
-    is_gold[np.arange(0, n * width, width) + layout.gold] = True
-    return layout.prob[mask], layout.mult[mask], is_gold.reshape(n, width)[mask]
+def _gold_slots(layout: PooledLayout) -> np.ndarray:
+    """Whether each slot of the layout holds the gold token."""
+    is_gold = np.zeros(layout.prob.shape, dtype=bool)
+    is_gold[np.arange(len(layout.gold)), layout.gold] = True
+    return is_gold
 
 
-def _weighted_items(layout: PooledLayout, mask: np.ndarray) -> Iterator[np.ndarray]:
-    """Items of the slots in ``mask``, keyed by ``layout.prob``, each
+def _weighted_items(layout: PooledLayout) -> Items:
+    """Items of the slots in a mask, keyed by ``layout.prob``, each
     contributing p * (correct - p) for each of its tokens; only one token of
-    a slot can be gold."""
-    p, weight, is_gold = _slots(layout, mask)
-    weight *= p  # mult * p
-    yield weight
-    yield weight * p
-    yield p * is_gold
-    gap = is_gold - weight
-    gap *= p
-    yield gap
+    a slot can be gold. The gold-slot mask is built once, for every bin."""
+    is_gold = _gold_slots(layout)
+
+    def items(mask: np.ndarray) -> Iterator[np.ndarray]:
+        p, weight, gold = layout.prob[mask], layout.mult[mask], is_gold[mask]
+        weight *= p  # mult * p
+        yield weight
+        yield weight * p
+        yield p * gold
+        gap = gold - weight
+        gap *= p
+        yield gap
+
+    return items
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -120,7 +124,7 @@ def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tup
     contribute nothing."""
     batch = as_batch(records, vectors=False)
     layout = batch.layout
-    return _finalize(bins, len(batch), layout.prob, partial(_weighted_items, layout), layout.active)
+    return _finalize(bins, len(batch), layout.prob, _weighted_items(layout), layout.active)
 
 
 def nll(records: Records) -> float:
@@ -210,6 +214,7 @@ def partitioned_metric(
         raise MetricError(f"unknown partition kind {spec.kind!r}")
 
     top = partial(_unit_items, conf, (pred == batch.gold_id).astype(np.float64))
+    weighted_items = _weighted_items(layout)
     result: dict[str, GroupMetrics] = {}
     for label, members in groups.items():
         count = int(members.sum())
@@ -217,9 +222,7 @@ def partitioned_metric(
             result[label] = GroupMetrics(ece=None, weighted_ece=None, count=0)
             continue
         plain, _ = _finalize(bins, count, conf, top, members)
-        weighted, _ = _finalize(
-            bins, count, layout.prob, partial(_weighted_items, layout), layout.active & members[:, None],
-        )
+        weighted, _ = _finalize(bins, count, layout.prob, weighted_items, layout.active & members[:, None])
         result[label] = GroupMetrics(ece=plain, weighted_ece=weighted, count=count)
     return result
 
@@ -236,7 +239,8 @@ def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]
         if not 0.0 < t <= 1.0:
             raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
     layout = as_batch(records, vectors=False).layout
-    p, mult, is_gold = _slots(layout, layout.active)
+    active = layout.active
+    p, mult, is_gold = layout.prob[active], layout.mult[active], _gold_slots(layout)[active]
     mass = mult * p
     rows: list[dict] = []
     for t in thresholds:

@@ -20,7 +20,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_not
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 PROB_ATOL = 1e-6
-_ROWS_PER_CHUNK = 4096
+_ROWS_PER_CHUNK = 1024
 
 INT_FIELDS = ("t", "vocab_size", "eos_id", "gold_id")
 VECTOR_FIELDS = ("attention", "cum_attention")
@@ -257,6 +257,40 @@ class LogBatch:
                     (ent, cov) if has_feat else None,
                 )
 
+    def _text(self, lo: int, hi: int) -> str:
+        """Rows lo..hi-1 as the JSONL lines ``json.dumps`` writes for their
+        records (compact separators, ASCII). Each column takes one ``tolist``,
+        each float one ``repr`` and each seq_id one ``json.dumps``."""
+        def joined(offsets, text_of):
+            first = offsets[lo]
+            text = text_of(slice(first, offsets[hi]))
+            bounds = (offsets[lo : hi + 1] - first).tolist()
+            return [",".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+        def vector(name, values, offsets, has):
+            rows = joined(offsets, lambda span: _json_floats(values[span]))
+            return [f',"{name}":[{row}]' if h else "" for row, h in zip(rows, has[lo:hi].tolist())]
+
+        s0 = int(np.searchsorted(self.seq_starts, lo, side="right")) - 1
+        s1 = int(np.searchsorted(self.seq_starts, hi))
+        counts = np.diff(np.clip(self.seq_starts[s0 : s1 + 1], lo, hi)).tolist()
+        names = chain.from_iterable(map(repeat, map(json.dumps, self.seq_ids[s0:s1]), counts))
+        entries = joined(self.offsets, lambda span: [
+            f"[{i},{p}]" for i, p in zip(self.ids[span].tolist(), _json_floats(self.probs[span]))])
+        has = self.has_features[lo:hi].tolist()
+        feats = zip(_json_floats(self.entropy[lo:hi]), _json_floats(self.coverage[lo:hi]), has)
+        features = [f',"features":{{"entropy":{e},"coverage":{c}}}' if h else "" for e, c, h in feats]
+        rows = zip(
+            names, *(c[lo:hi].tolist() for c in (self.t, self.vocab_size, self.eos_id, self.gold_id)),
+            entries, _json_floats(self.rest_mass[lo:hi]),
+            vector("attention", self.attention, self.att_offsets, self.has_attention),
+            vector("cum_attention", self.cum_attention, self.cum_offsets, self.has_cum), features,
+        )
+        return "".join([
+            f'{{"seq_id":{i},"t":{t},"vocab_size":{v},"eos_id":{e},"gold_id":{g},"entries":[{k}],'
+            f'"rest_mass":{r}{a}{c}{f}}}\n' for i, t, v, e, g, k, r, a, c, f in rows
+        ])
+
     @classmethod
     def from_records(
         cls, records: Sequence[TokenRecord], lines: Sequence[int] | None = None, vectors: bool = True,
@@ -415,6 +449,15 @@ def offsets_of(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value as ``json.dumps`` spells it: its ``repr``, or NaN, Infinity or -Infinity."""
+    text = list(map(float.__repr__, values.tolist()))
+    return text if np.isfinite(values).all() else [_NON_FINITE.get(v, v) for v in text]
+
+
 def as_batch(records: LogBatch | Iterable[TokenRecord], vectors: bool = True) -> LogBatch:
     """``records`` as a batch; see ``LogBatch.from_records`` for ``vectors``."""
     return records if isinstance(records, LogBatch) else LogBatch.from_records(records, vectors=vectors)
@@ -427,15 +470,6 @@ def _record(seq_id, t, vocab_size, eos_id, gold_id, entries, rest_mass, attentio
         attention=None if attention is None else tuple(attention),
         cum_attention=None if cum_attention is None else tuple(cum_attention),
         features=None if features is None else StepFeatures(*features),
-    )
-
-
-def _fields(record: TokenRecord) -> tuple:
-    """A record's row, as ``LogBatch._rows`` yields one."""
-    f = record.features
-    return (
-        record.seq_id, record.t, record.vocab_size, record.eos_id, record.gold_id, record.entries,
-        record.rest_mass, record.attention, record.cum_attention, None if f is None else (f.entropy, f.coverage),
     )
 
 
@@ -592,28 +626,10 @@ def parse_log_line(line: str, line_number: int | None = None) -> TokenRecord:
     return batch[0]
 
 
-def _payload(seq_id, t, vocab_size, eos_id, gold_id, entries, rest_mass, attention, cum_attention, features) -> dict:
-    payload: dict = {
-        "seq_id": seq_id,
-        "t": t,
-        "vocab_size": vocab_size,
-        "eos_id": eos_id,
-        "gold_id": gold_id,
-        "entries": [[i, p] for i, p in entries],
-        "rest_mass": rest_mass,
-    }
-    if attention is not None:
-        payload["attention"] = list(attention)
-    if cum_attention is not None:
-        payload["cum_attention"] = list(cum_attention)
-    if features is not None:
-        payload["features"] = {"entropy": features[0], "coverage": features[1]}
-    return payload
-
-
 def serialize_record(record: TokenRecord) -> str:
-    """Inverse of parse_log_line; parse(serialize(r)) equals r."""
-    return json.dumps(_payload(*_fields(record)), separators=(",", ":"))
+    """Inverse of parse_log_line; parse(serialize(r)) equals r. A one-row
+    ``write_log_file``, so write many records with that."""
+    return LogBatch.from_records([record])._text(0, 1)[:-1]
 
 
 def densify(record: TokenRecord) -> np.ndarray:
@@ -811,10 +827,14 @@ def read_log_file(path) -> LogBatch:
 
 
 def write_log_file(path, records: LogBatch | Iterable[TokenRecord]) -> None:
+    """Write a log as JSONL, the bytes ``json.dumps`` writes for each record,
+    ``_ROWS_PER_CHUNK`` rows at a time; records become a batch a block at a time."""
     if isinstance(records, LogBatch):
-        lines = (json.dumps(_payload(*row), separators=(",", ":")) for row in records._rows(0, len(records)))
+        n = len(records)
+        blocks = (records._text(lo, min(lo + _ROWS_PER_CHUNK, n)) for lo in range(0, n, _ROWS_PER_CHUNK))
     else:
-        lines = map(serialize_record, records)
+        records = iter(records)
+        batches = map(LogBatch.from_records, iter(lambda: list(islice(records, _ROWS_PER_CHUNK)), []))
+        blocks = (batch._text(0, len(batch)) for batch in batches)
     with open(path, "w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
+        handle.writelines(blocks)

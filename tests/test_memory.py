@@ -14,6 +14,10 @@ one entry per attention weight, peaked at 0.24, 2.26, 3.19 and 3.19: 1.8 to
 ``_finalize`` sums each bin on its own; ``reference_finalize`` below is the
 earlier version, which summed slices of the items sorted by bin. Both use
 ``math.fsum``, which rounds exactly, so they must agree bit for bit.
+
+``write_log_file`` formats a block of rows at a time, so its peak must not
+grow with the log: writing four times the rows may raise it by less than
+the text of one block.
 """
 
 import math
@@ -24,8 +28,9 @@ import numpy as np
 import pytest
 
 from seqcal.features import enrich_batch
-from seqcal.metrics import PartitionSpec, _finalize, _weighted_items, ece, partitioned_metric, weighted_ece
-from seqcal.records import BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord
+from seqcal.metrics import PartitionSpec, _finalize, _top1, _weighted_items, ece, partitioned_metric, weighted_ece
+from seqcal.records import _ROWS_PER_CHUNK, BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord, write_log_file
+from seqcal.toybench import ToyTaskSpec, build_true_model, emit_log_batch
 
 VOCAB, TOP_K, EOS_ID = 32000, 10, 2
 
@@ -142,6 +147,41 @@ def test_weighted_ece_equals_the_earlier_whole_array_items(batch):
         weight = mult * p
         count = int(members.sum())
         want = reference_finalize(BinningConfig(), count, p, weight, weight * p, p * is_gold, p * (is_gold - weight))
-        got = _finalize(BinningConfig(), count, layout.prob, lambda mask: _weighted_items(layout, mask), active)
+        got = _finalize(BinningConfig(), count, layout.prob, _weighted_items(layout), active)
         assert_same_bits(got, want)
     assert_same_bits(weighted_ece(batch), want)  # all rows, the last members above
+
+
+@pytest.mark.parametrize("num_bins", [10, 20, 100, 1000])
+def test_scores_at_any_bin_count_equal_the_sorted_slices(batch, num_bins):
+    """``ece`` and ``weighted_ece`` equal the sorted-slice sums bit for bit
+    however many bins their items spread over."""
+    bins, layout = BinningConfig(num_bins), batch.layout
+    pred, conf = _top1(layout)
+    acc = (pred == batch.gold_id).astype(np.float64)
+    want = reference_finalize(bins, len(batch), conf, np.ones(len(conf)), conf, acc, acc - conf)
+    assert_same_bits(ece(batch, bins), want)
+    row, col = np.nonzero(layout.active)
+    is_gold = (col == layout.gold[row]).astype(np.float64)
+    p = layout.prob[layout.active]
+    weight = layout.mult[layout.active] * p
+    want = reference_finalize(bins, len(batch), p, weight, weight * p, p * is_gold, p * (is_gold - weight))
+    assert_same_bits(weighted_ece(batch, bins), want)
+
+
+@pytest.mark.parametrize("as_records", [False, True], ids=["batch", "records"])
+def test_writer_peak_does_not_grow_with_the_log(tmp_path, as_records):
+    """A toy log (attention, cum_attention and features on every row) of
+    about five blocks, written whole and a quarter of it."""
+    task = ToyTaskSpec.two_way_default()
+    records = list(emit_log_batch(build_true_model(task), task, 700, seed=3))
+    quarter = len(records) // 4
+    assert quarter > _ROWS_PER_CHUNK
+    path = tmp_path / "log.jsonl"
+    peaks = []
+    for rows in (records[:quarter], records[: 4 * quarter]):
+        source = iter(rows) if as_records else LogBatch.from_records(rows)
+        peaks.append(traced_peak(lambda: write_log_file(path, source)))
+    with open(path, "rb") as handle:
+        block_text = sum(len(next(handle)) for _ in range(_ROWS_PER_CHUNK))
+    assert peaks[1] - peaks[0] < block_text, f"peaks {peaks} against a block of {block_text} bytes"

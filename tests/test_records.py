@@ -6,13 +6,17 @@ import pytest
 
 from seqcal.errors import ParseError, ValidationError
 from seqcal.records import (
+    _ROWS_PER_CHUNK,
     BinningConfig,
     LogBatch,
+    StepFeatures,
+    TokenRecord,
     densify,
     parse_log_line,
     serialize_record,
     validate_dataset,
     validate_record,
+    write_log_file,
 )
 
 from conftest import make_record, random_simplex
@@ -156,6 +160,90 @@ class TestRoundTrip:
             )
             validate_record(record)
             assert parse_log_line(serialize_record(record)) == record
+
+
+def oracle_line(record: TokenRecord) -> str:
+    """A record's line as the dict-per-row writer built it: one ``json.dumps``
+    of a payload dict, the bytes the columnar writer must reproduce."""
+    payload: dict = {
+        "seq_id": record.seq_id,
+        "t": record.t,
+        "vocab_size": record.vocab_size,
+        "eos_id": record.eos_id,
+        "gold_id": record.gold_id,
+        "entries": [[i, p] for i, p in record.entries],
+        "rest_mass": record.rest_mass,
+    }
+    if record.attention is not None:
+        payload["attention"] = list(record.attention)
+    if record.cum_attention is not None:
+        payload["cum_attention"] = list(record.cum_attention)
+    if record.features is not None:
+        payload["features"] = {"entropy": record.features.entropy, "coverage": record.features.coverage}
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+ODD_FLOATS = (-0.0, 5e-324, 1e16, 0.1 + 0.2, 1.0 / 3.0, 1e-7, 123456789.125)
+NON_FINITE = (math.nan, math.inf, -math.inf)
+ODD_IDS = ("s", "séquence-ü", "日本語", 'say "hi"', "back\\slash", "tab\there", "emoji-\U0001F600", "")
+
+
+def writer_log(rng, rows: int, values=ODD_FLOATS, seq_ids=ODD_IDS) -> list[TokenRecord]:
+    """Unvalidated records whose optional fields come and go row by row,
+    drawing odd floats, odd seq_ids and empty entries."""
+    pick = lambda: values[int(rng.integers(len(values)))] if rng.random() < 0.3 else float(rng.random())
+    vector = lambda: tuple(pick() for _ in range(int(rng.integers(1, 5)))) if rng.random() < 0.5 else None
+    out, t = [], 0
+    seq_id = seq_ids[0]
+    for _ in range(rows):
+        if rng.random() < 0.2:
+            seq_id, t = seq_ids[int(rng.integers(len(seq_ids)))], 0
+        t += 1
+        k = int(rng.integers(0, 4))  # 0: empty entries
+        out.append(TokenRecord(
+            seq_id=seq_id, t=t, vocab_size=50, eos_id=int(rng.integers(50)), gold_id=int(rng.integers(50)),
+            entries=tuple((int(i), pick()) for i in rng.choice(50, k, replace=False)), rest_mass=pick(),
+            attention=vector(), cum_attention=vector(),
+            features=StepFeatures(pick(), pick()) if rng.random() < 0.5 else None,
+        ))
+    return out
+
+
+class TestWriter:
+    """The columnar writer writes the bytes of one ``json.dumps`` per row."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, _ROWS_PER_CHUNK, _ROWS_PER_CHUNK + 1, 2 * _ROWS_PER_CHUNK + 5])
+    @pytest.mark.parametrize("values", [ODD_FLOATS, ODD_FLOATS + NON_FINITE], ids=["finite", "non-finite"])
+    def test_batch_and_records_write_the_oracle_bytes(self, rng, tmp_path, rows, values):
+        log = writer_log(rng, rows, values)
+        want = "".join(map(oracle_line, log)).encode("ascii")
+        for name, source in (("batch", LogBatch.from_records(log)), ("list", log), ("generator", iter(log))):
+            write_log_file(tmp_path / name, source)
+            assert (tmp_path / name).read_bytes() == want, name
+
+    def test_serialize_record_is_the_oracle_line(self, rng):
+        for record in writer_log(rng, 200, ODD_FLOATS + NON_FINITE):
+            assert serialize_record(record) + "\n" == oracle_line(record)
+
+    def test_empty_entries_and_every_optional_field_absent(self, tmp_path):
+        record = TokenRecord(seq_id='q"\\', t=1, vocab_size=4, eos_id=3, gold_id=0, entries=(), rest_mass=1.0)
+        assert serialize_record(record) == (
+            '{"seq_id":"q\\"\\\\","t":1,"vocab_size":4,"eos_id":3,"gold_id":0,"entries":[],"rest_mass":1.0}'
+        )
+        assert parse_log_line(serialize_record(record)) == record
+
+    def test_records_become_a_batch_a_block_at_a_time(self, rng, tmp_path):
+        """A stream that fails one row into its second block leaves the first
+        block written: no whole list of records was drawn first."""
+        log = writer_log(rng, _ROWS_PER_CHUNK + 1)
+
+        def records():
+            yield from log
+            raise RuntimeError("stream broke")
+
+        with pytest.raises(RuntimeError, match="stream broke"):
+            write_log_file(tmp_path / "log", records())
+        assert (tmp_path / "log").read_bytes() == "".join(map(oracle_line, log[:_ROWS_PER_CHUNK])).encode("ascii")
 
 
 class TestDensify:
