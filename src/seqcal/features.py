@@ -3,12 +3,13 @@
 ``enrich_batch`` derives both for a whole ``LogBatch`` in one columnar
 pass; ``attention_entropy`` and ``coverage`` are the one-step forms a
 decoder calls (``coverage`` also takes a batch of rows). Both give the
-same values bit for bit. Entropy is in nats;
-coverage counts the source positions whose cumulative attention exceeds
-``COVERAGE_THRESHOLD``, the one threshold that logs, fits, ``apply`` and
-decoders share. ``ensure_features`` is the one rule for rows without
-stored features, which fits, apply, the entropy partition and the CLI
-share.
+same values bit for bit. Entropy is in nats; coverage counts the source
+positions whose cumulative attention exceeds ``COVERAGE_THRESHOLD``, the
+one threshold that logs, fits, ``apply`` and decoders share. An attention
+vector sums to 1 by its ``np.sum``, as the log reader sums it
+(``records.row_sums``). ``ensure_features`` is the one rule for rows
+without stored features, which fits, apply, the entropy partition and the
+CLI share.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FeatureError
-from .records import PROB_ATOL, LogBatch, SequenceRecord, first_failed, offsets_of, rows_with, spans
+from .records import (PROB_ATOL, LogBatch, SequenceRecord, first_failed, offsets_of, row_sums, rows_with, spans,
+                      sums_to_one)
 
 
 COVERAGE_THRESHOLD = 0.35
@@ -28,28 +30,28 @@ COVERAGE_THRESHOLD = 0.35
 def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Shannon entropy (nats) of an attention distribution, with 0*ln 0 := 0:
     a float for one vector, one per row of a 2-D array."""
-    arr = np.asarray(alpha, dtype=np.float64)
+    arr = np.asarray(alpha, dtype=np.float64, order="C")
     if arr.shape[-1] == 0:
         raise FeatureError("attention vector is empty")
     if not arr.min() >= 0:  # NaN fails too
         raise FeatureError("attention weights must be non-negative")
-    total = arr.sum(axis=-1)
-    ok = abs(total - 1.0) <= PROB_ATOL
-    if not ok.all():
+    total = arr.sum(axis=-1)  # a row's sum as ``row_sums`` takes it
+    ok = sums_to_one(total)
+    if not (ok if arr.ndim == 1 else ok.all()):  # a np.bool_'s .all() would cost a reduction
         raise FeatureError(f"attention sums to {np.ravel(total)[np.argmin(ok)]:.8f}, expected 1")
     positive = arr > 0
     x = arr[positive]
     x *= np.log(x)
     if arr.ndim == 1:
         return max(0.0, -float(x.sum()))
-    entropy = -_row_sums(x, offsets_of(positive.sum(axis=1)))
+    entropy = -row_sums(x, offsets_of(positive.sum(axis=1)))
     entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
     return entropy
 
 
-def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float | np.ndarray:
+def coverage(cum_attention: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Fraction of source positions with cumulative attention strictly above
-    delta: a float for one vector, one per row of a 2-D array."""
+    ``COVERAGE_THRESHOLD``: a float for one vector, one per row of a 2-D array."""
     arr = np.asarray(cum_attention, dtype=np.float64)
     if arr.shape[-1] == 0:
         raise FeatureError("cumulative attention vector is empty")
@@ -57,21 +59,8 @@ def coverage(cum_attention: Sequence[float] | np.ndarray, delta: float) -> float
         problem = "non-negative" if not (arr >= 0).all() else "finite"
         raise FeatureError(f"cumulative attention weights must be {problem}")
     if arr.ndim == 1:
-        return float(np.count_nonzero(arr > delta)) / arr.size
-    return (arr > delta).sum(axis=-1) / arr.shape[-1]
-
-
-def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each CSR row's ``np.sum``, bit for bit, or its count of True values:
-    the rows of one length are summed together as the rows of a 2-D array,
-    which numpy reduces row by row with the same pairwise summation."""
-    lengths = np.diff(offsets)
-    sums = np.zeros(len(lengths), dtype=np.int64 if values.dtype == bool else np.float64)
-    order = np.argsort(lengths, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        if len(group) and lengths[group[0]]:
-            sums[group] = values[offsets[group, None] + np.arange(lengths[group[0]])].sum(axis=1)
-    return sums
+        return float(np.count_nonzero(arr > COVERAGE_THRESHOLD)) / arr.size
+    return (arr > COVERAGE_THRESHOLD).sum(axis=-1) / arr.shape[-1]
 
 
 def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -80,7 +69,7 @@ def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     row."""
     if values.ndim == 1 or len(values) == 1:
         return values[mask].sum(keepdims=True)
-    return _row_sums(values[mask], offsets_of(mask.sum(axis=1)))[:, None]
+    return row_sums(values[mask], offsets_of(mask.sum(axis=1)))[:, None]
 
 
 def _raise_first(batch: LogBatch, problems) -> None:
@@ -165,9 +154,9 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         return out
 
     known_att, known_cum = has_vec & known(alpha), has_vec & known(cum)
-    total, negative = _row_sums(alpha, off), rows_with(~(alpha >= 0), off)
+    total, negative = row_sums(alpha, off), rows_with(~(alpha >= 0), off)
     positive = alpha > 0
-    count = _row_sums(positive, off)
+    count = row_sums(positive, off)
     entropy = np.zeros(n)
     for length in sorted(set(count.tolist()) - {0}):  # the rows with this many positive weights
         rows = count == length
@@ -176,7 +165,7 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         entropy[rows] = -x.sum(axis=1)
     del alpha, positive  # the copy of cum below takes their place
     entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
-    cov = np.divide(_row_sums(cum > COVERAGE_THRESHOLD, off), width, out=np.zeros(n), where=width > 0)
+    cov = np.divide(row_sums(cum > COVERAGE_THRESHOLD, off), width, out=np.zeros(n), where=width > 0)
     gap = "after a step that carries only features; store {} or features on this step"
     _raise_first(batch, [
         (~has_vec & ~has_feat, "no attention, cumulative attention, or features"),
@@ -187,7 +176,7 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         (decreased, "cumulative attention decreased"),
         (known_att & (width == 0), "attention vector is empty"),
         (known_att & negative, "attention weights must be non-negative"),
-        (known_att & ~(np.abs(total - 1.0) <= PROB_ATOL), lambda i: f"attention sums to {total[i]:.8f}, expected 1"),
+        (known_att & ~sums_to_one(total), lambda i: f"attention sums to {total[i]:.8f}, expected 1"),
         (has_vec & ~has_feat & ~known_att, "attention unknown " + gap.format("attention")),
         (has_vec & ~has_feat & ~known_cum, "cumulative attention unknown " + gap.format("cum_attention")),
         (known_cum & (width == 0), "cumulative attention vector is empty"),

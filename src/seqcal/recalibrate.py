@@ -18,13 +18,16 @@ records, which become one) and use its one cached layout. The variable
 calibrator reads each row's stored features, or those
 ``features.ensure_features`` derives from its attention.
 
-All fitting is deterministic given the seed and input order.
+All fitting is deterministic given the seed and input order. One table,
+``NET_LAYERS``, lays out a net's weights, flat and in params files, whose
+reader rejects any nesting its writer does not produce.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +44,11 @@ PARAMS_VERSION = "seqcal-params-v1"
 INIT_SCALE = 0.1  # half-width of the uniform draw of the nets' initial weights
 
 NET_HIDDEN = 3
-NET_SIZE = 4 * NET_HIDDEN + NET_HIDDEN * NET_HIDDEN + 1  # 22 scalars per net
+# (outputs, inputs) of each layer; params files nest weights [layer][output][input], biases [layer][output]
+NET_LAYERS = ((NET_HIDDEN, 1), (NET_HIDDEN, NET_HIDDEN), (1, NET_HIDDEN))
+# where each layer's weights, then its biases, start in a flat net (``ScalarNet.to_flat``)
+_NET_BOUNDS = (0, *accumulate(n for rows, cols in NET_LAYERS for n in (rows * cols, rows)))
+NET_SIZE = _NET_BOUNDS[-1]  # 22 scalars per net
 THETA_SIZE = 2 + 2 * NET_SIZE
 
 
@@ -81,15 +88,8 @@ class ScalarNet:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (NET_SIZE,):
             raise ValidationError("net", f"expected {NET_SIZE} weights, got {flat.shape}")
-        h = NET_HIDDEN
-        return cls(
-            w1=flat[0:h],
-            b1=flat[h : 2 * h],
-            w2=flat[2 * h : 2 * h + h * h].reshape(h, h),
-            b2=flat[2 * h + h * h : 3 * h + h * h],
-            w3=flat[3 * h + h * h : 4 * h + h * h],
-            b3=float(flat[4 * h + h * h]),
-        )
+        w1, b1, w2, b2, w3, b3 = (flat[lo:hi] for lo, hi in zip(_NET_BOUNDS, _NET_BOUNDS[1:]))
+        return cls(w1=w1, b1=b1, w2=w2.reshape(NET_HIDDEN, NET_HIDDEN), b2=b2, w3=w3, b3=float(b3[0]))
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate(
@@ -164,20 +164,18 @@ class SingleTemperature:
     temperature: float
 
 
+FIT_TOLERANCE = 1e-10  # the variable fit stops at the first epoch that changes the NLL by less
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.2
     max_epochs: int = 2000
-    tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.max_epochs <= 0 or self.tolerance <= 0:
-            raise FitError("learning rate, epoch budget, and tolerance must be positive")
-
-
-def _offset(params: CalibratorParams) -> float:
-    return 1.0 if params.plus_one else 0.0
+        if self.learning_rate <= 0 or self.max_epochs <= 0:
+            raise FitError("learning rate and epoch budget must be positive")
 
 
 def eos_correction(
@@ -229,7 +227,7 @@ def _forward(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
     """
     if isinstance(params, SingleTemperature):
         return pool.logp / params.temperature, None
-    offset = _offset(params)
+    offset = float(params.plus_one)
     slots = pool.slots
     with np.errstate(over="ignore", invalid="ignore"):
         u = params.w1 * (pool.coverage - params.w2)
@@ -431,7 +429,7 @@ def fit_calibrator(
         if value < best_nll:
             best_nll = value
             best_theta = theta.copy()
-        if abs(prev_nll - value) < cfg.tolerance:
+        if abs(prev_nll - value) < FIT_TOLERANCE:
             break
         prev_nll = value
         theta = theta - cfg.learning_rate * grad
@@ -497,44 +495,31 @@ def single_temperature_nll(records: Records, temperature: float) -> float:
 
 
 def _net_to_json(net: ScalarNet) -> tuple[list, list]:
-    weights = [
-        [[float(w)] for w in net.w1],
-        [[float(v) for v in row] for row in net.w2],
-        [[float(w) for w in net.w3]],
-    ]
-    biases = [[float(b) for b in net.b1], [float(b) for b in net.b2], [float(net.b3)]]
+    """A net's weights and biases, nested as ``NET_LAYERS`` shapes them."""
+    flat, weights, biases = iter(net.to_flat().tolist()), [], []
+    for rows, cols in NET_LAYERS:  # a layer's weights, then its biases, as ``to_flat`` orders them
+        weights.append([list(islice(flat, cols)) for _ in range(rows)])
+        biases.append(list(islice(flat, rows)))
     return weights, biases
 
 
-def _leaves(value):
-    if isinstance(value, list):
-        for item in value:
-            yield from _leaves(item)
-    else:
-        yield value
+def _nesting(value):
+    """The lists a JSON value nests, with None for each leaf."""
+    return [_nesting(item) for item in value] if isinstance(value, list) else None
 
 
 def _net_from_json(payload: dict, weights_key: str, bias_key: str) -> ScalarNet:
+    """The net of fields ``weights_key`` and ``bias_key``, which must nest
+    exactly as ``_net_to_json`` writes them."""
     weights, biases = field(payload, weights_key), field(payload, bias_key)
-    bad = [leaf for leaf in _leaves([weights, biases]) if not is_number(leaf)]
+    if _nesting([weights, biases]) != _nesting(list(_net_to_json(ScalarNet.zeros()))):
+        raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} do not nest as fit writes a 1-3-3-1 net")
+    flat = [x for w, b in zip(weights, biases) for x in chain(chain.from_iterable(w), b)]  # ``to_flat`` order
+    bad = [x for x in flat if not is_number(x)]
     if bad:
         raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} hold a non-finite weight "
                           f"or one that is not a JSON number: {bad[0]!r}")
-    try:
-        net = ScalarNet(
-            w1=np.asarray([row[0] for row in weights[0]], dtype=np.float64),
-            b1=np.asarray(biases[0], dtype=np.float64),
-            w2=np.asarray(weights[1], dtype=np.float64),
-            b2=np.asarray(biases[1], dtype=np.float64),
-            w3=np.asarray(weights[2][0], dtype=np.float64),
-            b3=float(biases[2][0]),
-        )
-        flat = net.to_flat()
-    except (TypeError, ValueError, IndexError) as exc:
-        raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} are malformed: {exc}") from exc
-    if flat.shape != (NET_SIZE,) or net.w2.shape != (NET_HIDDEN, NET_HIDDEN):
-        raise SeqcalError(f"fields {weights_key!r}/{bias_key!r} do not describe a 1-3-3-1 net")
-    return net
+    return ScalarNet.from_flat(np.array(flat, dtype=np.float64))
 
 
 def params_to_payload(params: CalibratorParams | SingleTemperature) -> dict:
@@ -614,7 +599,7 @@ class CalibratedModel(RescoringModel):
         entropy = cov = None
         if isinstance(self.params, CalibratorParams):
             entropy = np.atleast_1d(attention_entropy(alpha))
-            cov = np.atleast_1d(coverage(cum, COVERAGE_THRESHOLD))
+            cov = np.atleast_1d(coverage(cum))
         pool = PooledLayout(prob, np.ones(prob.shape), eos, eos, entropy=entropy, coverage=cov)
         if not pool.active.any(axis=1).all():
             raise ModelError("the scoring model returned no positive probability")

@@ -11,6 +11,10 @@ parser and checks, and far slower per row than a whole log.
 ``pooled_layout`` turns a batch into the padded rows of slots that the
 metrics, fitting and apply all run on. Records are immutable and safe to
 share across threads.
+
+Every path decides that weights sum to 1 (``sums_to_one``) by one sum per
+kind: a distribution by its running total in entry order
+(``running_sums``), an attention vector by its ``np.sum`` (``row_sums``).
 """
 
 from __future__ import annotations
@@ -163,6 +167,31 @@ def rows_with(flagged: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Rows of a CSR column holding at least one flagged value."""
     at = np.searchsorted(np.flatnonzero(flagged), offsets)  # the flagged values before each row
     return at[1:] > at[:-1]
+
+
+def row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each CSR row's ``np.sum``, bit for bit, or its count of True values:
+    the rows of one length are summed together as the rows of a 2-D array,
+    which numpy reduces row by row with the same pairwise summation."""
+    lengths = np.diff(offsets)
+    sums = np.zeros(len(lengths), dtype=np.int64 if values.dtype == bool else np.float64)
+    order = np.argsort(lengths, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if len(group) and lengths[group[0]]:
+            sums[group] = values[offsets[group, None] + np.arange(lengths[group[0]])].sum(axis=1)
+    return sums
+
+
+def running_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row's running total along the last axis: the sum of a distribution
+    that every check takes. ``LogBatch.errors`` adds a line's entries and
+    then its ``rest_mass`` in order too, and zeros add exactly."""
+    return np.add.accumulate(rows, axis=-1)[..., -1]
+
+
+def sums_to_one(total: np.ndarray) -> np.ndarray:
+    """Whether each sum lies within ``PROB_ATOL`` of 1; NaN does not."""
+    return abs(total - 1.0) <= PROB_ATOL
 
 
 @dataclass(eq=False, repr=False)
@@ -374,14 +403,11 @@ class LogBatch:
         repeat[by_id[1:]] = (entry_row[by_id[1:]] == entry_row[by_id[:-1]]) & (ids[by_id[1:]] == ids[by_id[:-1]])
         prob_bad = ~((probs >= 0.0) & (probs <= 1.0 + PROB_ATOL))
         entry_bad = id_bad | repeat | prob_bad
-        # the sum of a row's entries in entry order, as a running total adds them
+        # a row's entries in entry order and then its rest_mass, added as a running total
         total = np.bincount(entry_row, weights=probs, minlength=n) + rest
 
         att_len, cum_len = np.diff(self.att_offsets), np.diff(self.cum_offsets)
-        att_sum = np.bincount(np.repeat(np.arange(n), att_len), weights=att, minlength=n)
-        # math.fsum decides the rows whose running sum is too close to the bound to tell
-        for i in np.flatnonzero(np.abs(np.abs(att_sum - 1.0) - PROB_ATOL) < 1e-9):
-            att_sum[i] = math.fsum(att[self.att_offsets[i] : self.att_offsets[i + 1]])
+        att_sum = row_sums(att, self.att_offsets)  # the sum of an attention vector that every check takes
         paired = self.has_attention & self.has_cum & (att_len == cum_len)
         below = np.zeros(n, dtype=bool)
         if paired.any():
@@ -406,14 +432,14 @@ class LogBatch:
             ("entries", rows_with(entry_bad, self.offsets), entry_message),
             ("rest_mass", ~((rest >= -PROB_ATOL) & (rest <= 1.0 + PROB_ATOL)),
              lambda i: f"{float(rest[i])} outside [0, 1]"),
-            ("entries", ~(np.abs(total - 1.0) <= PROB_ATOL),
+            ("entries", ~sums_to_one(total),
              lambda i: f"probabilities + rest_mass sum to {total[i]:.8f}, expected 1"),
             ("rest_mass", (counts >= vocab) & (rest > 0),
              lambda i: f"{float(rest[i])} left over with all {vocab[i]} tokens listed"),
             ("attention", self.has_attention & (att_len == 0), lambda i: "must be non-empty when present"),
             ("attention", rows_with(~((att >= 0) & (att < math.inf)), self.att_offsets),
              lambda i: "weights must be finite and non-negative"),
-            ("attention", self.has_attention & ~(np.abs(att_sum - 1.0) <= PROB_ATOL),
+            ("attention", self.has_attention & ~sums_to_one(att_sum),
              lambda i: f"sums to {att_sum[i]:.8f}, expected 1"),
             ("cum_attention", rows_with(~((cum >= 0) & (cum < math.inf)), self.cum_offsets),
              lambda i: "weights must be finite and non-negative"),
@@ -642,10 +668,7 @@ def densify(record: TokenRecord) -> np.ndarray:
     """
     check_tail_room(record.vocab_size, len(record.entries), record.rest_mass)
     dense = np.full(record.vocab_size, record.rest_share(), dtype=np.float64)
-    if record.entries:
-        ids = np.fromiter((i for i, _ in record.entries), dtype=np.int64, count=len(record.entries))
-        probs = np.fromiter((p for _, p in record.entries), dtype=np.float64, count=len(record.entries))
-        dense[ids] = probs
+    dense[[i for i, _ in record.entries]] = [p for _, p in record.entries]
     total = dense.sum()
     if total > 0:
         dense /= total

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MetricError, ModelError
 from .metrics import _finalize, _unit_items
-from .records import PROB_ATOL, BinningConfig, ReliabilityHistogram
+from .records import BinningConfig, ReliabilityHistogram, running_sums, sums_to_one
 
 Tokens = tuple[int, ...]
 
@@ -127,10 +127,11 @@ def _checked(model: ScoringModel, probs, rows: int | None = None) -> np.ndarray:
     shape = (model.vocab_size,) if rows is None else (rows, model.vocab_size)
     if probs.shape != shape:
         raise ModelError(f"model emitted {probs.shape} probabilities, expected {shape}")
-    sums = probs.sum(axis=-1)
-    if not (probs.min() >= 0 and (abs(sums - 1.0) <= PROB_ATOL).all()):  # NaN fails both
+    sums = running_sums(probs)
+    ok = sums_to_one(sums)  # one np.bool_ for one row, whose .all() would cost a reduction
+    if not (probs.min() >= 0 and (ok if rows is None else ok.all())):  # NaN fails both
         table, sums = probs.reshape(-1, model.vocab_size), np.ravel(sums)
-        i = int(np.argmin((table >= 0).all(axis=1) & (abs(sums - 1.0) <= PROB_ATOL)))
+        i = int(np.argmin((table >= 0).all(axis=1) & sums_to_one(sums)))
         problem = "a non-finite" if not np.isfinite(table[i]).all() else "an invalid"
         raise ModelError(f"model emitted {problem} distribution (sum={sums[i]:.8f})")
     return probs

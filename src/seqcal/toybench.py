@@ -21,16 +21,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModelError, SeqcalError, ValidationError
-from .features import COVERAGE_THRESHOLD, coverage, enrich_batch, masked_row_sums
+from .features import coverage, enrich_batch, masked_row_sums
 from .jsonfile import field, is_number, read_json, write_json
 from .records import (
     BinningConfig,
-    PROB_ATOL,
     LogBatch,
     ReliabilityHistogram,
     SequenceRecord,
     TokenRecord,
     offsets_of,
+    running_sums,
+    sums_to_one,
 )
 from .sequence import (
     BeamConfig,
@@ -90,8 +91,8 @@ class ToyTaskSpec(_JsonSpec):
         for s, row in enumerate(self.emissions):
             if len(row) != self.target_vocab_size:
                 raise ValidationError("emissions", f"row {s} has wrong width")
-            if any(p < 0 for p in row) or abs(math.fsum(row) - 1.0) > PROB_ATOL:
-                raise ValidationError("emissions", f"row {s} is not a distribution")
+            if not (min(row) >= 0 and sums_to_one(running_sums(np.asarray(row, dtype=np.float64)))):
+                raise ValidationError("emissions", f"row {s} is not a distribution")  # as a log line would be
 
     @classmethod
     def two_way_default(
@@ -263,7 +264,7 @@ class DistortedModel(RescoringModel):
         z[active] = np.log(probs[active]) / self.distortion.temperature
         if self.distortion.eos_bias > 0:  # an inactive EOS stays at -inf
             # z.T[eos]: the EOS logit of one row, or the EOS column of a batch
-            z.T[self.eos_id] += self.distortion.eos_bias * (1.0 - coverage(cum, COVERAGE_THRESHOLD))
+            z.T[self.eos_id] += self.distortion.eos_bias * (1.0 - coverage(cum))
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         return e / masked_row_sums(e, active)
 

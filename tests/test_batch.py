@@ -30,7 +30,7 @@ import pytest
 from seqcal import records, recalibrate
 from seqcal.cli import main
 from seqcal.errors import FeatureError, MetricError, ParseError, ValidationError
-from seqcal.features import COVERAGE_THRESHOLD, attention_entropy, coverage, enrich, enrich_batch
+from seqcal.features import attention_entropy, coverage, enrich, enrich_batch
 from seqcal.metrics import nll
 from seqcal.records import (
     PROB_ATOL,
@@ -320,7 +320,7 @@ def reference_enrich(seq: SequenceRecord) -> SequenceRecord:
             running = alpha.copy() if running is None else running + alpha
             current_cum = cum if cum is not None else running
             feats = StepFeatures(
-                entropy=attention_entropy(alpha), coverage=coverage(current_cum, COVERAGE_THRESHOLD),
+                entropy=attention_entropy(alpha), coverage=coverage(current_cum),
             )
             updated = step
             if step.features is None:

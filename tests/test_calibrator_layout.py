@@ -181,7 +181,7 @@ def test_every_epoch_and_the_fitted_theta_match_the_row_major_descent(log, plus_
         assert np.max(np.abs(got_grad - grad)) <= 1e-12
         if value < best_nll:
             best_nll, best_theta = value, theta.copy()
-        if abs(prev_nll - value) < cfg.tolerance:
+        if abs(prev_nll - value) < recalibrate.FIT_TOLERANCE:
             break
         prev_nll = value
         theta = theta - cfg.learning_rate * grad

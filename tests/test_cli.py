@@ -321,6 +321,15 @@ class TestParamsFileErrors:
         assert self.run_apply(tmp_path, toy_log, payload) == 2
         self.assert_error_starts_with_path(capsys, tmp_path / "params.json", f"'{name}'")
 
+    @pytest.mark.parametrize("payload", [
+        {**VARIABLE, "g_net": [[[0.0, 0.0]] + [[0.0]] * 2, [ZEROS] * 3, [ZEROS]]},
+        {**VARIABLE, "g_net": NET + [[ZEROS]]},
+        {**VARIABLE, "g_bias": BIAS + [[0.0]]},
+    ], ids=["extra-weight-in-a-row", "extra-weight-layer", "extra-bias-layer"])
+    def test_a_net_must_nest_as_fit_writes_it(self, tmp_path, toy_log, capsys, payload):
+        assert self.run_apply(tmp_path, toy_log, payload) == 2
+        self.assert_error_starts_with_path(capsys, tmp_path / "params.json", "'g_net'", "'g_bias'")
+
     NOT_PARAMS = [("nope", "Expecting value"),
                   ('{"version": "seqcal-params-v1", "mode": "single"}', "missing field 'temperature'")]
 

@@ -37,21 +37,21 @@ class TestAttentionEntropy:
 
 class TestCoverage:
     def test_strict_threshold_count(self):
-        assert coverage([0.9, 0.4, 0.1], 0.35) == pytest.approx(2 / 3)
+        assert coverage([0.9, 0.4, 0.1]) == pytest.approx(2 / 3)
 
     def test_all_zero(self):
-        assert coverage([0.0, 0.0], 0.35) == 0.0
+        assert coverage([0.0, 0.0]) == 0.0
 
     def test_all_above(self):
-        assert coverage([0.5, 0.9, 0.8], 0.35) == 1.0
+        assert coverage([0.5, 0.9, 0.8]) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(FeatureError):
-            coverage([], 0.35)
+            coverage([])
 
     def test_infinite_weight_rejected(self):
         with pytest.raises(FeatureError, match="must be finite"):
-            coverage([math.inf, 0.0], 0.35)
+            coverage([math.inf, 0.0])
 
     @pytest.mark.parametrize("weight, message", [
         (-0.1, "must be non-negative"),
@@ -62,10 +62,10 @@ class TestCoverage:
     def test_invalid_weight_messages(self, weight, message):
         for cum in ([0.5, weight], [[0.5, 0.2], [weight, 0.9]]):  # one vector, and a batch of rows
             with pytest.raises(FeatureError, match=f"^cumulative attention weights {message}$"):
-                coverage(cum, 0.35)
+                coverage(cum)
 
     def test_batch_without_rows(self):
-        assert coverage(np.zeros((0, 3)), 0.35).shape == (0,)
+        assert coverage(np.zeros((0, 3))).shape == (0,)
 
 
 def seq_of(steps):
@@ -179,7 +179,7 @@ class TestNonFiniteWeights:
     @pytest.mark.parametrize("cum", [[math.nan, 1.0], [0.5, math.nan]])
     def test_coverage_rejects(self, cum):
         with pytest.raises(FeatureError, match="non-negative"):
-            coverage(cum, 0.35)
+            coverage(cum)
 
     @pytest.mark.parametrize("vectors, message", [
         (dict(attention=[math.nan, 1.0], cum_attention=[math.nan, 1.0]), "attention weights must be finite"),

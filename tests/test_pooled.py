@@ -18,7 +18,7 @@ import pytest
 from seqcal import recalibrate
 from seqcal.cli import main
 from seqcal.errors import ModelError, ValidationError
-from seqcal.features import COVERAGE_THRESHOLD, attention_entropy, coverage
+from seqcal.features import attention_entropy, coverage
 from seqcal.metrics import PartitionSpec, ece, head_tail_curve, partitioned_metric, top1, weighted_ece
 from seqcal.records import (
     BinningConfig,
@@ -420,7 +420,7 @@ def test_unlisted_eos_gains_an_entry_only_when_it_moves():
 def test_dense_input_is_not_renormalized():
     # a decoder's distribution that sums to 1 + 1e-3: the variable map sees its raw logs
     dense = np.array([0.0, 0.4, 0.25, 0.0, 0.351, 0.0])
-    features = StepFeatures(entropy=attention_entropy(ALPHA), coverage=coverage(CUM, COVERAGE_THRESHOLD))
+    features = StepFeatures(entropy=attention_entropy(ALPHA), coverage=coverage(CUM))
     for params in (random_params(5, False), random_params(5, True)):
         model = CalibratedModel(Vocabulary(6, 4), params)
         active, z, _ = ref_dense_logits(dense, 4, features, params)

@@ -423,7 +423,7 @@ class TestDerivedFeatures:
     def test_apply_derives_the_features_it_would_read(self):
         params = random_params(8)
         bare = attention_records(8)
-        stored = [replace(r, features=StepFeatures(attention_entropy(r.attention), coverage(r.cum_attention, 0.35)))
+        stored = [replace(r, features=StepFeatures(attention_entropy(r.attention), coverage(r.cum_attention)))
                   for r in bare]
         got, want = recalibrate_log(bare, params), recalibrate_log(stored, params)
         for name in ("offsets", "ids", "probs", "rest_mass"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from seqcal.errors import ModelError
-from seqcal.features import COVERAGE_THRESHOLD, attention_entropy, coverage
+from seqcal.features import attention_entropy, coverage
 from seqcal.records import SequenceRecord, StepFeatures, TokenRecord, write_log_file
 from seqcal.sequence import RescoringModel, ScoringModel, sample_sequence
 from seqcal.toybench import (
@@ -76,7 +76,7 @@ class ReferenceDistortedModel(RescoringModel):
         z = np.full(probs.shape, -np.inf)
         z[active] = np.log(probs[active]) / self.distortion.temperature
         if self.distortion.eos_bias > 0 and active[self.eos_id]:
-            z[self.eos_id] += self.distortion.eos_bias * (1.0 - coverage(cum, COVERAGE_THRESHOLD))
+            z[self.eos_id] += self.distortion.eos_bias * (1.0 - coverage(cum))
         out = np.zeros(probs.shape)
         zs = z[active]
         e = np.exp(zs - zs.max())
@@ -109,7 +109,7 @@ def reference_emit_logs(model, task, n_sequences, seed):
                 seq_id=seq_id, t=t, vocab_size=model.vocab_size, eos_id=model.eos_id, gold_id=int(gold),
                 entries=tuple(zip(nonzero.tolist(), probs[nonzero].tolist())), rest_mass=0.0,
                 attention=tuple(alpha.tolist()), cum_attention=tuple(cum.tolist()),
-                features=StepFeatures(attention_entropy(alpha), coverage(cum, COVERAGE_THRESHOLD)),
+                features=StepFeatures(attention_entropy(alpha), coverage(cum)),
             ))
         sequences.append(SequenceRecord(
             seq_id=seq_id, steps=tuple(steps), source_len=len(source), source=source, reference=reference,
