@@ -14,7 +14,10 @@ Fitting, applying and ``CalibratedModel`` all run on the pooled-tail layout
 of ``records.pooled_layout``, as the metrics do: the listed entries, an
 unlisted EOS and the unlisted tail pooled into one slot, so a sparse top-K
 log costs O(N*K), not O(N*V). Fits and apply take a ``LogBatch`` (or
-records, which become one) and use its one cached layout. The variable
+records, which become one) and use its one cached layout. One pass over
+the layout's M active slots (``PooledLayout.slots``) serves all of them:
+logits, softmax, loss and gradient are flat (M,) vectors, and only the
+softmax's row sum sees an (N, W) buffer. The variable
 calibrator reads each row's stored features, or those
 ``features.ensure_features`` derives from its attention.
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -48,22 +52,30 @@ NET_HIDDEN = 3
 NET_LAYERS = ((NET_HIDDEN, 1), (NET_HIDDEN, NET_HIDDEN), (1, NET_HIDDEN))
 # where each layer's weights, then its biases, start in a flat net (``ScalarNet.to_flat``)
 _NET_BOUNDS = (0, *accumulate(n for rows, cols in NET_LAYERS for n in (rows * cols, rows)))
+_NET_SLICES = tuple(slice(lo, hi) for lo, hi in zip(_NET_BOUNDS, _NET_BOUNDS[1:]))
 NET_SIZE = _NET_BOUNDS[-1]  # 22 scalars per net
 THETA_SIZE = 2 + 2 * NET_SIZE
 
 
-def sigmoid(x):
+def _exp_neg_abs(x):
+    """exp(-|x|), which ``sigmoid`` and ``log_sigmoid`` of x share."""
+    return np.exp(-np.abs(x))
+
+
+def sigmoid(x, e=None):
     x = np.asarray(x, dtype=np.float64)
-    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without masks
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    e = _exp_neg_abs(x) if e is None else e
+    # 1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
+    # masks: exp(min(x, 0)) is 1 above 0 and the same exp(x) as e below it
+    out = np.exp(np.minimum(x, 0.0)) / (1.0 + e)
     return out if out.ndim else float(out)
 
 
-def log_sigmoid(x):
+def log_sigmoid(x, e=None):
     x = np.asarray(x, dtype=np.float64)
+    e = _exp_neg_abs(x) if e is None else e
     # -log1p(exp(-x)) for x >= 0 and x - log1p(exp(x)) below, without masks
-    out = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    out = np.minimum(x, 0.0) - np.log1p(e)
     return out if out.ndim else float(out)
 
 
@@ -76,7 +88,7 @@ class ScalarNet:
     w2: np.ndarray  # (3, 3)
     b2: np.ndarray  # (3,)
     w3: np.ndarray  # (3,)
-    b3: float
+    b3: float | np.ndarray  # a () view in a net from ``from_flat``
 
     @classmethod
     def zeros(cls) -> "ScalarNet":
@@ -88,8 +100,8 @@ class ScalarNet:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (NET_SIZE,):
             raise ValidationError("net", f"expected {NET_SIZE} weights, got {flat.shape}")
-        w1, b1, w2, b2, w3, b3 = (flat[lo:hi] for lo, hi in zip(_NET_BOUNDS, _NET_BOUNDS[1:]))
-        return cls(w1=w1, b1=b1, w2=w2.reshape(NET_HIDDEN, NET_HIDDEN), b2=b2, w3=w3, b3=float(b3[0]))
+        w1, b1, w2, b2, w3, b3 = (flat[s] for s in _NET_SLICES)
+        return cls(w1=w1, b1=b1, w2=w2.reshape(NET_HIDDEN, NET_HIDDEN), b2=b2, w3=w3, b3=b3.reshape(()))
 
     def to_flat(self) -> np.ndarray:
         return np.concatenate(
@@ -111,18 +123,28 @@ class ScalarNet:
         out = sigmoid(self.w3 @ a2 + self.b3)
         return out, (x, a1, a2, out)
 
-    def backward(self, cache, dout: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Parameter gradients (flat, 22) and input gradients for ``dout``,
-        from the hidden-major cache of ``forward``."""
+    def backward(self, cache, dout: np.ndarray, grads: np.ndarray | None = None, inputs: bool = True):
+        """Parameter gradients (flat, 22), written into ``grads`` if given,
+        and input gradients for ``dout`` (None without ``inputs``), from the
+        hidden-major cache of ``forward``."""
         x, a1, a2, out = cache
         dz3 = dout * out * (1.0 - out)
-        dz2 = np.multiply.outer(self.w3, dz3)
+        dz2 = np.empty((NET_HIDDEN, len(dz3)))
+        for unit, w in zip(dz2, self.w3):  # np.multiply.outer broadcasts at about half this speed
+            np.multiply(dz3, w, out=unit)
         dz2 *= a2 > 0  # the ReLU masks: a > 0 exactly where z > 0
         dz1 = self.w2.T @ dz2
         dz1 *= a1 > 0
-        grads = np.concatenate([dz1 @ x, dz1.sum(axis=1), (dz2 @ a1.T).reshape(-1),
-                                dz2.sum(axis=1), a2 @ dz3, [dz3.sum()]])
-        return grads, self.w1 @ dz1
+        if grads is None:
+            grads = np.empty(NET_SIZE)
+        w1, b1, w2, b2, w3, b3 = (grads[s] for s in _NET_SLICES)
+        np.matmul(dz1, x, out=w1)
+        dz1.sum(axis=1, out=b1)
+        np.matmul(dz2, a1.T, out=w2.reshape(NET_HIDDEN, NET_HIDDEN))
+        dz2.sum(axis=1, out=b2)
+        np.matmul(a2, dz3, out=w3)
+        b3[0] = dz3.sum()
+        return grads, self.w1 @ dz1 if inputs else None
 
 
 @dataclass
@@ -163,6 +185,10 @@ class SingleTemperature:
 
     temperature: float
 
+    def __post_init__(self) -> None:
+        if not 0 < self.temperature < math.inf:  # NaN fails it too
+            raise FitError(f"temperature must be positive, got {self.temperature}")
+
 
 FIT_TOLERANCE = 1e-10  # the variable fit stops at the first epoch that changes the NLL by less
 
@@ -174,8 +200,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.max_epochs <= 0:
-            raise FitError("learning rate and epoch budget must be positive")
+        if not self.learning_rate > 0:  # NaN fails it too
+            raise FitError(f"learning_rate must be positive, got {self.learning_rate}")
+        if isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, Integral) or self.max_epochs <= 0:
+            raise FitError(f"max_epochs must be a positive integer, got {self.max_epochs!r}")
 
 
 def eos_correction(
@@ -215,88 +243,104 @@ def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
     return pool
 
 
-def _forward(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
-    """Recalibrated logit of every slot (-inf where inactive) and the cache
-    the backward pass needs (None for a temperature).
+def _logits(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
+    """Recalibrated logit of each active slot (``PooledLayout.slots``) and
+    the cache the backward pass needs (None for a temperature).
 
     The variable map evaluates h once per active slot, so the pooled tail
     costs one evaluation for all of its tokens; an unlisted EOS has its own
-    slot and so its own correction term. It runs on the layout's active
-    slots as flat vectors (``PooledLayout.slots``). Saturating parameters
-    overflow to inf rather than warn; the fit reports a non-finite loss.
+    slot and so its own correction term. Saturating parameters overflow to
+    inf; callers run this under ``np.errstate``, and the fit reports a
+    non-finite loss.
     """
-    if isinstance(params, SingleTemperature):
-        return pool.logp / params.temperature, None
-    offset = float(params.plus_one)
     slots = pool.slots
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = params.w1 * (pool.coverage - params.w2)
-        z = pool.logp.copy()  # -inf where inactive, as it stays
-        z.ravel()[slots.eos] += log_sigmoid(u)
-        lp = z.take(slots.index)
-        g_out, g_cache = params.g_net.forward(pool.entropy)
-        gf = (g_out + offset)[slots.row]
-        h_out, h_cache = params.h_net.forward(lp)
-        hf = h_out + offset
-        z.put(slots.index, lp * gf * hf)
-    return z, (u, lp, gf, hf, g_cache, h_cache)
+    if isinstance(params, SingleTemperature):
+        return slots.logp[:-1] / params.temperature, None
+    shift = pool.coverage - params.w2
+    u = params.w1 * shift
+    e = _exp_neg_abs(u)
+    lp = slots.logp.copy()
+    # a row without an active EOS adds to the -inf past the slots
+    np.add.at(lp, pool.positions[1], log_sigmoid(u, e))
+    lp = lp[:-1]
+    g_out, g_cache = params.g_net.forward(pool.entropy)
+    h_out, h_cache = params.h_net.forward(lp)
+    if params.plus_one:  # a sigmoid is never -0, so adding 0 would change no bit
+        g_out, h_out = g_out + 1.0, h_out + 1.0
+    gf = g_out.take(slots.row)
+    return lp * gf * h_out, (shift, u, e, lp, gf, h_out, g_cache, h_cache)
 
 
-def _softmax(z: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-token probability of each slot, and each row's max logit and sum
-    over the max, in which a slot counts ``mult`` times."""
-    m = z.T.copy().max(axis=0)  # the row max, exact, reduced along the long axis of a copy
-    e = np.exp(z - m[:, None])
-    denom = (e * mult).sum(axis=1)
-    e /= denom[:, None]
+def _softmax(pool: PooledLayout, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-token probability of each active slot, and each row's max logit
+    and sum over the max, in which a slot counts ``mult`` times. The max is
+    exact in any order; the sum alone sees an (N, W) buffer, along each row
+    of the layout, padding included, in the order its slots give."""
+    slots = pool.slots
+    m = np.full(len(pool.gold), -np.inf)
+    np.maximum.at(m, slots.row, z)
+    e = np.exp(z - m.take(slots.row))
+    rows = np.zeros(pool.prob.size)
+    rows[slots.index] = e * slots.mult
+    denom = rows.reshape(pool.prob.shape).sum(axis=1)
+    e /= denom.take(slots.row)
     return e, m, denom
 
 
 def _recalibrated(pool: PooledLayout, params: CalibratorParams | SingleTemperature) -> np.ndarray:
-    """Per-token recalibrated probability of every slot."""
-    return _softmax(_forward(pool, params)[0], pool.mult)[0]
+    """Per-token recalibrated probability of every slot of the layout."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z, _ = _logits(pool, params)
+    probs = np.zeros(pool.prob.shape)
+    probs.ravel()[pool.slots.index] = _softmax(pool, z)[0]
+    return probs
 
 
-def _losses(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
-    """Per-row gold NLL, slot probabilities and the forward cache."""
-    z, cache = _forward(pool, params)
-    probs, m, denom = _softmax(z, pool.mult)
-    return m + np.log(denom) - z.take(pool.slots.gold), probs, cache
+def _nll(pool: PooledLayout, params: CalibratorParams | SingleTemperature, grad: np.ndarray | None = None):
+    """Mean gold NLL and each row's; with ``grad``, also the NLL's exact
+    gradient, written there. The variable map's callers run it under
+    ``np.errstate``."""
+    z, cache = _logits(pool, params)
+    probs, m, denom = _softmax(pool, z)
+    losses = m + np.log(denom) - z.take(pool.positions[0])
+    if grad is not None:
+        _backward(pool, params, probs, cache, grad)
+    return float(losses.sum() / len(losses)), losses  # the mean, without np.mean's checks
+
+
+def _backward(pool: PooledLayout, params: CalibratorParams, probs: np.ndarray, cache, grad: np.ndarray) -> None:
+    n = len(pool.gold)
+    slots = pool.slots
+    gold, eos = pool.positions
+    shift, u, e, lp, gf, hf, g_cache, h_cache = cache
+    # d(mean NLL)/dz: each slot's softmax mass, minus one on the gold slot
+    r = probs * slots.mult
+    np.subtract.at(r, gold, 1.0)
+    r /= n
+    rl = r * lp
+    params.g_net.backward(g_cache, np.bincount(slots.row, rl * hf, minlength=n),
+                          grad[2 : 2 + NET_SIZE], inputs=False)
+    _, d_inputs = params.h_net.backward(h_cache, rl * gf, grad[2 + NET_SIZE :])
+    dlp = np.zeros(len(r) + 1)  # position M stays 0 for rows without an active EOS
+    d = np.multiply(r, gf, out=dlp[:-1])
+    d *= hf
+    d += d_inputs
+    du = dlp[eos] * (1.0 - sigmoid(u, e))
+    grad[0] = (du * shift).sum()
+    grad[1] = (du * (-params.w1)).sum()
 
 
 def _forward_backward(theta: np.ndarray, prep: PooledLayout, plus_one: bool, want_grad: bool = True):
-    """Mean NLL of the recalibrated gold probabilities and its exact gradient.
+    """Mean NLL of the recalibrated gold probabilities, its exact gradient
+    (None without ``want_grad``) and each row's loss, for the flat ``theta``.
 
     Overflow is deliberately tolerated here: runaway parameters produce a
     non-finite loss, which the fit loop detects and reports.
     """
-    params = CalibratorParams.from_flat(theta, plus_one)
+    grad = np.empty(THETA_SIZE) if want_grad else None
     with np.errstate(over="ignore", invalid="ignore"):
-        losses, probs, cache = _losses(prep, params)
-        value = float(losses.mean())
-        if not want_grad:
-            return value, None, losses
-        return value, _backward(prep, params, probs, cache), losses
-
-
-def _backward(prep: PooledLayout, params: CalibratorParams, probs: np.ndarray, cache) -> np.ndarray:
-    n = len(prep.gold)
-    slots = prep.slots
-    u, lp, gf, hf, g_cache, h_cache = cache
-    # d(mean NLL)/dz: each slot's softmax mass, minus one on the gold slot
-    r = probs * prep.mult
-    r.ravel()[slots.gold] -= 1.0
-    r = r.take(slots.index) / n
-
-    g_grads, _ = params.g_net.backward(g_cache, np.bincount(slots.row, r * lp * hf, minlength=n))
-    h_grads, d_inputs = params.h_net.backward(h_cache, r * lp * gf)
-
-    dlp = np.zeros(prep.prob.size)
-    dlp.put(slots.index, r * gf * hf + d_inputs)
-    du = dlp[slots.eos] * (1.0 - sigmoid(u))
-    d_w1 = float(np.sum(du * (prep.coverage - params.w2)))
-    d_w2 = float(np.sum(du * (-params.w1)))
-    return np.concatenate([[d_w1, d_w2], g_grads, h_grads])
+        value, losses = _nll(prep, CalibratorParams.from_flat(theta, plus_one), grad)
+    return value, grad, losses
 
 
 APPLY_BLOCK = 1024  # records per columnar pass of recalibrate_log: bounds its temporaries
@@ -335,8 +379,6 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     variable = isinstance(params, CalibratorParams)
     if variable:
         batch = ensure_features(batch)
-    elif params.temperature <= 0:
-        raise FitError(f"temperature must be positive, got {params.temperature}")
     n = len(batch)
     pool = _pool(batch, variable)
     counts = np.diff(batch.offsets)
@@ -416,23 +458,29 @@ def fit_calibrator(
     batch = as_batch(records)
     prep = _fit_pool(batch)
     theta = initial_params(cfg, plus_one).to_flat()
+    # views of theta, so they follow every step it takes in place
+    g_net, h_net = ScalarNet.from_flat(theta[2 : 2 + NET_SIZE]), ScalarNet.from_flat(theta[2 + NET_SIZE :])
+    grad = np.empty(THETA_SIZE)
     best_theta = theta.copy()
     best_nll = math.inf
     prev_nll = math.inf
-    for epoch in range(cfg.max_epochs):
-        value, grad, losses = _forward_backward(theta, prep, plus_one)
-        if not math.isfinite(value):
-            raise FitError(
-                f"non-finite loss at epoch {epoch} ({batch.where(int(np.argmax(~np.isfinite(losses))))}); "
-                "reduce the learning rate"
-            )
-        if value < best_nll:
-            best_nll = value
-            best_theta = theta.copy()
-        if abs(prev_nll - value) < FIT_TOLERANCE:
-            break
-        prev_nll = value
-        theta = theta - cfg.learning_rate * grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            params = CalibratorParams(w1=float(theta[0]), w2=float(theta[1]), g_net=g_net, h_net=h_net,
+                                      plus_one=plus_one)
+            value, losses = _nll(prep, params, grad)
+            if not math.isfinite(value):
+                raise FitError(
+                    f"non-finite loss at epoch {epoch} ({batch.where(int(np.argmax(~np.isfinite(losses))))}); "
+                    "reduce the learning rate"
+                )
+            if value < best_nll:
+                best_nll = value
+                best_theta = theta.copy()
+            if abs(prev_nll - value) < FIT_TOLERANCE:
+                break
+            prev_nll = value
+            theta -= cfg.learning_rate * grad
     return CalibratorParams.from_flat(best_theta, plus_one)
 
 
@@ -454,18 +502,13 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-8, max_iter: int = 2
 TEMPERATURE_RANGE = (0.05, 20.0)
 
 
-def _temperature_nll(pool: PooledLayout, temperature: float) -> float:
-    losses, _, _ = _losses(pool, SingleTemperature(temperature))
-    return float(losses.mean())
-
-
 def fit_single_temperature(records: Records) -> float:
     """Temperature minimizing validation NLL of p ** (1/T), via golden-section
     search over [0.05, 20] with a final parabolic refinement."""
     pool = _fit_pool(records, with_features=False)
 
     def objective(temperature: float) -> float:
-        return _temperature_nll(pool, temperature)
+        return _nll(pool, SingleTemperature(temperature))[0]
 
     lo, hi = TEMPERATURE_RANGE
     center = golden_section(objective, lo, hi, tol=1e-6)
@@ -484,9 +527,8 @@ def fit_single_temperature(records: Records) -> float:
 
 def single_temperature_nll(records: Records, temperature: float) -> float:
     """Mean NLL of gold tokens after global temperature scaling."""
-    if temperature <= 0:
-        raise FitError(f"temperature must be positive, got {temperature}")
-    return _temperature_nll(_fit_pool(records, with_features=False), temperature)
+    params = SingleTemperature(temperature)  # checked before the log is pooled
+    return _nll(_fit_pool(records, with_features=False), params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +643,6 @@ class CalibratedModel(RescoringModel):
             entropy = np.atleast_1d(attention_entropy(alpha))
             cov = np.atleast_1d(coverage(cum))
         pool = PooledLayout(prob, np.ones(prob.shape), eos, eos, entropy=entropy, coverage=cov)
-        if not pool.active.any(axis=1).all():
+        if np.count_nonzero(np.bincount(pool.slots.row, minlength=len(rows))) < len(rows):  # a row with no active slot
             raise ModelError("the scoring model returned no positive probability")
         return _recalibrated(pool, self.params)[:, :vocab].reshape(probs.shape)

@@ -659,20 +659,22 @@ def serialize_record(record: TokenRecord) -> str:
 
 
 def densify(record: TokenRecord) -> np.ndarray:
-    """Expand a sparse record into a dense probability vector of length V.
+    """Expand a sparse record into a dense probability vector of length V:
+    its ``pooled_layout`` row, scattered to the tokens its slots stand for.
 
     Listed entries keep their probabilities; the remaining V-K tokens share
-    rest_mass (0 if it is negative) uniformly. The result is renormalized so
-    it sums to 1 within 1e-9 even when the stored values only sum to 1
-    within the parse tolerance.
+    rest_mass (0 if it is negative) uniformly. All are divided by the total
+    the layout divides by, so the result equals the layout bit for bit and
+    sums to 1 within 1e-9 even when the stored values only sum to 1 within
+    the parse tolerance.
     """
     check_tail_room(record.vocab_size, len(record.entries), record.rest_mass)
-    dense = np.full(record.vocab_size, record.rest_share(), dtype=np.float64)
-    dense[[i for i, _ in record.entries]] = [p for _, p in record.entries]
-    total = dense.sum()
-    if total > 0:
-        dense /= total
-    return dense
+    layout = pooled_layout([record])
+    ids, prob = layout.ids[0, :-1], layout.prob[0]
+    # every unlisted token gets the tail's share; index V takes a slot that stands for no token
+    dense = np.full(record.vocab_size + 1, prob[-1])
+    dense[ids] = prob[:-1]
+    return dense[:-1]
 
 
 @dataclass
@@ -682,11 +684,11 @@ class PooledLayout:
     Row i's listed entries fill columns 0..K_i-1 in input order. Column W-2
     holds EOS when it is unlisted; column W-1 pools the other unlisted
     tokens, which all share one probability, into one slot standing for
-    ``mult`` tokens. Probabilities are divided by the same total ``densify``
-    divides by. Slots with zero probability, padding included, are inactive.
-    ``ids`` names each slot's token: the tail slot carries its smallest id,
-    and a slot standing for no token carries V, so the smallest id among the
-    most probable slots is the argmax of ``densify``.
+    ``mult`` tokens; ``densify`` scatters a row back to its V tokens. Slots
+    with zero probability, padding included, are inactive. ``ids`` names
+    each slot's token: the tail slot carries its smallest id, and a slot
+    standing for no token carries V, so the smallest id among the most
+    probable slots is the argmax of ``densify``.
     """
 
     prob: np.ndarray        # (N, W) normalized per-token probability, 0 where inactive
@@ -703,29 +705,40 @@ class PooledLayout:
 
     @cached_property
     def logp(self) -> np.ndarray:
-        """Log-probabilities, -inf where inactive, taken once per layout."""
+        """Log-probabilities as (N, W), -inf where inactive: the active
+        slots' from ``slots``, scattered."""
         logp = np.full(self.prob.shape, -np.inf)
-        np.log(self.prob, out=logp, where=self.active)
+        logp.ravel()[self.slots.index] = self.slots.logp[:-1]
         return logp
 
     @cached_property
     def slots(self) -> ActiveSlots:
-        """Flat indices into the layout, built once per layout, so the
-        variable calibrator's epochs gather instead of masking."""
-        n, width = self.prob.shape
+        """The active slots as flat vectors, built once per layout, so that
+        every pass of the calibrators runs over M slots, not N x W."""
         index = self.active.ravel().nonzero()[0]
-        start = np.arange(0, n * width, width)
-        return ActiveSlots(index, index // width, start + self.gold, start + self.eos)
+        logp = np.full(len(index) + 1, -np.inf)
+        np.log(self.prob.ravel().take(index), out=logp[:-1])
+        return ActiveSlots(index, index // self.prob.shape[1], logp, self.mult.ravel().take(index))
+
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's gold and EOS slot as a position in ``slots``, or M
+        where that slot is inactive: what the fits' loss and the EOS
+        correction read, so a single temperature never builds them."""
+        index = self.slots.index
+        position = np.full(self.prob.size, len(index))
+        position[index] = np.arange(len(index))
+        start = np.arange(0, self.prob.size, self.prob.shape[1])
+        return position.take(start + self.gold), position.take(start + self.eos)
 
 
 class ActiveSlots(NamedTuple):
-    """``PooledLayout.slots``: the M active slots in row-major order, and
-    the gold and EOS slot of each of the N rows."""
+    """``PooledLayout.slots``: the M active slots in row-major order."""
 
     index: np.ndarray  # (M,) flat index of each active slot
     row: np.ndarray    # (M,) its row
-    gold: np.ndarray   # (N,) flat index of each row's gold slot
-    eos: np.ndarray    # (N,) flat index of each row's EOS slot
+    logp: np.ndarray   # (M + 1,) its log-probability, then -inf at position M
+    mult: np.ndarray   # (M,) the tokens it stands for
 
 
 def pooled_layout(records: LogBatch | Sequence[TokenRecord]) -> PooledLayout:

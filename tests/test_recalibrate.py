@@ -249,6 +249,19 @@ class TestFit:
         with pytest.raises(FitError):
             fit_calibrator([], TrainConfig())
 
+    @pytest.mark.parametrize("rate", [math.nan, 0.0, -0.2])
+    def test_learning_rate_must_be_positive(self, rate):
+        with pytest.raises(FitError, match=f"learning_rate must be positive, got {rate}"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("epochs", [2.5, 0, -3, True, "100"])
+    def test_max_epochs_must_be_a_positive_integer(self, epochs):
+        with pytest.raises(FitError, match="max_epochs must be a positive integer"):
+            TrainConfig(max_epochs=epochs)
+
+    def test_a_numpy_integer_epoch_budget_is_accepted(self):
+        assert TrainConfig(max_epochs=np.int64(5)).max_epochs == 5
+
     def test_records_without_features_fit_as_their_enriched_copy(self):
         records = random_feature_records(4, seed=6)
         records[2] = replace(records[2], features=None,
@@ -340,6 +353,36 @@ class TestSingleTemperature:
             temperature = float(rng.uniform(0.05, 20))
             order = np.argsort(apply_single_temperature(record, temperature))
             np.testing.assert_array_equal(order, np.argsort(densify(record)))
+
+
+BAD_TEMPERATURES = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+class TestTemperatureCheck:
+    """A temperature must lie in (0, inf): every entry point raises the same
+    FitError, NaN and infinities included."""
+
+    @pytest.mark.parametrize("temperature", BAD_TEMPERATURES)
+    def test_single_temperature(self, temperature):
+        with pytest.raises(FitError, match="temperature must be positive"):
+            SingleTemperature(temperature)
+
+    @pytest.mark.parametrize("temperature", BAD_TEMPERATURES)
+    def test_recalibrate_log(self, temperature):
+        records = [make_record([0.5, 0.3, 0.2], gold=0)]
+        with pytest.raises(FitError, match="temperature must be positive"):
+            recalibrate_log(records, SingleTemperature(temperature))
+
+    @pytest.mark.parametrize("temperature", BAD_TEMPERATURES)
+    def test_single_temperature_nll(self, temperature):
+        records = [make_record([0.5, 0.3, 0.2], gold=0)]
+        with pytest.raises(FitError, match="temperature must be positive"):
+            single_temperature_nll(records, temperature)
+
+    @pytest.mark.parametrize("temperature", BAD_TEMPERATURES)
+    def test_apply_single_temperature(self, temperature):
+        with pytest.raises(FitError, match="temperature must be positive"):
+            apply_single_temperature(make_record([0.5, 0.3, 0.2], gold=0), temperature)
 
 
 class TestParamsIO:

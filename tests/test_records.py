@@ -12,6 +12,7 @@ from seqcal.records import (
     StepFeatures,
     TokenRecord,
     densify,
+    pooled_layout,
     parse_log_line,
     serialize_record,
     validate_dataset,
@@ -264,6 +265,27 @@ class TestDensify:
         record = make_record([0.25, 0.25], gold=0, rest_mass=0.5)
         with pytest.raises(ValidationError):
             densify(record)
+
+    def test_densify_equals_the_pooled_layout_bit_for_bit(self):
+        """Sparse equals densified exactly: 2,000 random records, V 12-59 and
+        1-9 entries, EOS listed or not, against one layout of all of them."""
+        rng = np.random.default_rng(0)
+        records = []
+        for i in range(2000):
+            vocab, k = int(rng.integers(12, 60)), int(rng.integers(1, 10))
+            ids = rng.choice(vocab, k, replace=False)
+            mass = rng.dirichlet(np.ones(k + 1))
+            records.append(TokenRecord(
+                seq_id=f"s{i}", t=1, vocab_size=vocab, eos_id=vocab - 1, gold_id=int(ids[0]),
+                entries=tuple(zip(ids.tolist(), mass[:k].tolist())), rest_mass=float(mass[k]),
+            ))
+        layout = pooled_layout(records)
+        for i, record in enumerate(records):
+            dense = densify(record)
+            listed = [j for j, _ in record.entries]
+            assert np.array_equal(dense[listed], layout.prob[i, : len(listed)]), i
+            tail = np.delete(dense, listed)
+            assert np.array_equal(tail, np.full(len(tail), layout.prob[i, -1])), i
 
     def test_densify_sums_to_one_and_nonnegative(self, rng):
         for _ in range(100):
