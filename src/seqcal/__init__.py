@@ -22,7 +22,6 @@ from .metrics import (
 )
 from .records import (
     BinningConfig,
-    DatasetSummary,
     LogBatch,
     ReliabilityHistogram,
     SequenceRecord,
@@ -33,7 +32,6 @@ from .records import (
     read_log,
     read_log_file,
     serialize_record,
-    validate_dataset,
     validate_record,
     write_log_file,
 )
@@ -79,7 +77,6 @@ from .toybench import (
     emit_log_batch,
     emit_logs,
     flatten,
-    sample_pair,
     sequence_calibration_experiment,
 )
 

@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import MetricError
 from .features import ensure_features
-from .records import BinningConfig, LogBatch, PooledLayout, ReliabilityHistogram, TokenRecord, as_batch, pooled_layout
-
-Records = LogBatch | Iterable[TokenRecord]
+from .records import BinningConfig, PooledLayout, Records, ReliabilityHistogram, TokenRecord, as_batch, pooled_layout
 
 
 def _top1(layout: PooledLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +111,7 @@ def _finalize(
 
 def ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
     """Top-1 expected calibration error plus its reliability histogram."""
-    batch = as_batch(records, vectors=False)
+    batch = as_batch(records)
     pred, conf = _top1(batch.layout)
     return _finalize(bins, len(batch), conf, partial(_unit_items, conf, (pred == batch.gold_id).astype(np.float64)))
 
@@ -122,7 +120,7 @@ def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tup
     """Calibration error of the entire distribution: every token's probability
     is binned and contributes p * (correct - p); zero-probability tokens
     contribute nothing."""
-    batch = as_batch(records, vectors=False)
+    batch = as_batch(records)
     layout = batch.layout
     return _finalize(bins, len(batch), layout.prob, _weighted_items(layout), layout.active)
 
@@ -130,7 +128,7 @@ def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tup
 def nll(records: Records) -> float:
     """Mean negative log-likelihood of the gold tokens, in nats per token,
     under the normalized distributions of the layout."""
-    batch = as_batch(records, vectors=False)
+    batch = as_batch(records)
     if not len(batch):
         raise MetricError("metric undefined on an empty record stream")
     layout = batch.layout
@@ -191,7 +189,7 @@ def partitioned_metric(
     """Metrics per partition group; empty groups report count 0 with no scores.
     The entropy split reads the entropy of ``ensure_features``."""
     entropy_split = spec.kind == "entropy_split"
-    batch = as_batch(records, vectors=entropy_split)
+    batch = as_batch(records)
     # derived before the layout, keeping only the entropy column, so that the
     # enriched batch and the layout are never alive at once
     entropy = ensure_features(batch).entropy if entropy_split else None
@@ -238,7 +236,7 @@ def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]
     for t in thresholds:
         if not 0.0 < t <= 1.0:
             raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
-    layout = as_batch(records, vectors=False).layout
+    layout = as_batch(records).layout
     active = layout.active
     p, mult, is_gold = layout.prob[active], layout.mult[active], _gold_slots(layout)[active]
     mass = mult * p

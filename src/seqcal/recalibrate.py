@@ -32,17 +32,14 @@ import math
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, islice
 from numbers import Integral
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
 from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, ensure_features
 from .jsonfile import field, is_number, read_json, write_json
-from .records import LogBatch, PooledLayout, TokenRecord, as_batch, densify, offsets_of
+from .records import LogBatch, PooledLayout, Records, TokenRecord, _dense_row, as_batch, offsets_of
 from .sequence import RescoringModel, ScoringModel
-
-Records = LogBatch | Sequence[TokenRecord]
 
 PARAMS_VERSION = "seqcal-params-v1"
 INIT_SCALE = 0.1  # half-width of the uniform draw of the nets' initial weights
@@ -206,12 +203,23 @@ class TrainConfig:
             raise FitError(f"max_epochs must be a positive integer, got {self.max_epochs!r}")
 
 
+def _eos_gate(c, params: CalibratorParams):
+    """The EOS correction ln(sigma(w1 * (c - w2))) of each coverage c, always
+    non-positive, and the terms ``_backward`` reuses: c - w2, u = w1 * (c - w2)
+    and exp(-|u|)."""
+    shift = c - params.w2
+    u = params.w1 * shift
+    e = _exp_neg_abs(u)
+    return log_sigmoid(u, e), shift, u, e
+
+
 def eos_correction(
     logits: np.ndarray, c_t: float, eos_id: int, params: CalibratorParams
 ) -> np.ndarray:
-    """Add ln(sigma(w1 * (c_t - w2))) to the EOS logit; always non-positive."""
+    """Add ln(sigma(w1 * (c_t - w2))) to the EOS logit, as fit and apply do
+    (``_eos_gate``); always non-positive."""
     corrected = np.array(logits, dtype=np.float64, copy=True)
-    corrected[eos_id] += log_sigmoid(params.w1 * (c_t - params.w2))
+    corrected[eos_id] += _eos_gate(c_t, params)[0]
     return corrected
 
 
@@ -230,7 +238,7 @@ def _pool(batch: LogBatch, with_features: bool = False) -> PooledLayout:
 
 
 def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
-    batch = as_batch(records, vectors=with_features)
+    batch = as_batch(records)
     if not len(batch):
         raise FitError("cannot fit on an empty dataset")
     pool = _pool(batch, with_features)
@@ -256,12 +264,10 @@ def _logits(pool: PooledLayout, params: CalibratorParams | SingleTemperature):
     slots = pool.slots
     if isinstance(params, SingleTemperature):
         return slots.logp[:-1] / params.temperature, None
-    shift = pool.coverage - params.w2
-    u = params.w1 * shift
-    e = _exp_neg_abs(u)
+    gate, shift, u, e = _eos_gate(pool.coverage, params)
     lp = slots.logp.copy()
     # a row without an active EOS adds to the -inf past the slots
-    np.add.at(lp, pool.positions[1], log_sigmoid(u, e))
+    np.add.at(lp, pool.positions[1], gate)
     lp = lp[:-1]
     g_out, g_cache = params.g_net.forward(pool.entropy)
     h_out, h_cache = params.h_net.forward(lp)
@@ -408,13 +414,14 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
 
 def apply_calibrator(record: TokenRecord, params: CalibratorParams) -> np.ndarray:
     """Recalibrate one record's dense distribution using its stored features,
-    or those its attention vectors give (``ensure_features``)."""
-    return densify(recalibrate_log([record], params)[0])
+    or those its attention vectors give (``ensure_features``): the
+    ``recalibrate_log`` row, densified."""
+    return _dense_row(recalibrate_log([record], params))
 
 
 def apply_single_temperature(record: TokenRecord, temperature: float) -> np.ndarray:
     """Dense distribution proportional to p ** (1/T); preserves the ranking."""
-    return densify(recalibrate_log([record], SingleTemperature(temperature))[0])
+    return _dense_row(recalibrate_log([record], SingleTemperature(temperature)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_not
@@ -62,14 +62,6 @@ class TokenRecord:
     cum_attention: tuple[float, ...] | None = None
     features: StepFeatures | None = None
 
-    def rest_share(self) -> float:
-        """Per-token probability of each unlisted token; a ``rest_mass`` that
-        validation let through slightly below 0 counts as 0."""
-        unlisted = self.vocab_size - len(self.entries)
-        if unlisted <= 0:
-            return 0.0
-        return max(self.rest_mass, 0.0) / unlisted
-
 
 @dataclass(frozen=True, slots=True)
 class SequenceRecord:
@@ -77,7 +69,6 @@ class SequenceRecord:
 
     seq_id: str
     steps: tuple[TokenRecord, ...]
-    source_len: int | None = None
     source: tuple[int, ...] | None = None
     reference: tuple[int, ...] | None = None
 
@@ -92,13 +83,10 @@ class BinningConfig:
         if self.num_bins < 1:
             raise ValidationError("num_bins", f"must be >= 1, got {self.num_bins}")
 
-    def index(self, p: float) -> int:
-        """Bin of ``p``: left-closed, right-open, last bin closed at 1."""
-        return min(int(p * self.num_bins), self.num_bins - 1)
-
     def index_array(self, p: np.ndarray) -> np.ndarray:
-        """Each ``p``'s bin, as ``index`` gives it, in the narrowest unsigned
-        dtype that also holds ``num_bins``, which can then mark no bin."""
+        """Each ``p``'s bin, left-closed and right-open with the last bin
+        closed at 1, in the narrowest unsigned dtype that also holds
+        ``num_bins``, which can then mark no bin."""
         idx = np.multiply(p, self.num_bins, dtype=np.float64)
         return np.clip(idx, 0, self.num_bins - 1, out=idx).astype(np.min_scalar_type(self.num_bins))
 
@@ -321,13 +309,8 @@ class LogBatch:
         ])
 
     @classmethod
-    def from_records(
-        cls, records: Sequence[TokenRecord], lines: Sequence[int] | None = None, vectors: bool = True,
-    ) -> "LogBatch":
-        """The batch of in-memory records; they are not validated. With
-        ``vectors`` off the batch leaves out every attention and
-        cum_attention vector, for readers of the distributions and stored
-        features only."""
+    def from_records(cls, records: Iterable[TokenRecord], lines: Sequence[int] | None = None) -> "LogBatch":
+        """The batch of in-memory records; they are not validated."""
         records = list(records)
         n = len(records)
 
@@ -346,8 +329,6 @@ class LogBatch:
         starts = np.flatnonzero(np.append(True, seq_ids[1:] != seq_ids[:-1])) if n else np.zeros(0, dtype=np.int64)
 
         def vector_column(name):
-            if not vectors:
-                return np.zeros(n, dtype=bool), np.zeros(n + 1, dtype=np.int64), np.zeros(0)
             vecs = list(map(attrgetter(name), records))
             has = present(vecs)
             lengths = np.zeros(n, dtype=np.int64)
@@ -484,9 +465,12 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return text if np.isfinite(values).all() else [_NON_FINITE.get(v, v) for v in text]
 
 
-def as_batch(records: LogBatch | Iterable[TokenRecord], vectors: bool = True) -> LogBatch:
-    """``records`` as a batch; see ``LogBatch.from_records`` for ``vectors``."""
-    return records if isinstance(records, LogBatch) else LogBatch.from_records(records, vectors=vectors)
+Records = LogBatch | Iterable[TokenRecord]
+
+
+def as_batch(records: Records) -> LogBatch:
+    """``records`` as a batch, which metrics, fits and apply all take."""
+    return records if isinstance(records, LogBatch) else LogBatch.from_records(records)
 
 
 def _record(seq_id, t, vocab_size, eos_id, gold_id, entries, rest_mass, attention, cum_attention, features):
@@ -669,10 +653,15 @@ def densify(record: TokenRecord) -> np.ndarray:
     the parse tolerance.
     """
     check_tail_room(record.vocab_size, len(record.entries), record.rest_mass)
-    layout = pooled_layout([record])
+    return _dense_row(LogBatch.from_records([record]))
+
+
+def _dense_row(batch: LogBatch) -> np.ndarray:
+    """Row 0 of the batch's layout, scattered to the V tokens its slots stand for."""
+    layout = batch.layout
     ids, prob = layout.ids[0, :-1], layout.prob[0]
     # every unlisted token gets the tail's share; index V takes a slot that stands for no token
-    dense = np.full(record.vocab_size + 1, prob[-1])
+    dense = np.full(int(batch.vocab_size[0]) + 1, prob[-1])
     dense[ids] = prob[:-1]
     return dense[:-1]
 
@@ -704,14 +693,6 @@ class PooledLayout:
         return self.prob > 0
 
     @cached_property
-    def logp(self) -> np.ndarray:
-        """Log-probabilities as (N, W), -inf where inactive: the active
-        slots' from ``slots``, scattered."""
-        logp = np.full(self.prob.shape, -np.inf)
-        logp.ravel()[self.slots.index] = self.slots.logp[:-1]
-        return logp
-
-    @cached_property
     def slots(self) -> ActiveSlots:
         """The active slots as flat vectors, built once per layout, so that
         every pass of the calibrators runs over M slots, not N x W."""
@@ -741,10 +722,10 @@ class ActiveSlots(NamedTuple):
     mult: np.ndarray   # (M,) the tokens it stands for
 
 
-def pooled_layout(records: LogBatch | Sequence[TokenRecord]) -> PooledLayout:
+def pooled_layout(records: Records) -> PooledLayout:
     """The pooled-tail layout of a batch (or of records), the one place that
     normalizes a sparse record and pools its unlisted tail."""
-    batch = as_batch(records, vectors=False)
+    batch = as_batch(records)
     n = len(batch)
     counts = np.diff(batch.offsets)
     listed, probs = batch.ids, batch.probs
@@ -796,51 +777,6 @@ def pooled_layout(records: LogBatch | Sequence[TokenRecord]) -> PooledLayout:
     return PooledLayout(prob, mult, gold, eos, ids)
 
 
-@dataclass
-class DatasetSummary:
-    """Lenient validation outcome: processed counts plus per-error tallies."""
-
-    count: int = 0
-    parse_errors: int = 0
-    validation_errors: int = 0
-    gold_in_tail: int = 0
-    error_fields: dict[str, int] = field(default_factory=dict)
-    first_errors: list[str] = field(default_factory=list)
-
-    def _note(self, message: str, max_kept: int = 10) -> None:
-        if len(self.first_errors) < max_kept:
-            self.first_errors.append(message)
-
-
-def validate_dataset(lines: Iterable[str]) -> DatasetSummary:
-    """Tally a whole log without aborting: bad lines are counted and skipped."""
-    summary = DatasetSummary()
-    columns = _Columns()
-    problems: list[tuple[int, str, str]] = []  # line, field, message
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            columns.add(line, line_number)
-        except ParseError as exc:
-            summary.parse_errors += 1
-            problems.append((line_number, "<parse>", str(exc)))
-    batch = columns.batch()
-    bad = np.zeros(len(batch), dtype=bool)
-    for row, exc in batch.errors():
-        bad[row] = True
-        problems.append((exc.line_number, exc.field, str(exc)))
-    for _, fieldname, message in sorted(problems, key=lambda problem: problem[0]):
-        summary.error_fields[fieldname] = summary.error_fields.get(fieldname, 0) + 1
-        summary._note(message)
-    entry_row = np.repeat(np.arange(len(batch)), np.diff(batch.offsets))
-    listed = rows_with(batch.ids == batch.gold_id[entry_row], batch.offsets)
-    summary.validation_errors = int(bad.sum())
-    summary.count = len(batch) - summary.validation_errors
-    summary.gold_in_tail = int((~bad & ~listed).sum())
-    return summary
-
-
 def read_log(lines: Iterable[str]) -> LogBatch:
     """Strictly parse a log into a checked LogBatch, raising on the first
     bad line; blank lines are skipped."""
@@ -862,7 +798,7 @@ def read_log_file(path) -> LogBatch:
         return read_log(handle)
 
 
-def write_log_file(path, records: LogBatch | Iterable[TokenRecord]) -> None:
+def write_log_file(path, records: Records) -> None:
     """Write a log as JSONL, the bytes ``json.dumps`` writes for each record,
     ``_ROWS_PER_CHUNK`` rows at a time; records become a batch a block at a time."""
     if isinstance(records, LogBatch):

@@ -28,7 +28,6 @@ from .records import (
     LogBatch,
     ReliabilityHistogram,
     SequenceRecord,
-    TokenRecord,
     offsets_of,
     running_sums,
     sums_to_one,
@@ -279,6 +278,15 @@ def distort(model: ScoringModel, distortion: DistortionSpec) -> ScoringModel:
 
 
 def _draw_pair(model: ToyModel, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
+    """Draw one (source, gold target) pair from the true task distribution.
+
+    ``rng`` draws the length k and the source, then k + 1 uniforms at once,
+    one per step. Each step's token is the one ``Generator.choice`` would
+    pick with that uniform from the step's emission row (EOS after the last
+    source token): the first index whose normalised cdf exceeds it. The
+    true model ignores the prefix, so the pair equals ancestral sampling
+    with ``sample_sequence``; the reference ends at its first EOS.
+    """
     task = model.spec
     k = int(rng.integers(task.min_len, task.max_len + 1))
     source = rng.integers(0, task.source_vocab_size, k)
@@ -291,21 +299,10 @@ def _draw_pair(model: ToyModel, rng: np.random.Generator) -> tuple[Tokens, Token
     return tuple(source.tolist()), tuple(tokens[:end].tolist())
 
 
-def sample_pair(task: ToyTaskSpec, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
-    """Draw one (source, gold target) pair from the true task distribution.
-
-    ``rng`` draws the length k and the source, then k + 1 uniforms at once,
-    one per step. Each step's token is the one ``Generator.choice`` would
-    pick with that uniform from the step's emission row (EOS after the last
-    source token): the first index whose normalised cdf exceeds it. The
-    true model ignores the prefix, so the pair equals ancestral sampling
-    with ``sample_sequence``; the reference ends at its first EOS.
-    """
-    return _draw_pair(ToyModel(task), rng)
-
-
 def _pairs(task: ToyTaskSpec, n: int, seed: int, stream: int) -> list[tuple[Tokens, Tokens]]:
     """Pair i of the (seed, stream) series, drawn from its own generator."""
+    if n < 0:
+        raise SeqcalError(f"the number of sequences must be non-negative, got {n}")
     model = ToyModel(task)
     return [_draw_pair(model, np.random.default_rng((seed, stream, i))) for i in range(n)]
 
@@ -321,7 +318,8 @@ def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) 
     n = int(starts[-1])
     width = np.repeat(src_len, ref_len)
     att_offsets = offsets_of(width)
-    probs = np.zeros((n, model.vocab_size))
+    # each step's (row, token, prob) entries; an empty array first, so that a log of no rows concatenates
+    rows_of, ids_of, probs_of = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     attention = np.zeros(int(att_offsets[-1]))
     order = np.lexsort((-ref_len, src_len))
     for bucket in np.split(order, np.flatnonzero(np.diff(src_len[order])) + 1) if len(order) else ():
@@ -337,9 +335,14 @@ def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) 
                     f"model emitted {step_probs.shape} probabilities and {alpha.shape} attention "
                     f"for {live} rows, V={model.vocab_size} and {src_len[bucket[0]]} source positions"
                 )
-            probs[rows] = step_probs
+            # the nonzero entries (NaN among them), rows ascending and each row's tokens ascending
+            row, token = np.nonzero(step_probs)
+            rows_of.append(rows[row])
+            ids_of.append(token)
+            probs_of.append(step_probs[row, token])
             attention[att_offsets[rows, None] + np.arange(alpha.shape[1])] = alpha
-    listed = probs != 0
+    entry_row = np.concatenate(rows_of)
+    order = np.argsort(entry_row, kind="stable")  # file order; a row's entries all come from one step
     batch = LogBatch(
         seq_ids=[f"toy-{i:06d}" for i in range(len(pairs))],
         seq_starts=starts,
@@ -347,9 +350,9 @@ def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) 
         vocab_size=np.full(n, model.vocab_size, dtype=np.int64),
         eos_id=np.full(n, model.eos_id, dtype=np.int64),
         gold_id=np.fromiter(chain.from_iterable(reference for _, reference in pairs), dtype=np.int64, count=n),
-        offsets=offsets_of(np.count_nonzero(listed, axis=1)),
-        ids=np.nonzero(listed)[1],
-        probs=probs[listed],
+        offsets=offsets_of(np.bincount(entry_row, minlength=n)),
+        ids=np.concatenate(ids_of)[order],
+        probs=np.concatenate(probs_of)[order],
         rest_mass=np.zeros(n),
         has_attention=np.ones(n, dtype=bool), att_offsets=att_offsets, attention=attention,
         has_cum=np.zeros(n, dtype=bool), cum_offsets=np.zeros(n + 1, dtype=np.int64), cum_attention=np.zeros(0),
@@ -383,13 +386,14 @@ def emit_logs(
     batch = _teacher_force(model, pairs)
     steps, bounds = list(batch), batch.seq_starts.tolist()
     return [
-        SequenceRecord(seq_id, tuple(steps[lo:hi]), source_len=len(source), source=source, reference=reference)
+        SequenceRecord(seq_id, tuple(steps[lo:hi]), source=source, reference=reference)
         for seq_id, lo, hi, (source, reference) in zip(batch.seq_ids, bounds, bounds[1:], pairs)
     ]
 
 
-def flatten(sequences: Sequence[SequenceRecord]) -> list[TokenRecord]:
-    return [step for seq in sequences for step in seq.steps]
+def flatten(sequences: Sequence[SequenceRecord]) -> LogBatch:
+    """The steps of ``sequences``, in order, as one batch."""
+    return LogBatch.from_records(chain.from_iterable(seq.steps for seq in sequences))
 
 
 def _top_hypothesis(model: ScoringModel, source: Tokens, width: int) -> Hypothesis:

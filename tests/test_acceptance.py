@@ -223,6 +223,7 @@ class TestCriterion5GradientCorrectness:
 
 
 class TestCriterion6BeamSweepRepair:
+    @pytest.mark.slow
     def test_recalibration_shrinks_beam_drop(self):
         started = time.perf_counter()
         task = ToyTaskSpec.two_way_default(eos_floor=0.02)
@@ -247,6 +248,7 @@ class TestCriterion6BeamSweepRepair:
 
 
 class TestCriterion7SequenceCalibrationRepair:
+    @pytest.mark.slow
     def test_recalibration_improves_structured_score(self):
         started = time.perf_counter()
         task = ToyTaskSpec.two_way_default()

@@ -163,17 +163,6 @@ def test_validate_record_matches_the_column_checks(name):
     assert err.value.field == fieldname and err.value.line_number == 7
 
 
-def test_lenient_tally_matches_the_per_record_reader():
-    names = ["sum_short", "json", "duplicate", "missing_gold", "cum_below", "not_object", "coverage_nan", "t",
-             "gold_id", "entry_triple", "att_sum", "tail_room"]
-    lines = [GOOD, ""] + [BAD[name][0] for name in names] + [line(entries=[[1, 0.6]], rest_mass=0.4), GOOD, "  "]
-    summary = records.validate_dataset(lines)
-    assert (summary.count, summary.parse_errors, summary.validation_errors, summary.gold_in_tail) == (3, 4, 8, 1)
-    assert summary.error_fields == {"entries": 2, "<parse>": 4, "cum_attention": 1, "features": 1, "t": 1,
-                                    "gold_id": 1, "attention": 1, "rest_mass": 1}
-    assert [message.split(":")[0] for message in summary.first_errors] == [f"line {n}" for n in range(3, 13)]
-
-
 COERCED = {
     "t_fraction": line(t=1.9),
     "t_integral_float": line(t=1.0),

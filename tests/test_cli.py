@@ -8,7 +8,7 @@ import pytest
 from seqcal.cli import build_parser, main
 from seqcal.errors import ValidationError
 from seqcal.metrics import PartitionSpec, partitioned_metric
-from seqcal.records import BinningConfig, read_log_file, validate_dataset, write_log_file
+from seqcal.records import BinningConfig, read_log_file, write_log_file
 from seqcal.recalibrate import (
     SingleTemperature,
     TrainConfig,
@@ -105,8 +105,8 @@ class TestToyPipeline:
         rc = main(["toy", "gen", "--spec", str(small_task), "--n", "2500",
                    "--distort", str(distortion), "--logs-out", str(logs)])
         assert rc == 0
-        summary = validate_dataset(logs.read_text().splitlines())
-        assert summary.count > 0 and summary.parse_errors == 0 and summary.validation_errors == 0
+        count = len(read_log_file(logs))  # read_log_file rejects a bad line
+        assert count > 0
 
         params = tmp_path / "single.json"
         rc = main(["fit", "--logs", str(logs), "--mode", "single", "--params-out", str(params)])
@@ -118,8 +118,7 @@ class TestToyPipeline:
         recal = tmp_path / "recal.jsonl"
         rc = main(["apply", "--logs", str(logs), "--params", str(params), "--logs-out", str(recal)])
         assert rc == 0
-        resummary = validate_dataset(recal.read_text().splitlines())
-        assert resummary.count == summary.count and resummary.validation_errors == 0
+        assert len(read_log_file(recal)) == count
 
         before = tmp_path / "before.json"
         after = tmp_path / "after.json"
@@ -414,6 +413,28 @@ class TestSpecFileErrors:
 
     def test_defaults_still_fill_a_partial_distortion(self, tmp_path):
         assert self.run_gen(tmp_path, distortion={"temperature": 2}) == 0
+
+
+class TestSequenceCount:
+    """A negative ``--n`` is a data error naming the count; zero sequences
+    give an empty log."""
+
+    def test_gen(self, tmp_path, small_task, capsys):
+        logs = tmp_path / "logs.jsonl"
+        argv = ["toy", "gen", "--spec", str(small_task), "--logs-out", str(logs)]
+        assert main([*argv, "--n", "-3"]) == 2
+        assert "must be non-negative, got -3" in capsys.readouterr().err
+        assert not logs.exists()
+        assert main([*argv, "--n", "0"]) == 0
+        assert logs.read_bytes() == b""
+
+    def test_seqcal(self, tmp_path, small_task, capsys):
+        model_spec = tmp_path / "model.json"
+        model_spec.write_text(json.dumps({"distort": {"temperature": 0.5}}))
+        rc = main(["seqcal", "--task", str(small_task), "--model", str(model_spec),
+                   "--n", "-3", "--out", str(tmp_path / "seq.json")])
+        assert rc == 2
+        assert "must be non-negative, got -3" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -69,7 +69,7 @@ class TestCoverage:
 
 
 def seq_of(steps):
-    return SequenceRecord(seq_id="s", steps=tuple(steps), source_len=None)
+    return SequenceRecord(seq_id="s", steps=tuple(steps))
 
 
 class TestEnrich:

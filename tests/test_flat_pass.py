@@ -36,7 +36,7 @@ from seqcal.recalibrate import (
     recalibrate_log,
     sigmoid,
 )
-from seqcal.toybench import DistortionSpec, ToyModel, ToyTaskSpec, distort, sample_pair
+from seqcal.toybench import DistortionSpec, ToyModel, ToyTaskSpec, _draw_pair, distort
 
 from test_batch import SEED, derived_seed
 from test_calibrator_layout import EPOCHS, LOGS
@@ -171,6 +171,7 @@ def log(request):
     return batch, _fit_pool(batch)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("plus_one", [False, True])
 def test_every_epoch_and_the_fitted_theta_equal_the_frozen_descent(log, plus_one):
     batch, pool = log
@@ -228,7 +229,7 @@ def decoder_rows(n, seed):
     and cumulative attention of ``n`` rows whose sources share a length."""
     rng = np.random.default_rng(seed)
     model = distort(ToyModel(TASK), DistortionSpec(temperature=0.5, eos_bias=1.5))
-    source = sample_pair(TASK, rng)[0]
+    source = _draw_pair(ToyModel(TASK), rng)[0]
     rows = []
     for _ in range(n):
         state, prefix, cum = model.start(source), (), np.zeros(len(source))

@@ -18,6 +18,9 @@ earlier version, which summed slices of the items sorted by bin. Both use
 ``write_log_file`` formats a block of rows at a time, so its peak must not
 grow with the log: writing four times the rows may raise it by less than
 the text of one block.
+
+Teacher forcing keeps each step's nonzero entries, so ``toy gen`` at
+V = 32000 never holds a dense (N, V) log.
 """
 
 import math
@@ -185,3 +188,16 @@ def test_writer_peak_does_not_grow_with_the_log(tmp_path, as_records):
     with open(path, "rb") as handle:
         block_text = sum(len(next(handle)) for _ in range(_ROWS_PER_CHUNK))
     assert peaks[1] - peaks[0] < block_text, f"peaks {peaks} against a block of {block_text} bytes"
+
+
+def test_teacher_forcing_stages_no_dense_log():
+    """120 sequences (766 rows) at V = 32000 peak at about 17 MB, 10 MB of it
+    the emission table that drawing the pairs builds: under a fifth of the
+    (N, V) float matrix of the rows, 196 MB. Staging every step in that
+    matrix and its (N, V) mask peaked at 226 MB."""
+    task = ToyTaskSpec.two_way_default(target_vocab_size=VOCAB, eos_floor=0.02)
+    model = build_true_model(task)
+    emitted = []
+    peak = traced_peak(lambda: emitted.append(emit_log_batch(model, task, 120, seed=4)))
+    dense = len(emitted[0]) * VOCAB * 8
+    assert peak < dense / 5, f"peaked at {peak / 1e6:.1f} MB against a dense log of {dense / 1e6:.1f} MB"

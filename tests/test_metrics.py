@@ -33,7 +33,7 @@ def weighted_oracle(records, bins):
             if p == 0.0:
                 continue
             correct = 1.0 if token == record.gold_id else 0.0
-            sums[bins.index(p)] += p * (correct - p)
+            sums[int(bins.index_array(np.array([p]))[0])] += p * (correct - p)
     return sum(abs(v) for v in sums.values()) / len(records)
 
 

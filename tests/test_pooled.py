@@ -50,6 +50,11 @@ TOL = 1e-12
 VOCABS = (2, 3, 7, 21, 32000)
 
 
+def rest_share(record):
+    """The stored probability of each unlisted token."""
+    return record.rest_mass / (record.vocab_size - len(record.entries))
+
+
 def random_record(rng, index, vocab=None):
     vocab = int(rng.choice(VOCABS)) if vocab is None else vocab
     eos = int(rng.integers(vocab))
@@ -272,8 +277,8 @@ def test_generator_covers_tail_ties_on_both_sides():
     for record in ties:
         best_id = record.entries[0][0]
         first_free = min(set(range(record.vocab_size)) - {i for i, _ in record.entries})
-        assert record.entries[0][1] == record.rest_share()
-        assert max(p for _, p in record.entries) == record.rest_share()
+        assert record.entries[0][1] == rest_share(record)
+        assert max(p for _, p in record.entries) == rest_share(record)
         below += first_free < best_id
         above += first_free > best_id
     assert below and above
@@ -414,7 +419,7 @@ def test_unlisted_eos_gains_an_entry_only_when_it_moves():
     assert [i for i, _ in single.entries] == [1, 2]
     (variable,) = recalibrate_log([record], random_params(0, False))
     assert [i for i, _ in variable.entries] == [1, 2, 7]
-    assert 0.0 < variable.entries[2][1] < variable.rest_share()  # EOS damped below the tail
+    assert 0.0 < variable.entries[2][1] < rest_share(variable)  # EOS damped below the tail
 
 
 def test_dense_input_is_not_renormalized():

@@ -125,6 +125,24 @@ class TestEosCorrection:
             assert all(s < 0 for s in shifts)
             assert all(b >= a for a, b in zip(shifts, shifts[1:]))
 
+    @pytest.mark.parametrize("plus_one", [False, True])
+    def test_is_the_correction_apply_makes(self, rng, plus_one):
+        """With both nets at zero, g = h = 1/2 (3/2 with ``plus_one``) for
+        every token, so apply is the softmax of g * h times the corrected
+        log-probabilities of a record that lists every token."""
+        factor = 2.25 if plus_one else 0.25
+        for w1 in (-3.0, 0.5, 2.0, 12.0):
+            for w2 in (0.0, 0.35, 0.8):
+                for c in (0.0, 0.2, 0.35, 0.7, 1.0):
+                    params = zero_params(plus_one, w1=w1, w2=w2)
+                    probs = random_simplex(rng, 6)
+                    eos = int(rng.integers(6))
+                    record = make_feature_record(probs, gold=0, entropy=0.5, coverage=c, eos_id=eos)
+                    z = factor * eos_correction(np.log(probs), c, eos, params)
+                    want = np.exp(z - z.max())
+                    want /= want.sum()
+                    np.testing.assert_allclose(apply_calibrator(record, params), want, rtol=0, atol=1e-12)
+
 
 class TestInverseTemperature:
     def test_range_without_plus_one(self, rng):

@@ -15,7 +15,6 @@ from seqcal.records import (
     pooled_layout,
     parse_log_line,
     serialize_record,
-    validate_dataset,
     validate_record,
     write_log_file,
 )
@@ -300,36 +299,6 @@ class TestDensify:
             assert np.all(dense >= 0)
 
 
-class TestValidateDataset:
-    def test_all_valid(self):
-        lines = [line_for(BASE)] * 3
-        summary = validate_dataset(lines)
-        assert summary.count == 3
-        assert summary.parse_errors == 0
-        assert summary.validation_errors == 0
-
-    def test_malformed_line_tallied_not_fatal(self):
-        lines = [line_for(BASE), "{not json", line_for(BASE)]
-        summary = validate_dataset(lines)
-        assert summary.count == 2
-        assert summary.parse_errors == 1
-
-    def test_empty_stream(self):
-        assert validate_dataset([]).count == 0
-
-    def test_gold_in_tail_flagged(self):
-        payload = dict(BASE, entries=[[1, 0.6]], rest_mass=0.4, gold_id=0)
-        summary = validate_dataset([line_for(payload)])
-        assert summary.count == 1
-        assert summary.gold_in_tail == 1
-
-    def test_validation_errors_tallied_by_field(self):
-        bad = dict(BASE, rest_mass=0.5)
-        summary = validate_dataset([line_for(bad)])
-        assert summary.validation_errors == 1
-        assert summary.error_fields == {"entries": 1}
-
-
 class TestSequences:
     def test_step_gap_rejected(self):
         records = [
@@ -343,10 +312,7 @@ class TestSequences:
 class TestBinning:
     def test_left_closed_right_open_last_closed(self):
         bins = BinningConfig(20)
-        assert bins.index(0.0) == 0
-        assert bins.index(0.05) == 1
-        assert bins.index(0.9999) == 19
-        assert bins.index(1.0) == 19
+        assert bins.index_array(np.array([0.0, 0.05, 0.9999, 1.0])).tolist() == [0, 1, 19, 19]
 
     def test_edges(self):
         bins = BinningConfig(10)

@@ -21,8 +21,8 @@ from seqcal.toybench import (
     distort,
     emit_log_batch,
     emit_logs,
+    _draw_pair,
     flatten,
-    sample_pair,
 )
 
 from test_sequence import PositionalModel, Reversed, TwoStepModel, random_positional_model
@@ -112,7 +112,7 @@ def reference_emit_logs(model, task, n_sequences, seed):
                 features=StepFeatures(attention_entropy(alpha), coverage(cum)),
             ))
         sequences.append(SequenceRecord(
-            seq_id=seq_id, steps=tuple(steps), source_len=len(source), source=source, reference=reference,
+            seq_id=seq_id, steps=tuple(steps), source=source, reference=reference,
         ))
     return sequences
 
@@ -226,7 +226,7 @@ def test_sample_pair_equals_ancestral_sampling(task):
         k = int(rng.integers(task.min_len, task.max_len + 1))
         source = tuple(int(s) for s in rng.integers(0, task.source_vocab_size, k))
         expected = (source, sample_sequence(model, source, rng, max_len=k + 1))
-        assert sample_pair(task, np.random.default_rng((seed, 0, 7))) == expected, seed
+        assert _draw_pair(model, np.random.default_rng((seed, 0, 7))) == expected, seed
 
 
 def log_bytes(tmp_path, name, records):

@@ -16,13 +16,14 @@ from seqcal.recalibrate import (
 from seqcal.records import validate_record
 from seqcal.toybench import (
     DistortionSpec,
+    ToyModel,
     ToyTaskSpec,
+    _draw_pair,
     beam_sweep,
     build_true_model,
     distort,
     emit_logs,
     flatten,
-    sample_pair,
     sequence_calibration_experiment,
 )
 
@@ -258,7 +259,7 @@ class TestSpecFiles:
     def test_sample_pair_lengths_within_range(self, rng):
         task = ToyTaskSpec.two_way_default()
         for _ in range(20):
-            source, reference = sample_pair(task, rng)
+            source, reference = _draw_pair(ToyModel(task), rng)
             assert task.min_len <= len(source) <= task.max_len
             assert len(reference) == len(source) + 1
             assert reference[-1] == task.eos_id
