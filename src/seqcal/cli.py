@@ -285,21 +285,10 @@ def _cmd_toy_beamsweep(args) -> int:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    if args.command == "apply":
-        return _cmd_apply(args)
-    if args.command == "seqcal":
-        return _cmd_seqcal(args)
-    if args.command == "toy":
-        if args.toy_command == "gen":
-            return _cmd_toy_gen(args)
-        return _cmd_toy_beamsweep(args)
-    raise UsageError(f"unknown command {args.command!r}")
+    args = build_parser().parse_args(argv)  # every command and toy subcommand is required
+    commands = {"stats": _cmd_stats, "fit": _cmd_fit, "apply": _cmd_apply, "seqcal": _cmd_seqcal,
+                "gen": _cmd_toy_gen, "beamsweep": _cmd_toy_beamsweep}
+    return commands[args.toy_command if args.command == "toy" else args.command](args)
 
 
 def main(argv=None) -> int:

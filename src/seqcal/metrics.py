@@ -159,11 +159,13 @@ class PartitionSpec:
 
     @classmethod
     def token(cls, token_id: int) -> "PartitionSpec":
+        if not token_id >= 0:
+            raise MetricError(f"token id must be non-negative, got {token_id}")
         return cls(kind="token_class", token_id=token_id)
 
     @classmethod
     def entropy(cls, threshold: float = 1.0) -> "PartitionSpec":
-        if threshold < 0:
+        if not threshold >= 0:  # NaN fails too
             raise MetricError(f"entropy threshold must be non-negative, got {threshold}")
         return cls(kind="entropy_split", threshold=threshold)
 

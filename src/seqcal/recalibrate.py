@@ -233,8 +233,8 @@ def _pool(batch: LogBatch, with_features: bool = False) -> PooledLayout:
     the features the variable calibrator reads, from ``ensure_features``."""
     if not with_features:
         return batch.layout
-    enriched = ensure_features(batch)
-    return replace(enriched.layout, entropy=enriched.entropy, coverage=enriched.coverage)
+    enriched = ensure_features(batch)  # the same probabilities, so the same layout
+    return replace(batch.layout, entropy=enriched.entropy, coverage=enriched.coverage)
 
 
 def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
@@ -379,14 +379,11 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
     probability differs from the tail's gains its own entry, after the
     others. The variable calibrator reads the features of
-    ``ensure_features``, and rewrites the batch it returns.
+    ``ensure_features``; every other column is the input's own.
     """
     batch = as_batch(records)
-    variable = isinstance(params, CalibratorParams)
-    if variable:
-        batch = ensure_features(batch)
     n = len(batch)
-    pool = _pool(batch, variable)
+    pool = _pool(batch, isinstance(params, CalibratorParams))
     counts = np.diff(batch.offsets)
     entry_row = np.repeat(np.arange(n), counts)
     entry_col = np.arange(len(batch.ids)) - batch.offsets[entry_row]
@@ -415,7 +412,8 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
 def apply_calibrator(record: TokenRecord, params: CalibratorParams) -> np.ndarray:
     """Recalibrate one record's dense distribution using its stored features,
     or those its attention vectors give (``ensure_features``): the
-    ``recalibrate_log`` row, densified."""
+    ``recalibrate_log`` row, densified. The record is read alone, so a
+    mid-sequence step of an attention-only log needs ``enrich(seq)`` first."""
     return _dense_row(recalibrate_log([record], params))
 
 

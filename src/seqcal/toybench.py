@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelError, SeqcalError, ValidationError
-from .features import coverage, enrich_batch, masked_row_sums
+from .features import coverage, masked_row_sums
 from .jsonfile import field, is_number, read_json, write_json
 from .records import (
     BinningConfig,
@@ -92,6 +93,16 @@ class ToyTaskSpec(_JsonSpec):
                 raise ValidationError("emissions", f"row {s} has wrong width")
             if not (min(row) >= 0 and sums_to_one(running_sums(np.asarray(row, dtype=np.float64)))):
                 raise ValidationError("emissions", f"row {s} is not a distribution")  # as a log line would be
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The read-only (S + 1, V) emission table that every model and pair
+        draw over this spec shares: a row per source token, then the certain
+        EOS that follows the last source token."""
+        table = np.zeros((self.source_vocab_size + 1, self.target_vocab_size))
+        table[:-1], table[-1, self.eos_id] = self.emissions, 1.0
+        table.flags.writeable = False
+        return table
 
     @classmethod
     def two_way_default(
@@ -195,10 +206,7 @@ class ToyModel(ScoringModel):
 
     def __init__(self, spec: ToyTaskSpec):
         self.spec = spec
-        eos_row = np.zeros((1, spec.target_vocab_size))
-        eos_row[0, spec.eos_id] = 1.0
-        # the emission rows, then the certain EOS that follows the last source token
-        self._rows = np.concatenate((np.asarray(spec.emissions, dtype=np.float64), eos_row))
+        self._rows = spec.table  # the spec's one table, which its pair draws read too
         self._profiles: dict[int, np.ndarray] = {}
 
     @property
@@ -277,7 +285,7 @@ def distort(model: ScoringModel, distortion: DistortionSpec) -> ScoringModel:
     return DistortedModel(model, distortion)
 
 
-def _draw_pair(model: ToyModel, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
+def _draw_pair(task: ToyTaskSpec, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
     """Draw one (source, gold target) pair from the true task distribution.
 
     ``rng`` draws the length k and the source, then k + 1 uniforms at once,
@@ -287,10 +295,9 @@ def _draw_pair(model: ToyModel, rng: np.random.Generator) -> tuple[Tokens, Token
     true model ignores the prefix, so the pair equals ancestral sampling
     with ``sample_sequence``; the reference ends at its first EOS.
     """
-    task = model.spec
     k = int(rng.integers(task.min_len, task.max_len + 1))
     source = rng.integers(0, task.source_vocab_size, k)
-    rows = model._rows[np.append(source, len(model._rows) - 1)]  # each step's row, the last one EOS
+    rows = task.table[np.append(source, task.source_vocab_size)]  # each step's row, the last one EOS
     cdf = (rows / rows.sum(axis=1, keepdims=True)).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     # searchsorted(cdf, u, side="right") of each row: the count of cdf values <= u
@@ -303,12 +310,11 @@ def _pairs(task: ToyTaskSpec, n: int, seed: int, stream: int) -> list[tuple[Toke
     """Pair i of the (seed, stream) series, drawn from its own generator."""
     if n < 0:
         raise SeqcalError(f"the number of sequences must be non-negative, got {n}")
-    model = ToyModel(task)
-    return [_draw_pair(model, np.random.default_rng((seed, stream, i))) for i in range(n)]
+    return [_draw_pair(task, np.random.default_rng((seed, stream, i))) for i in range(n)]
 
 
 def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) -> LogBatch:
-    """The checked, enriched log of ``model`` teacher-forced on ``pairs``:
+    """The checked log of ``model`` teacher-forced on ``pairs``:
     one model call per step position for the sequences of one source
     length, longest reference first, so the sequences still running at a
     step are a prefix of the bucket."""
@@ -341,6 +347,7 @@ def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) 
             ids_of.append(token)
             probs_of.append(step_probs[row, token])
             attention[att_offsets[rows, None] + np.arange(alpha.shape[1])] = alpha
+            del step_probs  # this step's (live, V) rows, freed before the next step's are made
     entry_row = np.concatenate(rows_of)
     order = np.argsort(entry_row, kind="stable")  # file order; a row's entries all come from one step
     batch = LogBatch(
@@ -360,7 +367,7 @@ def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) 
     )
     for row, error in batch.errors():  # the first row that breaks a record invariant
         raise ModelError(f"{batch.where(row)}: {error}")
-    return enrich_batch(batch)
+    return batch
 
 
 def emit_log_batch(model: ScoringModel, task: ToyTaskSpec, n_sequences: int, seed: int) -> LogBatch:
@@ -368,9 +375,9 @@ def emit_log_batch(model: ScoringModel, task: ToyTaskSpec, n_sequences: int, see
     true task, pair i from generator (seed, 0, i), and step distributions
     recorded from ``model`` conditioned on the gold prefix. Sequences are
     teacher-forced a source length at a time, one ``step_batch`` call per
-    step position. Each row stores its attention, cumulative attention and
-    features; a row that breaks a record invariant raises ModelError
-    naming its sequence, step and field."""
+    step position. Each row stores what a decoder emits, its entries,
+    ``rest_mass`` and attention, and no derived field; a row that breaks a
+    record invariant raises ModelError naming its sequence, step and field."""
     return _teacher_force(model, _pairs(task, n_sequences, seed, _STREAM_LOGS))
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,12 @@ def make_record(
 
 def make_feature_record(probs, gold, entropy, coverage, **kwargs):
     return make_record(probs, gold, features=StepFeatures(entropy=entropy, coverage=coverage), **kwargs)
+
+
+def split_lines(path):
+    """Each line of a log file as (its entries and rest_mass, its other fields)."""
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    return [(r.pop("entries"), r.pop("rest_mass")) for r in rows], rows
 
 
 def random_simplex(rng, size):

@@ -13,7 +13,10 @@ Three parts, each checked against the per-record code it replaced:
   7054b4a with numpy 2.4 on x86-64). The outputs downstream of the
   variable fit were re-recorded when its nets went hidden-major, which
   changed the summation order of their matrix products; no number in them
-  moved by more than 5e-16.
+  moved by more than 5e-16. The five log digests were re-recorded when
+  ``toy gen`` and ``apply`` stopped writing the derived cum_attention and
+  features: each new log is the earlier one with those two keys dropped.
+  A log in the earlier format still gives the same fits and reports.
 """
 
 import hashlib
@@ -42,9 +45,9 @@ from seqcal.records import (
     read_log_file,
     write_log_file,
 )
-from seqcal.toybench import DistortionSpec, ToyTaskSpec
+from seqcal.toybench import DistortionSpec, ToyTaskSpec, build_true_model, distort, emit_log_batch
 
-from conftest import make_record, random_simplex
+from conftest import make_record, random_simplex, split_lines
 
 # ---------------------------------------------------------------------------
 # Error parity
@@ -443,26 +446,26 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SEED = 7
 
 INPUT_DIGESTS = {
-    "toy/val.jsonl": "a24ce26dd2063a1042afc21c4dad24a93e513e6ae024a047581cc240d0b4e795",
-    "toy/test.jsonl": "a399eda394fd5af2385a22f4bfb587b18687e767ba0df2cd81402ed8f65b7a4d",
+    "toy/val.jsonl": "3123c4a5e5728369f04858ad455f4b91bb6e043a079b53187a41c2208c94c5e9",
+    "toy/test.jsonl": "9a939700c857d86a0e230a10ba8e3681abebb6ed6728108adddc96685ffb46b2",
     "sparse/sparse.jsonl": "5b25eed53e24211eefb03993438df3bc8eec714fab592d8a3f3756514bf052b6",
 }
 OUTPUT_DIGESTS = {
     "toy/params.json": "638246612fde658435553985326813e02d65a6c89e589a524f5d3e5653bdd7cb",
-    "toy/recal.jsonl": "604902b8389b8e2f37f8d65f8f69b0ba544dc189627edb577fe4b0fff7daa767",
+    "toy/recal.jsonl": "ff579d58c8c2623d0ab350b6123a77b093b8927b61e10c1c07920ff3f5804c6f",
     "toy/stats.json": "a59b9a57d04dff117e3543f906741ebd31c7f3143ee3dda33ba91661314f5e98",
     "toy/stats.csv": "0d2f29168cec435e58d7cc9bf1a19b50eb5071e8ba431295a19b4babe6e03b54",
     "toy/partition.json": "a6a6acda533f481315e21bc2b2d34709ecb5a310aa471720bd8115c8b06a445f",
     "toy/plain.json": "92a26a2d00c912c11c10b461d970cb4f73eeb630f593e05c0ca8609f365eb99c",
     "toy/single.json": "aca0362a9d127984d2b9790f152927a93a541971f953b2c22ec89e1aae7c0348",
-    "toy/recal_single.jsonl": "91d9dfccc499f04764def2452c022c272277e8396669c9ccf34b19fa342e5f58",
+    "toy/recal_single.jsonl": "f8b732b3fa578b1378779dc411f642eae52f2562ce2e418b56a1ac1bf7db6b6f",
     "sparse/stats.json": "4cbcab3fd8b8da4e3456acef72904c2d9d5e3691235ee108597e8f83017ae425",
     "sparse/stats.csv": "cac67be8cbe709ba97fa0035981e25d069dc5aea35ff8fa3ae2faac4dae4241d",
     "sparse/plain.json": "1ab8bf5db1716374dabebae434356f39ffe3364c5927049ba3d3a1dc249488da",
     "sparse/eos.json": "f5cb86adca5e149532210f94580b99753752c50347f23b72f6513316109d90ae",
     "sparse/params.json": "c993c0c10501572434ddb494d2f6fbb71fb7674d15677842b5994ec59ec10f56",
     "sparse/recal.jsonl": "6f383a961bc0e47198e7bf4177f9bcf3c3bc6092fadf1c9e68d8f5669351bf35",
-    "sparse/recal_var.jsonl": "9492d1a3af5a03602985c1ace973d21b234757905c8106bdb36f3b7474349191",
+    "sparse/recal_var.jsonl": "020c15c43962e87edb8523142d91e30e7a0182ebb1458a27977f0bfb7ed8c47a",
 }
 # workload -> {group: (count, ece, weighted_ece)}
 ENTROPY_PARTITIONS = {
@@ -522,7 +525,7 @@ def test_cli_outputs_on_benchmark_inputs_equal_the_per_record_code(tmp_path, mon
     run("fit", "--logs", sparse / "fit.jsonl", "--mode", "single", "--params-out", sparse / "params.json")
     run("apply", "--logs", sparse / "apply.jsonl", "--params", sparse / "params.json",
         "--logs-out", sparse / "recal.jsonl")
-    # variable params on a log without features: apply derives them and fills in cum_attention
+    # variable params on a log without features: apply derives them and writes only the input's fields
     run("apply", "--logs", sparse / "apply.jsonl", "--params", toy / "params.json",
         "--logs-out", sparse / "recal_var.jsonl")
 
@@ -534,3 +537,46 @@ def test_cli_outputs_on_benchmark_inputs_equal_the_per_record_code(tmp_path, mon
         for g, (_, plain, weighted) in groups.items():
             assert got[g]["ece"] == pytest.approx(plain, abs=1e-12)
             assert got[g]["weighted_ece"] == pytest.approx(weighted, abs=1e-12)
+
+
+# toy/val.jsonl as written while logs also stored the derived cum_attention and features
+ENRICHED_VAL_DIGEST = "a24ce26dd2063a1042afc21c4dad24a93e513e6ae024a047581cc240d0b4e795"
+
+
+def test_a_log_in_the_enriched_format_gives_the_same_outputs(tmp_path):
+    """The toy val log in the earlier format, with cum_attention and features
+    stored, and as ``toy gen`` writes it now, attention only: fits and reports
+    are the same bytes, and apply writes the same distributions, each output
+    keeping its own input's other fields."""
+    task = ToyTaskSpec.two_way_default(eos_floor=0.02)
+    model = distort(build_true_model(task), DistortionSpec(temperature=0.5, eos_bias=1.5))
+    batch = emit_log_batch(model, task, 100, derived_seed(SEED, 1))
+    logs = {"enriched": tmp_path / "enriched.jsonl", "bare": tmp_path / "bare.jsonl"}
+    write_log_file(logs["enriched"], enrich_batch(batch))
+    write_log_file(logs["bare"], batch)
+    assert sha256(logs["enriched"]) == ENRICHED_VAL_DIGEST
+    assert sha256(logs["bare"]) == INPUT_DIGESTS["toy/val.jsonl"]
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    reports = ("variable.json", "single.json", "weighted.json", "weighted.csv", "eos.json", "entropy.json")
+    written, applied = {}, {}
+    for name, log in logs.items():
+        out = tmp_path / name
+        out.mkdir()
+        run("fit", "--logs", log, "--mode", "variable", "--seed", derived_seed(SEED, 3),
+            "--params-out", out / "variable.json")
+        run("fit", "--logs", log, "--mode", "single", "--params-out", out / "single.json")
+        run("stats", "--logs", log, "--weighted", "--out", out / "weighted.json")
+        run("stats", "--logs", log, "--partition", "eos", "--out", out / "eos.json")
+        run("stats", "--logs", log, "--partition", "entropy:0.8", "--out", out / "entropy.json")
+        written[name] = [(out / report).read_bytes() for report in reports]
+        for params in ("variable", "single"):
+            run("apply", "--logs", log, "--params", out / f"{params}.json", "--logs-out", out / f"{params}.jsonl")
+            distributions, fields = split_lines(out / f"{params}.jsonl")
+            assert fields == split_lines(log)[1], (name, params)
+            applied[name, params] = distributions
+    assert written["enriched"] == written["bare"]
+    for params in ("variable", "single"):
+        assert applied["enriched", params] == applied["bare", params], params

@@ -100,7 +100,7 @@ CONFIGS = [BeamConfig(beam_width=1, max_len=12), BeamConfig(beam_width=3, max_le
 
 
 def sources(n, seed):
-    return [_draw_pair(ToyModel(TASK), np.random.default_rng((seed, i)))[0] for i in range(n)]
+    return [_draw_pair(TASK, np.random.default_rng((seed, i)))[0] for i in range(n)]
 
 
 @pytest.mark.parametrize("name", EXACT)

@@ -7,6 +7,7 @@ import pytest
 
 from seqcal.cli import build_parser, main
 from seqcal.errors import ValidationError
+from seqcal.features import enrich_batch
 from seqcal.metrics import PartitionSpec, partitioned_metric
 from seqcal.records import BinningConfig, read_log_file, write_log_file
 from seqcal.recalibrate import (
@@ -19,6 +20,8 @@ from seqcal.recalibrate import (
     save_params,
 )
 from seqcal.toybench import DistortionSpec, ToyTaskSpec
+
+from conftest import split_lines
 
 APPENDIX_LINES = [
     '{"seq_id": "p1", "t": 1, "vocab_size": 3, "eos_id": 2, "gold_id": 0, '
@@ -437,6 +440,19 @@ class TestSequenceCount:
         assert "must be non-negative, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("partition, message", [
+    ("entropy:nan", "entropy threshold must be non-negative, got nan"),
+    ("entropy:-0.5", "entropy threshold must be non-negative, got -0.5"),
+    ("token:-5", "token id must be non-negative, got -5"),
+])
+def test_a_partition_that_cannot_split_is_a_data_error(tmp_path, small_task, capsys, partition, message):
+    logs, out = tmp_path / "logs.jsonl", tmp_path / "p.json"
+    assert main(["toy", "gen", "--spec", str(small_task), "--n", "5", "--logs-out", str(logs)]) == 0
+    assert main(["stats", "--logs", str(logs), "--partition", partition, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestUsageErrors:
     """A malformed number in an option or in $SEQCAL_SEED is a usage error (exit 1)."""
 
@@ -503,25 +519,28 @@ def test_readme_example_parses(command):
 
 
 def test_fit_and_apply_derive_the_stored_features(tmp_path, small_task):
-    """A log without features and cum_attention fits and applies to the same
-    bytes as the log that stores them."""
-    logs = tmp_path / "stored.jsonl"
+    """The attention-only log of ``toy gen`` fits to the same params as the
+    log that also stores cum_attention and features, and applies to the same
+    distributions; each applied log keeps its own input's fields."""
+    bare = tmp_path / "bare.jsonl"
     distortion = write_distortion(tmp_path, temperature=0.6, eos_bias=1.0)
     assert main(["toy", "gen", "--spec", str(small_task), "--n", "60", "--distort", str(distortion),
-                 "--seed", "4", "--logs-out", str(logs)]) == 0
-    bare = tmp_path / "bare.jsonl"
-    bare.write_text("".join(
-        json.dumps({k: v for k, v in json.loads(line).items() if k not in ("features", "cum_attention")}) + "\n"
-        for line in logs.read_text().splitlines()
-    ))
-    written = []
-    for log in (logs, bare):
-        params, out = tmp_path / f"{log.stem}.params.json", tmp_path / f"{log.stem}.out.jsonl"
-        assert main(["fit", "--logs", str(log), "--mode", "variable", "--seed", "1", "--params-out", str(params)]) == 0
-        assert main(["apply", "--logs", str(log), "--params", str(params), "--logs-out", str(out)]) == 0
-        written.append((params.read_bytes(), out.read_bytes()))
-    assert "cum_attention" not in bare.read_text()
-    assert written[0] == written[1]
+                 "--seed", "4", "--logs-out", str(bare)]) == 0
+    stored = tmp_path / "stored.jsonl"
+    write_log_file(stored, enrich_batch(read_log_file(bare)))
+    assert all("features" not in r and "cum_attention" not in r and "attention" in r for r in split_lines(bare)[1])
+    assert all("features" in r and "cum_attention" in r for r in split_lines(stored)[1])
+    params, applied = [], []
+    for log in (stored, bare):
+        fitted, out = tmp_path / f"{log.stem}.params.json", tmp_path / f"{log.stem}.out.jsonl"
+        assert main(["fit", "--logs", str(log), "--mode", "variable", "--seed", "1", "--params-out", str(fitted)]) == 0
+        assert main(["apply", "--logs", str(log), "--params", str(fitted), "--logs-out", str(out)]) == 0
+        params.append(fitted.read_bytes())
+        distributions, fields = split_lines(out)
+        assert fields == split_lines(log)[1]
+        applied.append(distributions)
+    assert params[0] == params[1]
+    assert applied[0] == applied[1]
 
 
 # one sequence whose steps store attention only, no features

@@ -229,7 +229,7 @@ def decoder_rows(n, seed):
     and cumulative attention of ``n`` rows whose sources share a length."""
     rng = np.random.default_rng(seed)
     model = distort(ToyModel(TASK), DistortionSpec(temperature=0.5, eos_bias=1.5))
-    source = _draw_pair(ToyModel(TASK), rng)[0]
+    source = _draw_pair(TASK, rng)[0]
     rows = []
     for _ in range(n):
         state, prefix, cum = model.start(source), (), np.zeros(len(source))

@@ -177,7 +177,7 @@ def test_writer_peak_does_not_grow_with_the_log(tmp_path, as_records):
     """A toy log (attention, cum_attention and features on every row) of
     about five blocks, written whole and a quarter of it."""
     task = ToyTaskSpec.two_way_default()
-    records = list(emit_log_batch(build_true_model(task), task, 700, seed=3))
+    records = list(enrich_batch(emit_log_batch(build_true_model(task), task, 700, seed=3)))
     quarter = len(records) // 4
     assert quarter > _ROWS_PER_CHUNK
     path = tmp_path / "log.jsonl"
@@ -191,13 +191,14 @@ def test_writer_peak_does_not_grow_with_the_log(tmp_path, as_records):
 
 
 def test_teacher_forcing_stages_no_dense_log():
-    """120 sequences (766 rows) at V = 32000 peak at about 17 MB, 10 MB of it
-    the emission table that drawing the pairs builds: under a fifth of the
-    (N, V) float matrix of the rows, 196 MB. Staging every step in that
-    matrix and its (N, V) mask peaked at 226 MB."""
+    """120 sequences (766 rows) at V = 32000 peak at about 8.7 MB, most of
+    it one step's (live, V) rows: under a twentieth of the (N, V) float
+    matrix of the rows, 196 MB. Staging every step in that matrix and its
+    (N, V) mask peaked at 226 MB; a fresh copy of the emission table per
+    pair draw and two steps' rows alive at once peaked at 17 MB."""
     task = ToyTaskSpec.two_way_default(target_vocab_size=VOCAB, eos_floor=0.02)
     model = build_true_model(task)
     emitted = []
     peak = traced_peak(lambda: emitted.append(emit_log_batch(model, task, 120, seed=4)))
     dense = len(emitted[0]) * VOCAB * 8
-    assert peak < dense / 5, f"peaked at {peak / 1e6:.1f} MB against a dense log of {dense / 1e6:.1f} MB"
+    assert peak < dense / 20, f"peaked at {peak / 1e6:.1f} MB against a dense log of {dense / 1e6:.1f} MB"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from seqcal.errors import FeatureError, FitError
-from seqcal.features import attention_entropy, coverage, enrich_batch
+from seqcal.features import attention_entropy, coverage, enrich, enrich_batch, ensure_features
 from seqcal.metrics import nll
 from seqcal.recalibrate import (
     CalibratedModel,
@@ -432,7 +432,8 @@ class TestCalibratedModel:
         model = distort(build_true_model(task), DistortionSpec(temperature=0.6, eos_bias=1.0))
         params = random_params(21)
         wrapped = CalibratedModel(model, params)
-        sequences = emit_logs(model, task, 5, seed=13)
+        # a mid-sequence step of an attention-only log needs its sequence's cumulative attention
+        sequences = [enrich(seq) for seq in emit_logs(model, task, 5, seed=13)]
         for seq in sequences:
             state = wrapped.start(seq.source)
             for t, step in enumerate(seq.steps, start=1):
@@ -489,17 +490,20 @@ class TestDerivedFeatures:
         got, want = recalibrate_log(bare, params), recalibrate_log(stored, params)
         for name in ("offsets", "ids", "probs", "rest_mass"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        # got carries the features it derived
-        assert got.has_features.all()
-        assert np.array_equal(got.entropy, want.entropy) and np.array_equal(got.coverage, want.coverage)
+        # got keeps its input's optional fields, and they give the features it read
+        assert not got.has_features.any() and want.has_features.all()
+        derived = ensure_features(got)
+        assert np.array_equal(derived.entropy, want.entropy) and np.array_equal(derived.coverage, want.coverage)
 
     @pytest.mark.parametrize("missing", ["attention", "cum_attention"])
     def test_a_bare_record_needs_one_vector(self, missing):
         both = attention_records(9)[0]
         record, params = replace(both, **{missing: None}), random_params(9)
         got, want = recalibrate_log([record], params), recalibrate_log([both], params)
-        for name in ("offsets", "ids", "probs", "rest_mass", "entropy", "coverage"):
+        for name in ("offsets", "ids", "probs", "rest_mass"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("entropy", "coverage"):
+            assert np.array_equal(getattr(ensure_features(got), name), getattr(ensure_features(want), name)), name
         assert np.array_equal(apply_calibrator(record, params), apply_calibrator(both, params))
         neither = replace(both, attention=None, cum_attention=None)
         for call in (lambda: recalibrate_log([neither], params), lambda: apply_calibrator(neither, params)):

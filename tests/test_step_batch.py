@@ -4,14 +4,17 @@ The references below are copies of the per-step code that ``step_batch``
 replaced: the toy model's ``step``, the distortion's ``rescore``, the
 ``sample_sequence``-based pair draw and the per-sequence, per-step
 ``emit_logs`` loop. Batched rows must equal them bit for bit, and the
-batched log must serialise to the same bytes.
+batched log must serialise to the bytes of the reference's decoder fields;
+enriched, to the bytes of the reference's enriched steps.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from seqcal.errors import ModelError
-from seqcal.features import attention_entropy, coverage
+from seqcal.features import attention_entropy, coverage, enrich, enrich_batch
 from seqcal.records import SequenceRecord, StepFeatures, TokenRecord, write_log_file
 from seqcal.sequence import RescoringModel, ScoringModel, sample_sequence
 from seqcal.toybench import (
@@ -226,7 +229,7 @@ def test_sample_pair_equals_ancestral_sampling(task):
         k = int(rng.integers(task.min_len, task.max_len + 1))
         source = tuple(int(s) for s in rng.integers(0, task.source_vocab_size, k))
         expected = (source, sample_sequence(model, source, rng, max_len=k + 1))
-        assert _draw_pair(model, np.random.default_rng((seed, 0, 7))) == expected, seed
+        assert _draw_pair(task, np.random.default_rng((seed, 0, 7))) == expected, seed
 
 
 def log_bytes(tmp_path, name, records):
@@ -235,16 +238,29 @@ def log_bytes(tmp_path, name, records):
     return path.read_bytes()
 
 
+def decoder_fields(sequences):
+    """The sequences as a decoder logs them: without the derived cum_attention and features."""
+    return [
+        replace(seq, steps=tuple(replace(step, cum_attention=None, features=None) for step in seq.steps))
+        for seq in sequences
+    ]
+
+
 @pytest.mark.parametrize("distortion", [None, "sharp-biased", "flat", "identity"])
 @pytest.mark.parametrize("task", TASKS)
 def test_batched_logs_serialise_to_the_per_step_bytes(tmp_path, task, distortion):
     spec = TASKS[task]
     model, reference = models(spec, None if distortion is None else DISTORTIONS[distortion])
     for seed, n in ((0, 0), (5, 1), (11, 90)):
-        expected = reference_emit_logs(reference, spec, n, seed)
-        got = log_bytes(tmp_path, "batch.jsonl", emit_log_batch(model, spec, n, seed))
-        assert got == log_bytes(tmp_path, "reference.jsonl", flatten(expected))
-        assert emit_logs(model, spec, n, seed) == expected
+        enriched = reference_emit_logs(reference, spec, n, seed)
+        expected = decoder_fields(enriched)
+        batch = emit_log_batch(model, spec, n, seed)
+        assert log_bytes(tmp_path, "batch.jsonl", batch) == log_bytes(tmp_path, "reference.jsonl", flatten(expected))
+        assert log_bytes(tmp_path, "enriched.jsonl", enrich_batch(batch)) == log_bytes(
+            tmp_path, "reference.jsonl", flatten(enriched))
+        sequences = emit_logs(model, spec, n, seed)
+        assert sequences == expected
+        assert [enrich(seq) for seq in sequences] == enriched
 
 
 class ShortModel(ScoringModel):

@@ -69,6 +69,13 @@ class TestTrueModel:
         probs, _, _ = model.step(model.start((1, 2)), (1, 2))
         assert probs[task.eos_id] == 1.0
 
+    def test_models_over_a_task_share_its_one_read_only_table(self):
+        task = ToyTaskSpec.two_way_default()
+        assert build_true_model(task)._rows is task.table is ToyModel(task)._rows
+        assert not task.table.flags.writeable
+        assert task.table[:-1].tolist() == [list(row) for row in task.emissions]
+        assert task.table[-1].tolist() == [0.0] * 20 + [1.0]
+
     def test_emission_rows_validated(self):
         with pytest.raises(ValidationError):
             ToyTaskSpec(
@@ -132,6 +139,8 @@ class TestEmitLogs:
             for t, step in enumerate(seq.steps, start=1):
                 validate_record(step)
                 assert step.t == t
+                # what a decoder emits, and no field derived from it
+                assert step.attention is not None and step.cum_attention is None and step.features is None
                 probs, _, state = model.step(state, seq.reference[: t - 1])
                 dense = np.zeros(task.target_vocab_size)
                 for token, p in step.entries:
@@ -259,7 +268,7 @@ class TestSpecFiles:
     def test_sample_pair_lengths_within_range(self, rng):
         task = ToyTaskSpec.two_way_default()
         for _ in range(20):
-            source, reference = _draw_pair(ToyModel(task), rng)
+            source, reference = _draw_pair(task, rng)
             assert task.min_len <= len(source) <= task.max_len
             assert len(reference) == len(source) + 1
             assert reference[-1] == task.eos_id
