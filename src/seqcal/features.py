@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FeatureError
-from .records import (PROB_ATOL, LogBatch, SequenceRecord, first_failed, offsets_of, row_sums, rows_with, spans,
-                      sums_to_one)
+from .records import (PROB_ATOL, LogBatch, SequenceRecord, blocks, first_failed, offsets_of, row_sums, rows_with,
+                      spans, sums_to_one)
 
 
 COVERAGE_THRESHOLD = 0.35
@@ -103,8 +103,34 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
     the sequence's rows lie back to back, so a step's predecessor sits one
     width earlier. NaN marks an unknown vector. One loop over step
     positions carries only the cumulative vectors; it adds the same floats
-    in the same order as a per-step loop.
+    in the same order as a per-step loop. The pass takes a block of whole
+    sequences at a time (``records.blocks``), so it holds the vectors of one
+    block and every sequence's recurrence still runs whole.
     """
+    n = len(batch)
+    filled, width, entropy, cov = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
+    # a filled row's cumulative vector is as long as its stored one
+    cum = np.empty(int(np.where(batch.has_attention, np.diff(batch.att_offsets), np.diff(batch.cum_offsets)).sum()))
+    end = 0
+    for lo, hi in blocks(n, batch.seq_starts):
+        filled[lo:hi], width[lo:hi], values, entropy[lo:hi], cov[lo:hi] = _enrich(batch.block(lo, hi))
+        cum[end : end + len(values)] = values
+        end += len(values)
+        del values  # before the next block's vectors are made
+    return replace(
+        batch,
+        has_cum=filled,
+        cum_offsets=offsets_of(np.where(filled, width, 0)),
+        cum_attention=cum[:end],
+        has_features=np.ones(n, dtype=bool),
+        entropy=np.where(batch.has_features, batch.entropy, entropy),
+        coverage=np.where(batch.has_features, batch.coverage, cov),
+    )
+
+
+def _enrich(batch: LogBatch) -> tuple[np.ndarray, ...]:
+    """``enrich_batch`` of whole sequences: each row's filled flag and width, the
+    filled rows' cumulative vectors, and each row's entropy and coverage."""
     n = len(batch)
     has_att, has_cum, has_feat = batch.has_attention, batch.has_cum, batch.has_features
     att_len, cum_len = np.diff(batch.att_offsets), np.diff(batch.cum_offsets)
@@ -183,15 +209,7 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
         (known_cum & rows_with(~(cum >= 0), off), "cumulative attention weights must be non-negative"),
     ])
     filled = has_cum | known_cum
-    return replace(
-        batch,
-        has_cum=filled,
-        cum_offsets=offsets_of(np.where(filled, width, 0)),
-        cum_attention=cum[np.repeat(filled, width)],
-        has_features=np.ones(n, dtype=bool),
-        entropy=np.where(has_feat, batch.entropy, entropy),
-        coverage=np.where(has_feat, batch.coverage, cov),
-    )
+    return filled, width, cum[np.repeat(filled, width)], entropy, cov
 
 
 def ensure_features(batch: LogBatch) -> LogBatch:

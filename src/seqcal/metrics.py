@@ -5,8 +5,9 @@ on its pooled-tail layout ``LogBatch.layout``, built once per batch and
 shared with fit and apply: each record's listed entries, an unlisted EOS
 and one slot for the unlisted tail, whose tokens share one probability and
 therefore one bin. That equals densifying first at O(N*K) cost. Each
-bin's sums are ``math.fsum`` over its items, exact in any order, so scores
-are bit-identical under record permutation.
+bin's sums are ``math.fsum`` over its items, gathered a block of rows at a
+time: exact in any order, so scores are bit-identical under record
+permutation and at any block size.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import MetricError
 from .features import ensure_features
-from .records import BinningConfig, PooledLayout, Records, ReliabilityHistogram, TokenRecord, as_batch, pooled_layout
+from .records import (BinningConfig, PooledLayout, Records, ReliabilityHistogram, TokenRecord, as_batch, blocks,
+                      offsets_of, pooled_layout)
 
 
 def _top1(layout: PooledLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -42,47 +45,33 @@ def top1(record: TokenRecord) -> tuple[int, float]:
     return int(pred[0]), float(conf[0])
 
 
-# A metric's items each add (weight, confidence, accuracy, gap) values to
-# the sums of the bin their key falls in. ``items(mask)`` gives those values
-# for the items in ``mask``, one array at a time, so a metric pass holds the
-# keys, a narrow bin index and the values of one bin.
-Items = Callable[[np.ndarray], Iterator[np.ndarray]]
+# A metric's items add (weight, confidence, accuracy, gap) values to the sums of
+# the bin their key falls in: four functions of flat indices into the keys, so a
+# metric pass holds the keys, their order by bin and one block's items of a bin.
+Items = tuple[Callable[[np.ndarray], np.ndarray], ...]
 
 
-def _unit_items(conf: np.ndarray, acc: np.ndarray, mask: np.ndarray) -> Iterator[np.ndarray]:
+def _unit_items(conf: np.ndarray, acc: np.ndarray) -> Items:
     """Items of weight 1 with the given confidence and accuracy, keyed by ``conf``."""
-    yield from (np.ones(np.count_nonzero(mask)), conf[mask], acc[mask], acc[mask] - conf[mask])
+    return lambda index: np.ones(len(index)), conf.take, acc.take, lambda index: acc.take(index) - conf.take(index)
 
 
-def _gold_slots(layout: PooledLayout) -> np.ndarray:
-    """Whether each slot of the layout holds the gold token."""
-    is_gold = np.zeros(layout.prob.shape, dtype=bool)
-    is_gold[np.arange(len(layout.gold)), layout.gold] = True
-    return is_gold
+def _gold_slots(layout: PooledLayout, index: np.ndarray) -> np.ndarray:
+    """Whether each slot, by flat index into the layout, holds the gold token."""
+    row, col = np.divmod(index, layout.prob.shape[1])
+    return col == layout.gold.take(row)
 
 
 def _weighted_items(layout: PooledLayout) -> Items:
-    """Items of the slots in a mask, keyed by ``layout.prob``, each
-    contributing p * (correct - p) for each of its tokens; only one token of
-    a slot can be gold. The gold-slot mask is built once, for every bin."""
-    is_gold = _gold_slots(layout)
+    """Items of the slots, keyed by ``layout.prob``, each contributing
+    p * (correct - p) for each of its tokens; only one token of a slot can
+    be gold."""
+    prob, gold = layout.prob.take, partial(_gold_slots, layout)
 
-    def items(mask: np.ndarray) -> Iterator[np.ndarray]:
-        p, weight, gold = layout.prob[mask], layout.mult[mask], is_gold[mask]
-        weight *= p  # mult * p
-        yield weight
-        yield weight * p
-        yield p * gold
-        gap = gold - weight
-        gap *= p
-        yield gap
+    def weight(i):
+        return layout.tokens(i) * prob(i)
 
-    return items
-
-
-def _fsum(values: np.ndarray) -> float:
-    """``math.fsum`` of an array, read through a memoryview: faster than over numpy scalars."""
-    return math.fsum(memoryview(values))
+    return weight, lambda i: weight(i) * prob(i), lambda i: prob(i) * gold(i), lambda i: (gold(i) - weight(i)) * prob(i)
 
 
 def _finalize(
@@ -90,21 +79,35 @@ def _finalize(
 ) -> tuple[float, ReliabilityHistogram]:
     """Score and histogram of ``count`` distributions from their items (those
     where ``keep`` holds, if given): the mean over bins of each bin's
-    absolute summed gap. Each bin is summed on its own by ``math.fsum``,
-    which rounds exactly, so no sum depends on the order of the items."""
+    absolute summed gap. A block of rows at a time, the keys are binned and
+    their positions sorted by bin; each sum of a bin is one ``math.fsum``
+    over its items gathered a block at a time and chained, which rounds
+    exactly, so no sum depends on the order of the items or on the blocks."""
     if count == 0:
         raise MetricError("metric undefined on an empty record stream")
     hist = ReliabilityHistogram.empty(bins.num_bins)
     hist.count = float(count)
-    bin_idx = bins.index_array(key)
-    if keep is not None:
-        bin_idx[~keep] = bins.num_bins  # in no bin
-    ordered = np.sort(bin_idx, axis=None, kind="stable")  # a radix sort; np.unique would import numpy.ma
-    present = np.append(ordered[:-1][ordered[1:] != ordered[:-1]], ordered[-1:])
+    sorted_blocks = []  # each block's first key, its keys' positions by bin and where each bin starts among them
+    for lo, hi in blocks(len(key)):
+        bin_idx = bins.index_array(key[lo:hi]).ravel()
+        if keep is not None:
+            bin_idx[~keep[lo:hi].ravel()] = bins.num_bins  # in no bin
+        order = np.argsort(bin_idx, kind="stable").astype(np.min_scalar_type(len(bin_idx)))  # a radix sort
+        sorted_blocks.append((lo * key[0].size, order, offsets_of(np.bincount(bin_idx, minlength=bins.num_bins))))
+    sizes = sum(np.diff(starts[: bins.num_bins + 1]) for _, _, starts in sorted_blocks)
+    largest = max(len(order) for _, order, _ in sorted_blocks)
     gap_sums = []
-    for b in present[present < bins.num_bins].tolist():
-        sums = map(_fsum, items(bin_idx == b))
-        hist.weight[b], hist.confidence_sum[b], hist.accuracy_sum[b], gap = sums
+    for b in np.flatnonzero(sizes).tolist():
+        runs = [(first, order[starts[b] : starts[b + 1]]) for first, order, starts in sorted_blocks]
+        # a bin with no more keys than a block is gathered at once, a larger one a block at a time
+        pieces = [runs] if sizes[b] <= largest else [[run] for run in runs]
+
+        def gathered(item):
+            for piece in pieces:
+                yield memoryview(item(np.concatenate([np.add(run, first, dtype=np.intp) for first, run in piece])))
+
+        hist.weight[b], hist.confidence_sum[b], hist.accuracy_sum[b], gap = (
+            math.fsum(chain.from_iterable(gathered(item))) for item in items)
         gap_sums.append(gap)
     return math.fsum(abs(g) for g in gap_sums) / count, hist
 
@@ -113,7 +116,7 @@ def ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float,
     """Top-1 expected calibration error plus its reliability histogram."""
     batch = as_batch(records)
     pred, conf = _top1(batch.layout)
-    return _finalize(bins, len(batch), conf, partial(_unit_items, conf, (pred == batch.gold_id).astype(np.float64)))
+    return _finalize(bins, len(batch), conf, _unit_items(conf, (pred == batch.gold_id).astype(np.float64)))
 
 
 def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
@@ -201,6 +204,9 @@ def partitioned_metric(
         if spec.token_id is None:
             target, label = layout.ids[np.arange(len(batch)), layout.eos], "eos"
         else:
+            if spec.token_id >= (largest := int(batch.vocab_size.max(initial=0))):
+                raise MetricError(f"token id {spec.token_id} is in no row's vocabulary: "
+                                  f"the log's largest vocab_size is {largest}")
             target, label = spec.token_id, f"token:{spec.token_id}"
         hit = pred == target
         groups = {label: hit, "rest": ~hit}
@@ -213,7 +219,7 @@ def partitioned_metric(
     else:
         raise MetricError(f"unknown partition kind {spec.kind!r}")
 
-    top = partial(_unit_items, conf, (pred == batch.gold_id).astype(np.float64))
+    top = _unit_items(conf, (pred == batch.gold_id).astype(np.float64))
     weighted_items = _weighted_items(layout)
     result: dict[str, GroupMetrics] = {}
     for label, members in groups.items():
@@ -239,22 +245,19 @@ def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]
         if not 0.0 < t <= 1.0:
             raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
     layout = as_batch(records).layout
-    active = layout.active
-    p, mult, is_gold = layout.prob[active], layout.mult[active], _gold_slots(layout)[active]
-    mass = mult * p
-    rows: list[dict] = []
-    for t in thresholds:
-        tail = p < t
-        rows.append(
-            {
-                "threshold": t,
-                "tail_conf_sum": _fsum(mass[tail]),
-                "tail_acc_sum": _fsum(is_gold[tail]),
-                "head_conf_sum": _fsum(mass[~tail]),
-                "head_acc_sum": _fsum(is_gold[~tail]),
-            }
-        )
-    return rows
+    width, prob = layout.prob.shape[1], layout.prob.reshape(-1)
+    mass, gold = _weighted_items(layout)[0], partial(_gold_slots, layout)
+
+    def fsum(value, head: bool, t: float) -> float:
+        """``math.fsum`` of ``value`` over the active slots on one side of ``t``, a block at a time."""
+        def side(lo, hi):
+            p = prob[lo:hi]
+            return memoryview(value(lo + np.flatnonzero((p > 0) & ((p < t) != head))))
+
+        return math.fsum(chain.from_iterable(side(lo * width, hi * width) for lo, hi in blocks(len(layout.gold))))
+
+    return [{"threshold": t, "tail_conf_sum": fsum(mass, False, t), "tail_acc_sum": fsum(gold, False, t),
+             "head_conf_sum": fsum(mass, True, t), "head_acc_sum": fsum(gold, True, t)} for t in thresholds]
 
 
 RELIABILITY_COLUMNS = ("bin_lo", "bin_hi", "mass", "avg_confidence", "avg_accuracy")

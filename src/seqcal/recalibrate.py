@@ -38,7 +38,7 @@ import numpy as np
 from .errors import FitError, ModelError, SeqcalError, ValidationError
 from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, ensure_features
 from .jsonfile import field, is_number, read_json, write_json
-from .records import LogBatch, PooledLayout, Records, TokenRecord, _dense_row, as_batch, offsets_of
+from .records import LogBatch, PooledLayout, Records, TokenRecord, _dense_row, as_batch, blocks, offsets_of
 from .sequence import RescoringModel, ScoringModel
 
 PARAMS_VERSION = "seqcal-params-v1"
@@ -349,9 +349,6 @@ def _forward_backward(theta: np.ndarray, prep: PooledLayout, plus_one: bool, wan
     return value, grad, losses
 
 
-APPLY_BLOCK = 1024  # records per columnar pass of recalibrate_log: bounds its temporaries
-
-
 def _block(pool: PooledLayout, start: int, stop: int, listed: int) -> PooledLayout:
     """Rows start..stop-1 of ``pool`` as ``pooled_layout`` lays them out on
     their own: ``listed`` entry columns, the most those rows hold, then the
@@ -364,7 +361,7 @@ def _block(pool: PooledLayout, start: int, stop: int, listed: int) -> PooledLayo
         return np.where(col >= width - 2, col - (width - 2 - listed), col)
 
     return PooledLayout(
-        pool.prob[start:stop, keep], pool.mult[start:stop, keep],
+        pool.prob[start:stop, keep], pool.tail[start:stop],
         column(pool.gold[start:stop]), column(pool.eos[start:stop]),
         entropy=None if pool.entropy is None else pool.entropy[start:stop],
         coverage=None if pool.coverage is None else pool.coverage[start:stop],
@@ -389,8 +386,7 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     entry_col = np.arange(len(batch.ids)) - batch.offsets[entry_row]
     listed_probs = np.empty(len(batch.ids))
     eos_prob, tail_prob = np.empty(n), np.empty(n)
-    for start in range(0, n, APPLY_BLOCK):
-        stop = min(start + APPLY_BLOCK, n)
+    for start, stop in blocks(n):
         listed = int(counts[start:stop].max())
         probs = _recalibrated(_block(pool, start, stop, listed), params)
         lo, hi = batch.offsets[start], batch.offsets[stop]
@@ -399,7 +395,7 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     eos_unlisted = pool.eos == pool.prob.shape[1] - 2
     own_eos = eos_unlisted & (eos_prob != tail_prob)
     # the tail's tokens, plus an unlisted EOS that kept the tail's probability
-    rest = (pool.mult[:, -1] + (eos_unlisted & ~own_eos)) * tail_prob
+    rest = (pool.tail[:, 0] + (eos_unlisted & ~own_eos)) * tail_prob
     offsets = offsets_of(counts + own_eos)
     ids, new_probs = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1])
     moved = np.arange(len(batch.ids)) + (offsets[:-1] - batch.offsets[:-1])[entry_row]
@@ -647,7 +643,7 @@ class CalibratedModel(RescoringModel):
         if isinstance(self.params, CalibratorParams):
             entropy = np.atleast_1d(attention_entropy(alpha))
             cov = np.atleast_1d(coverage(cum))
-        pool = PooledLayout(prob, np.ones(prob.shape), eos, eos, entropy=entropy, coverage=cov)
+        pool = PooledLayout(prob, np.ones((len(rows), 1)), eos, eos, entropy=entropy, coverage=cov)
         if np.count_nonzero(np.bincount(pool.slots.row, minlength=len(rows))) < len(rows):  # a row with no active slot
             raise ModelError("the scoring model returned no positive probability")
         return _recalibrated(pool, self.params)[:, :vocab].reshape(probs.shape)

@@ -5,7 +5,7 @@ A log file is UTF-8, line-delimited JSON, one token record per line. Each
 record stores a sparse next-token distribution (explicit ``entries`` plus a
 ``rest_mass`` spread uniformly over the unlisted tokens), the gold token,
 and optional attention-derived data. ``read_log_file`` parses a whole log
-once into a ``LogBatch`` of columns and checks it column by column;
+once into a ``LogBatch`` of columns and checks it a block of rows at a time;
 ``parse_log_line`` and ``validate_record`` are one-row calls into the same
 parser and checks, and far slower per row than a whole log.
 ``pooled_layout`` turns a batch into the padded rows of slots that the
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 PROB_ATOL = 1e-6
-_ROWS_PER_CHUNK = 1024
+BLOCK_ROWS = 1024  # rows per block of every blocked pass over a log (``blocks``)
 
 INT_FIELDS = ("t", "vocab_size", "eos_id", "gold_id")
 VECTOR_FIELDS = ("attention", "cum_attention")
@@ -136,6 +136,20 @@ def check_tail_room(vocab_size: int, listed: int, rest_mass: float, line_number:
         )
 
 
+def blocks(n: int, starts: np.ndarray | None = None) -> Iterator[tuple[int, int]]:
+    """The ranges ``[lo, hi)`` of ``BLOCK_ROWS`` rows that a blocked pass over
+    ``n`` rows takes in turn; with a batch's ``seq_starts``, each holds the
+    whole sequences that fit in a block, or one sequence longer than a block."""
+    lo = 0
+    while lo < n:
+        hi = min(lo + BLOCK_ROWS, n)
+        if starts is not None:
+            k = int(np.searchsorted(starts, hi, side="right")) - 1
+            hi = int(starts[k] if starts[k] > lo else starts[k + 1])
+        yield lo, hi
+        lo = hi
+
+
 def spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat indices of the spans ``[start, start + length)``, concatenated."""
     ends = np.cumsum(lengths)
@@ -221,11 +235,32 @@ class LogBatch:
         return len(self.t)
 
     def __iter__(self) -> Iterator[TokenRecord]:
-        return (_record(*row) for row in self._rows(0, len(self)))
+        """The records, made a block at a time: a long log's rows never all exist as Python objects."""
+        return (_record(*row) for lo, hi in blocks(len(self)) for row in self.block(lo, hi)._rows())
 
     def __getitem__(self, i: int) -> TokenRecord:
         i = range(len(self))[i]
-        return _record(*next(self._rows(i, i + 1)))
+        return _record(*next(self.block(i, i + 1)._rows()))
+
+    def block(self, lo: int, hi: int) -> "LogBatch":
+        """Rows lo..hi-1 as a batch of views into these columns, with offsets
+        of its own; its first sequence may have begun before row lo."""
+        s0 = int(np.searchsorted(self.seq_starts, lo, side="right")) - 1
+        s1 = int(np.searchsorted(self.seq_starts, hi))
+
+        def csr(offsets, *values):
+            return offsets[lo : hi + 1] - offsets[lo], *(v[offsets[lo] : offsets[hi]] for v in values)
+
+        rows = slice(lo, hi)
+        return LogBatch(  # the fields in order
+            self.seq_ids[s0:s1], np.clip(self.seq_starts[s0 : s1 + 1], lo, hi) - lo,
+            self.t[rows], self.vocab_size[rows], self.eos_id[rows], self.gold_id[rows],
+            *csr(self.offsets, self.ids, self.probs), self.rest_mass[rows],
+            self.has_attention[rows], *csr(self.att_offsets, self.attention),
+            self.has_cum[rows], *csr(self.cum_offsets, self.cum_attention),
+            self.has_features[rows], self.entropy[rows], self.coverage[rows],
+            None if self.lines is None else self.lines[rows],
+        )
 
     @cached_property
     def seq_index(self) -> np.ndarray:
@@ -245,61 +280,44 @@ class LogBatch:
     def line(self, row: int) -> int | None:
         return None if self.lines is None else int(self.lines[row])
 
-    def _rows(self, start: int, stop: int) -> Iterator[tuple]:
-        """Rows start..stop-1 as plain Python values, in TokenRecord field
-        order; entries as (id, prob) pairs and features as a pair or None.
-        The columns become Python values ``_ROWS_PER_CHUNK`` rows at a time,
-        so a long log's rows never all exist as Python objects at once."""
-        for lo in range(start, stop, _ROWS_PER_CHUNK):
-            hi = min(lo + _ROWS_PER_CHUNK, stop)
+    def _rows(self) -> Iterator[tuple]:
+        """The rows as plain Python values, in TokenRecord field order;
+        entries as (id, prob) pairs and features as a pair or None."""
+        ids, probs, off = self.ids.tolist(), self.probs.tolist(), self.offsets.tolist()
+        att, att_off = self.attention.tolist(), self.att_offsets.tolist()
+        cum, cum_off = self.cum_attention.tolist(), self.cum_offsets.tolist()
+        rows = zip(*(c.tolist() for c in (
+            self.seq_index, self.t, self.vocab_size, self.eos_id, self.gold_id, self.rest_mass,
+            self.has_attention, self.has_cum, self.has_features, self.entropy, self.coverage,
+        )))
+        for k, (seq, t, vocab, eos, gold, rest, has_att, has_cum, has_feat, ent, cov) in enumerate(rows):
+            yield (
+                self.seq_ids[seq], t, vocab, eos, gold,
+                zip(ids[off[k] : off[k + 1]], probs[off[k] : off[k + 1]]), rest,
+                att[att_off[k] : att_off[k + 1]] if has_att else None,
+                cum[cum_off[k] : cum_off[k + 1]] if has_cum else None,
+                (ent, cov) if has_feat else None,
+            )
 
-            def column(values, offsets):
-                first = offsets[lo]
-                return values[first : offsets[hi]].tolist(), (offsets[lo : hi + 1] - first).tolist()
-
-            ids, off = column(self.ids, self.offsets)
-            probs, _ = column(self.probs, self.offsets)
-            att, att_off = column(self.attention, self.att_offsets)
-            cum, cum_off = column(self.cum_attention, self.cum_offsets)
-            rows = zip(*(c[lo:hi].tolist() for c in (
-                self.seq_index, self.t, self.vocab_size, self.eos_id, self.gold_id, self.rest_mass,
-                self.has_attention, self.has_cum, self.has_features, self.entropy, self.coverage,
-            )))
-            for k, (seq, t, vocab, eos, gold, rest, has_att, has_cum, has_feat, ent, cov) in enumerate(rows):
-                yield (
-                    self.seq_ids[seq], t, vocab, eos, gold,
-                    zip(ids[off[k] : off[k + 1]], probs[off[k] : off[k + 1]]), rest,
-                    att[att_off[k] : att_off[k + 1]] if has_att else None,
-                    cum[cum_off[k] : cum_off[k + 1]] if has_cum else None,
-                    (ent, cov) if has_feat else None,
-                )
-
-    def _text(self, lo: int, hi: int) -> str:
-        """Rows lo..hi-1 as the JSONL lines ``json.dumps`` writes for their
-        records (compact separators, ASCII). Each column takes one ``tolist``,
-        each float one ``repr`` and each seq_id one ``json.dumps``."""
-        def joined(offsets, text_of):
-            first = offsets[lo]
-            text = text_of(slice(first, offsets[hi]))
-            bounds = (offsets[lo : hi + 1] - first).tolist()
+    def _text(self) -> str:
+        """The rows as the JSONL lines ``json.dumps`` writes for their records
+        (compact separators, ASCII). Each column takes one ``tolist``, each
+        float one ``repr`` and each seq_id one ``json.dumps``."""
+        def joined(offsets, text):
+            bounds = offsets.tolist()
             return [",".join(text[a:b]) for a, b in zip(bounds, bounds[1:])]
 
         def vector(name, values, offsets, has):
-            rows = joined(offsets, lambda span: _json_floats(values[span]))
-            return [f',"{name}":[{row}]' if h else "" for row, h in zip(rows, has[lo:hi].tolist())]
+            rows = joined(offsets, _json_floats(values))
+            return [f',"{name}":[{row}]' if h else "" for row, h in zip(rows, has.tolist())]
 
-        s0 = int(np.searchsorted(self.seq_starts, lo, side="right")) - 1
-        s1 = int(np.searchsorted(self.seq_starts, hi))
-        counts = np.diff(np.clip(self.seq_starts[s0 : s1 + 1], lo, hi)).tolist()
-        names = chain.from_iterable(map(repeat, map(json.dumps, self.seq_ids[s0:s1]), counts))
-        entries = joined(self.offsets, lambda span: [
-            f"[{i},{p}]" for i, p in zip(self.ids[span].tolist(), _json_floats(self.probs[span]))])
-        has = self.has_features[lo:hi].tolist()
-        feats = zip(_json_floats(self.entropy[lo:hi]), _json_floats(self.coverage[lo:hi]), has)
+        names = chain.from_iterable(map(repeat, map(json.dumps, self.seq_ids), np.diff(self.seq_starts).tolist()))
+        entries = joined(self.offsets, [f"[{i},{p}]" for i, p in zip(self.ids.tolist(), _json_floats(self.probs))])
+        feats = zip(_json_floats(self.entropy), _json_floats(self.coverage), self.has_features.tolist())
         features = [f',"features":{{"entropy":{e},"coverage":{c}}}' if h else "" for e, c, h in feats]
         rows = zip(
-            names, *(c[lo:hi].tolist() for c in (self.t, self.vocab_size, self.eos_id, self.gold_id)),
-            entries, _json_floats(self.rest_mass[lo:hi]),
+            names, *(c.tolist() for c in (self.t, self.vocab_size, self.eos_id, self.gold_id)),
+            entries, _json_floats(self.rest_mass),
             vector("attention", self.attention, self.att_offsets, self.has_attention),
             vector("cum_attention", self.cum_attention, self.cum_offsets, self.has_cum), features,
         )
@@ -358,15 +376,21 @@ class LogBatch:
         )
 
     def validate(self) -> None:
-        """Check every record invariant over whole columns. The first bad
-        row raises ValidationError naming its line and the field of its
-        first failing check."""
+        """Check every record invariant over the columns of a block of rows at
+        a time. The first bad row raises ValidationError naming its line and
+        the field of its first failing check."""
         for _, error in self.errors():
             raise error
 
     def errors(self) -> Iterator[tuple[int, ValidationError]]:
         """Each row that breaks a record invariant, in order, with the error
-        of its first failing check in the order the checks are listed here."""
+        of its first failing check in the order ``_errors`` lists the checks.
+        The checks run over whole columns of one block of rows at a time
+        (``blocks``), so their temporaries never grow with the log."""
+        for lo, hi in blocks(len(self)):
+            yield from ((lo + row, error) for row, error in self.block(lo, hi)._errors())
+
+    def _errors(self) -> Iterator[tuple[int, ValidationError]]:
         n = len(self)
         vocab, rest, att, cum = self.vocab_size, self.rest_mass, self.attention, self.cum_attention
         counts = np.diff(self.offsets)
@@ -639,7 +663,7 @@ def parse_log_line(line: str, line_number: int | None = None) -> TokenRecord:
 def serialize_record(record: TokenRecord) -> str:
     """Inverse of parse_log_line; parse(serialize(r)) equals r. A one-row
     ``write_log_file``, so write many records with that."""
-    return LogBatch.from_records([record])._text(0, 1)[:-1]
+    return LogBatch.from_records([record])._text()[:-1]
 
 
 def densify(record: TokenRecord) -> np.ndarray:
@@ -673,20 +697,31 @@ class PooledLayout:
     Row i's listed entries fill columns 0..K_i-1 in input order. Column W-2
     holds EOS when it is unlisted; column W-1 pools the other unlisted
     tokens, which all share one probability, into one slot standing for
-    ``mult`` tokens; ``densify`` scatters a row back to its V tokens. Slots
-    with zero probability, padding included, are inactive. ``ids`` names
-    each slot's token: the tail slot carries its smallest id, and a slot
-    standing for no token carries V, so the smallest id among the most
+    ``tail`` tokens; ``densify`` scatters a row back to its V tokens. Every
+    other slot stands for one token (``tokens``; ``mult`` for all slots).
+    Slots with zero probability, padding included, are inactive. ``ids``
+    names each slot's token: the tail slot carries its smallest id, and a
+    slot standing for no token carries V, so the smallest id among the most
     probable slots is the argmax of ``densify``.
     """
 
     prob: np.ndarray        # (N, W) normalized per-token probability, 0 where inactive
-    mult: np.ndarray        # (N, W) tokens per slot: the tail count in column W-1, else 1
+    tail: np.ndarray        # (N, 1) tokens the tail slot stands for, one column
     gold: np.ndarray        # (N,) column of the gold token
     eos: np.ndarray         # (N,) column of the EOS token
     ids: np.ndarray | None = None       # (N, W) token id of each slot; None in a decoder step
     entropy: np.ndarray | None = None   # (N,) attention entropy, variable recalibration only
     coverage: np.ndarray | None = None  # (N,) input coverage, variable recalibration only
+
+    def tokens(self, index: np.ndarray) -> np.ndarray:
+        """The tokens each slot stands for, by flat index: ``tail`` in column W-1, else 1."""
+        row, col = np.divmod(index, self.prob.shape[1])
+        return np.where(col == self.prob.shape[1] - 1, self.tail[row, 0], 1.0)
+
+    @property
+    def mult(self) -> np.ndarray:
+        """(N, W) ``tokens`` of every slot, built on each read."""
+        return self.tokens(np.arange(self.prob.size)).reshape(self.prob.shape)
 
     @cached_property
     def active(self) -> np.ndarray:
@@ -699,7 +734,7 @@ class PooledLayout:
         index = self.active.ravel().nonzero()[0]
         logp = np.full(len(index) + 1, -np.inf)
         np.log(self.prob.ravel().take(index), out=logp[:-1])
-        return ActiveSlots(index, index // self.prob.shape[1], logp, self.mult.ravel().take(index))
+        return ActiveSlots(index, index // self.prob.shape[1], logp, self.tokens(index))
 
     @cached_property
     def positions(self) -> tuple[np.ndarray, np.ndarray]:
@@ -724,18 +759,30 @@ class ActiveSlots(NamedTuple):
 
 def pooled_layout(records: Records) -> PooledLayout:
     """The pooled-tail layout of a batch (or of records), the one place that
-    normalizes a sparse record and pools its unlisted tail."""
+    normalizes a sparse record and pools its unlisted tail. The width comes
+    from the whole batch; the rows are then filled a block at a time, so
+    the layout's own arrays are the only ones that grow with the log."""
     batch = as_batch(records)
     n = len(batch)
     counts = np.diff(batch.offsets)
-    listed, probs = batch.ids, batch.probs
-    vocab, eos_id, gold_id, rest_mass = batch.vocab_size, batch.eos_id, batch.gold_id, batch.rest_mass
-    crowded = (counts == vocab) & (rest_mass > 0)
+    crowded = (counts == batch.vocab_size) & (batch.rest_mass > 0)
     if crowded.any():
         i = int(np.argmax(crowded))
-        check_tail_room(int(vocab[i]), int(counts[i]), float(rest_mass[i]))
-
+        check_tail_room(int(batch.vocab_size[i]), int(counts[i]), float(batch.rest_mass[i]))
     width = (int(counts.max()) if n else 0) + 2
+    columns = (np.zeros((n, width)), np.empty((n, 1)), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64),
+               np.empty((n, width), dtype=np.int64))
+    for lo, hi in blocks(n):
+        _fill(batch.block(lo, hi), *(column[lo:hi] for column in columns))
+    return PooledLayout(*columns)
+
+
+def _fill(batch: LogBatch, prob, tail, gold, eos, ids) -> None:
+    """Write the layout rows of ``batch`` into rows of the columns, zero ``prob`` of a width they fit."""
+    n, width = prob.shape
+    counts = np.diff(batch.offsets)
+    listed, probs = batch.ids, batch.probs
+    vocab, eos_id, gold_id, rest_mass = batch.vocab_size, batch.eos_id, batch.gold_id, batch.rest_mass
     eos_col, tail_col = width - 2, width - 1
     rows = np.arange(n)
     row = np.repeat(rows, counts)
@@ -746,24 +793,22 @@ def pooled_layout(records: Records) -> PooledLayout:
     total = np.bincount(row, weights=probs, minlength=n) + unlisted * share
     total[total <= 0] = 1.0
 
-    eos = np.full(n, eos_col)
+    eos[:] = eos_col
     hit = listed == eos_id[row]
     eos[row[hit]] = col[hit]
-    gold = np.where(gold_id == eos_id, eos_col, tail_col)
+    gold[:] = np.where(gold_id == eos_id, eos_col, tail_col)
     hit = listed == gold_id[row]
     gold[row[hit]] = col[hit]
 
     eos_unlisted = eos == eos_col
     tail_count = unlisted - eos_unlisted
     tail_share = share / total
-    prob = np.zeros((n, width))
     prob[row, col] = probs / total[row]
     prob[eos_unlisted, eos_col] = tail_share[eos_unlisted]
     prob[:, tail_col] = np.where(tail_count > 0, tail_share, 0.0)
-    mult = np.ones((n, width))
-    mult[:, tail_col] = tail_count
+    tail[:, 0] = tail_count
 
-    ids = np.repeat(vocab[:, None], width, axis=1)
+    ids[:] = vocab[:, None]
     ids[row, col] = listed
     ids[eos_unlisted, eos_col] = eos_id[eos_unlisted]
     # at most K + 1 ids are listed or EOS, so the smallest free one is below W
@@ -774,7 +819,6 @@ def pooled_layout(records: Records) -> PooledLayout:
     taken[rows[low], eos_id[low]] = True
     has_tail = tail_count > 0
     ids[has_tail, tail_col] = np.argmin(taken, axis=1)[has_tail]
-    return PooledLayout(prob, mult, gold, eos, ids)
 
 
 def read_log(lines: Iterable[str]) -> LogBatch:
@@ -800,13 +844,11 @@ def read_log_file(path) -> LogBatch:
 
 def write_log_file(path, records: Records) -> None:
     """Write a log as JSONL, the bytes ``json.dumps`` writes for each record,
-    ``_ROWS_PER_CHUNK`` rows at a time; records become a batch a block at a time."""
+    a block of rows at a time; records become a batch a block at a time."""
     if isinstance(records, LogBatch):
-        n = len(records)
-        blocks = (records._text(lo, min(lo + _ROWS_PER_CHUNK, n)) for lo in range(0, n, _ROWS_PER_CHUNK))
+        batches = (records.block(lo, hi) for lo, hi in blocks(len(records)))
     else:
         records = iter(records)
-        batches = map(LogBatch.from_records, iter(lambda: list(islice(records, _ROWS_PER_CHUNK)), []))
-        blocks = (batch._text(0, len(batch)) for batch in batches)
+        batches = map(LogBatch.from_records, iter(lambda: list(islice(records, BLOCK_ROWS)), []))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(blocks)
+        handle.writelines(batch._text() for batch in batches)

@@ -12,7 +12,6 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -305,4 +304,4 @@ def structured_ece(
         if not (0.0 <= expected <= 1.0 and 0.0 <= actual <= 1.0):
             raise MetricError(f"BLEU values must lie in [0, 1], got ({expected}, {actual})")
     expected, actual = np.array(materialized, dtype=np.float64).T
-    return _finalize(bins, len(materialized), expected, partial(_unit_items, expected, actual))
+    return _finalize(bins, len(materialized), expected, _unit_items(expected, actual))

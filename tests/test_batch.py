@@ -277,7 +277,7 @@ def test_each_command_builds_one_pooled_layout(tmp_path, monkeypatch):
     built = []
     real = records.pooled_layout
     monkeypatch.setattr(records, "pooled_layout", lambda batch: built.append(len(batch)) or real(batch))
-    monkeypatch.setattr(recalibrate, "APPLY_BLOCK", 7)  # several apply blocks, still one layout
+    monkeypatch.setattr(records, "BLOCK_ROWS", 7)  # several blocks of every pass, still one layout
     monkeypatch.chdir(tmp_path)
     for log in (logs, bare):
         for argv in COMMANDS:

@@ -444,6 +444,7 @@ class TestSequenceCount:
     ("entropy:nan", "entropy threshold must be non-negative, got nan"),
     ("entropy:-0.5", "entropy threshold must be non-negative, got -0.5"),
     ("token:-5", "token id must be non-negative, got -5"),
+    ("token:21", "token id 21 is in no row's vocabulary: the log's largest vocab_size is 21"),
 ])
 def test_a_partition_that_cannot_split_is_a_data_error(tmp_path, small_task, capsys, partition, message):
     logs, out = tmp_path / "logs.jsonl", tmp_path / "p.json"

@@ -2,14 +2,22 @@
 they rest on.
 
 The peaks are ``tracemalloc`` peaks over one call on a seeded NMT-shaped
-batch (about 2,000 rows, top-10 entries over V=32000, attention over 20-40
-source positions), with the batch's pooled layout already built. Each is
-bounded by a multiple of the batch's own column bytes, set from the
-bin-by-bin ``_finalize`` and the index-free ``enrich_batch`` with at most
-25 % headroom (they measured 0.077, 0.56, 1.46 and 1.46). The earlier
-passes, which stably sorted every item by bin and built int64 indices with
-one entry per attention weight, peaked at 0.24, 2.26, 3.19 and 3.19: 1.8 to
-3.3 times these bounds.
+batch (about 2,000 rows, two blocks of ``BLOCK_ROWS``; top-10 entries over
+V=32000, attention over 20-40 source positions), with the batch's pooled
+layout already built. Each is bounded by a multiple of the batch's own
+column bytes, set from the passes that hold one block of rows at a time
+with at most 25 % headroom: ``ece``, ``weighted_ece``, ``enrich_batch``, the
+entropy partition, ``LogBatch.validate`` and building the layout measured
+0.071, 0.423, 1.330, 1.330, 0.420 and 0.911. The whole-log passes before
+them peaked at 0.077, 0.587, 1.46, 1.46, 0.773 and 1.182; the passes before
+those, which stably sorted every item by bin and built int64 indices with
+one entry per attention weight, at 0.24, 2.26, 3.19 and 3.19.
+
+``tracemalloc`` sees only what Python allocates, and glibc keeps freed heap
+memory resident, so a command's own peak RSS (``VmHWM``) above that of the
+import is bounded too, for ``stats --weighted`` and the entropy partition
+on a log of the same rows, about 8,000 of them: they measured 1.69 and 1.86
+times the log's column bytes, the whole-log passes 2.62 and 2.69.
 
 ``_finalize`` sums each bin on its own; ``reference_finalize`` below is the
 earlier version, which summed slices of the items sorted by bin. Both use
@@ -24,15 +32,21 @@ V = 32000 never holds a dense (N, V) log.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seqcal
 from seqcal.features import enrich_batch
 from seqcal.metrics import PartitionSpec, _finalize, _top1, _weighted_items, ece, partitioned_metric, weighted_ece
-from seqcal.records import _ROWS_PER_CHUNK, BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord, write_log_file
+from seqcal.records import (BLOCK_ROWS, BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord, pooled_layout,
+                            write_log_file)
 from seqcal.toybench import ToyTaskSpec, build_true_model, emit_log_batch
 
 VOCAB, TOP_K, EOS_ID = 32000, 10, 2
@@ -83,16 +97,54 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name, call, multiple", [
-    ("ece", lambda b: ece(b), 0.085),
-    ("weighted_ece", lambda b: weighted_ece(b), 0.68),
-    ("enrich_batch", lambda b: enrich_batch(b), 1.8),
-    ("entropy partition", lambda b: partitioned_metric(b, PartitionSpec.entropy(2.0)), 1.8),
-])
+PEAKS = [
+    ("ece", lambda b: ece(b), 0.08),
+    ("weighted_ece", lambda b: weighted_ece(b), 0.52),
+    ("enrich_batch", lambda b: enrich_batch(b), 1.45),
+    ("entropy partition", lambda b: partitioned_metric(b, PartitionSpec.entropy(2.0)), 1.45),
+    ("LogBatch.validate", lambda b: b.validate(), 0.5),
+    ("pooled_layout", lambda b: pooled_layout(b), 1.1),
+]
+
+
+@pytest.mark.parametrize("name, call, multiple", PEAKS, ids=[name for name, _, _ in PEAKS])
 def test_peak_is_a_bounded_multiple_of_the_input(batch, name, call, multiple):
     call(batch)  # any lazy set-up, such as a first call's imports, is not the pass's own memory
     peak = traced_peak(lambda: call(batch))
     assert peak <= multiple * column_bytes(batch), f"{name} peaked at {peak / column_bytes(batch):.3f}x the input"
+
+
+def has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
+# a child's peak RSS in bytes, printed at exit
+VMHWM = ("def hwm():\n    with open('/proc/self/status') as status:\n"
+         "        return int(next(l.split()[1] for l in status if l.startswith('VmHWM:'))) * 1024\n")
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_command_peak_rss_is_a_bounded_multiple_of_the_input(tmp_path):
+    batch = sparse_batch(rows=8000)
+    log = tmp_path / "sparse.jsonl"
+    write_log_file(log, batch)
+    env = dict(os.environ, PYTHONPATH=str(Path(seqcal.__file__).parents[1]))
+
+    def peak(code, *args) -> int:
+        run = subprocess.run([sys.executable, "-c", VMHWM + code, *map(str, args)], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True, timeout=120)
+        return int(run.stdout.split()[-1])
+
+    imported = peak("import seqcal.cli\nprint(hwm())")
+    command = ("import atexit, runpy\natexit.register(lambda: print(hwm()))\n"
+               "runpy.run_module('seqcal.cli', run_name='__main__')")
+    for options, multiple in ((["--weighted"], 2.1), (["--partition", "entropy:2.0"], 2.3)):
+        above = peak(command, "stats", "--logs", log, *options, "--out", tmp_path / "stats.json") - imported
+        assert above <= multiple * column_bytes(batch), f"{options} peaked at {above / column_bytes(batch):.3f}x"
 
 
 def reference_finalize(bins, count, key, weight, conf, acc, gap):
@@ -132,8 +184,7 @@ def test_bin_by_bin_sums_equal_the_sorted_slices(num_bins, case):
     weight, conf, acc, gap = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 6, n) for _ in range(4))
     keep = rng.random(n) < 0.3 if case == "members" else np.ones(n, dtype=bool)
     count = int(keep.sum())
-    got = _finalize(BinningConfig(num_bins), count, key,
-                    lambda mask: (weight[mask], conf[mask], acc[mask], gap[mask]), keep)
+    got = _finalize(BinningConfig(num_bins), count, key, (weight.take, conf.take, acc.take, gap.take), keep)
     want = reference_finalize(BinningConfig(num_bins), count, *(a[keep] for a in (key, weight, conf, acc, gap)))
     assert_same_bits(got, want)
 
@@ -179,14 +230,14 @@ def test_writer_peak_does_not_grow_with_the_log(tmp_path, as_records):
     task = ToyTaskSpec.two_way_default()
     records = list(enrich_batch(emit_log_batch(build_true_model(task), task, 700, seed=3)))
     quarter = len(records) // 4
-    assert quarter > _ROWS_PER_CHUNK
+    assert quarter > BLOCK_ROWS
     path = tmp_path / "log.jsonl"
     peaks = []
     for rows in (records[:quarter], records[: 4 * quarter]):
         source = iter(rows) if as_records else LogBatch.from_records(rows)
         peaks.append(traced_peak(lambda: write_log_file(path, source)))
     with open(path, "rb") as handle:
-        block_text = sum(len(next(handle)) for _ in range(_ROWS_PER_CHUNK))
+        block_text = sum(len(next(handle)) for _ in range(BLOCK_ROWS))
     assert peaks[1] - peaks[0] < block_text, f"peaks {peaks} against a block of {block_text} bytes"
 
 

@@ -393,7 +393,7 @@ def test_variable_nll_and_gradient_match_dense(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_apply_matches_dense_in_both_modes(seed, monkeypatch):
-    monkeypatch.setattr(recalibrate, "APPLY_BLOCK", 7)  # several blocks, one of them short
+    monkeypatch.setattr("seqcal.records.BLOCK_ROWS", 7)  # several blocks, one of them short
     records = random_records(200 + seed)
     for params in (SingleTemperature(0.6), SingleTemperature(2.5),
                    random_params(seed, False), random_params(seed, True)):

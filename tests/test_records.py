@@ -6,7 +6,7 @@ import pytest
 
 from seqcal.errors import ParseError, ValidationError
 from seqcal.records import (
-    _ROWS_PER_CHUNK,
+    BLOCK_ROWS,
     BinningConfig,
     LogBatch,
     StepFeatures,
@@ -212,7 +212,7 @@ def writer_log(rng, rows: int, values=ODD_FLOATS, seq_ids=ODD_IDS) -> list[Token
 class TestWriter:
     """The columnar writer writes the bytes of one ``json.dumps`` per row."""
 
-    @pytest.mark.parametrize("rows", [0, 1, 7, _ROWS_PER_CHUNK, _ROWS_PER_CHUNK + 1, 2 * _ROWS_PER_CHUNK + 5])
+    @pytest.mark.parametrize("rows", [0, 1, 7, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5])
     @pytest.mark.parametrize("values", [ODD_FLOATS, ODD_FLOATS + NON_FINITE], ids=["finite", "non-finite"])
     def test_batch_and_records_write_the_oracle_bytes(self, rng, tmp_path, rows, values):
         log = writer_log(rng, rows, values)
@@ -235,7 +235,7 @@ class TestWriter:
     def test_records_become_a_batch_a_block_at_a_time(self, rng, tmp_path):
         """A stream that fails one row into its second block leaves the first
         block written: no whole list of records was drawn first."""
-        log = writer_log(rng, _ROWS_PER_CHUNK + 1)
+        log = writer_log(rng, BLOCK_ROWS + 1)
 
         def records():
             yield from log
@@ -243,7 +243,7 @@ class TestWriter:
 
         with pytest.raises(RuntimeError, match="stream broke"):
             write_log_file(tmp_path / "log", records())
-        assert (tmp_path / "log").read_bytes() == "".join(map(oracle_line, log[:_ROWS_PER_CHUNK])).encode("ascii")
+        assert (tmp_path / "log").read_bytes() == "".join(map(oracle_line, log[:BLOCK_ROWS])).encode("ascii")
 
 
 class TestDensify:
