@@ -16,16 +16,8 @@ from pathlib import Path
 
 from .errors import SeqcalError
 from .jsonfile import read_json, write_json
-from .metrics import (
-    PartitionSpec,
-    ece,
-    export_reliability,
-    head_tail_curve,
-    partitioned_metric,
-    weighted_ece,
-    write_reliability_csv,
-)
-from .records import BinningConfig, read_log_file, write_log_file
+from .metrics import Calibration, HeadTail, Partition, PartitionSpec, export_reliability, write_reliability_csv
+from .records import BinningConfig, read_log_blocks, read_log_file, write_log_file
 from .recalibrate import (
     CalibratedModel,
     SingleTemperature,
@@ -133,54 +125,49 @@ def _parse_partition(text: str):
         if kind == "token":
             return PartitionSpec.token(int(value))
         if kind == "headtail":
-            return [float(v) for v in value.split(",") if v]
+            if thresholds := [float(v) for v in value.split(",") if v]:
+                return thresholds
+            raise UsageError(f"--partition {text!r}: no thresholds")
     except ValueError as exc:
         raise UsageError(f"--partition {text!r}: {exc}") from exc
     raise UsageError(f"unknown partition {text!r}")
 
 
 def _cmd_stats(args) -> int:
-    records = read_log_file(args.logs)
     bins = BinningConfig(args.bins)
-    if args.partition is None:
-        plain_score, plain_hist = ece(records, bins)
+    spec = None if args.partition is None else _parse_partition(args.partition)
+    if spec is None:
+        folds = [Calibration(bins)] + [Calibration(bins, weighted=True)] * args.weighted
+    else:
+        folds = [HeadTail(spec) if isinstance(spec, list) else Partition(spec, bins)]
+    records = 0
+    with open(args.logs, "r", encoding="utf-8") as handle:
+        for batch in read_log_blocks(handle):  # a block of whole sequences at a time
+            records += len(batch)
+            for fold in folds:
+                fold.add(batch)  # every fold reads the batch's one layout
+            del batch  # with its layout, before the next block is read
+    result = folds[-1].result()
+    if spec is None:
+        score, hist = result
+        payload = {"metric": "ece", "score": score, "bins": export_reliability(hist)}
+        summary = f"ece={score:.6f}"
         if args.weighted:
-            score, hist = weighted_ece(records, bins)
-            payload = {
-                "metric": "weighted_ece",
-                "score": score,
-                "bins": export_reliability(hist),
-                "ece": plain_score,
-            }
+            plain_score = folds[0].result()[0]
+            payload.update(metric="weighted_ece", ece=plain_score)
             summary = f"weighted_ece={score:.6f} ece={plain_score:.6f}"
-        else:
-            score, hist = plain_score, plain_hist
-            payload = {"metric": "ece", "score": score, "bins": export_reliability(hist)}
-            summary = f"ece={score:.6f}"
         write_json(args.out, payload)
         write_reliability_csv(args.out.with_suffix(".csv"), payload["bins"])
-        print(f"{summary} records={len(records)} -> {args.out}")
-        return 0
-
-    spec = _parse_partition(args.partition)
-    if isinstance(spec, list):
-        rows = head_tail_curve(records, spec)
-        payload = {"metric": "head_tail", "rows": rows}
-        write_json(args.out, payload)
-        print(f"head_tail thresholds={len(rows)} records={len(records)} -> {args.out}")
-        return 0
-    groups = partitioned_metric(records, spec, bins)
-    payload = {
-        "metric": "partitioned",
-        "partition": args.partition,
-        "groups": {
-            label: {"ece": g.ece, "weighted_ece": g.weighted_ece, "count": g.count}
-            for label, g in groups.items()
-        },
-    }
-    write_json(args.out, payload)
-    parts = " ".join(f"{label}:{g.count}" for label, g in groups.items())
-    print(f"partition={args.partition} {parts} -> {args.out}")
+        print(f"{summary} records={records} -> {args.out}")
+    elif isinstance(spec, list):
+        write_json(args.out, {"metric": "head_tail", "rows": result})
+        print(f"head_tail thresholds={len(result)} records={records} -> {args.out}")
+    else:
+        groups = {label: {"ece": g.ece, "weighted_ece": g.weighted_ece, "count": g.count}
+                  for label, g in result.items()}
+        write_json(args.out, {"metric": "partitioned", "partition": args.partition, "groups": groups})
+        parts = " ".join(f"{label}:{g.count}" for label, g in result.items())
+        print(f"partition={args.partition} {parts} -> {args.out}")
     return 0
 
 

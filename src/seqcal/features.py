@@ -8,8 +8,8 @@ positions whose cumulative attention exceeds ``COVERAGE_THRESHOLD``, the
 one threshold that logs, fits, ``apply`` and decoders share. An attention
 vector sums to 1 by its ``np.sum``, as the log reader sums it
 (``records.row_sums``). ``ensure_features`` is the one rule for rows
-without stored features, which fits, apply, the entropy partition and the
-CLI share.
+without stored features, which fits and apply share; ``FeatureStream``
+keeps it for the entropy partition, which enriches a block at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FeatureError
+from .errors import FeatureError, ValidationError
 from .records import (PROB_ATOL, LogBatch, SequenceRecord, blocks, first_failed, offsets_of, row_sums, rows_with,
                       spans, sums_to_one)
 
@@ -219,6 +219,34 @@ def ensure_features(batch: LogBatch) -> LogBatch:
         return batch
     batch.check_step_order()
     return enrich_batch(batch)
+
+
+class FeatureStream:
+    """``ensure_features`` of a log given as batches of whole sequences in
+    order. Whether a row lacks features is known only at the end, so every
+    batch is checked and enriched, and ``check`` raises the first step-order
+    error, else the first FeatureError, once some row lacked features."""
+
+    def __init__(self) -> None:
+        self.lacking, self.order, self.feature = False, None, None
+
+    def entropy(self, batch: LogBatch) -> np.ndarray | None:
+        """Each row's entropy, stored or derived; None if the batch lacks features and fails enrichment."""
+        stored = batch.has_features.all()
+        self.lacking |= not stored
+        try:
+            batch.check_step_order()
+        except ValidationError as exc:
+            self.order = self.order or exc
+        try:
+            return enrich_batch(batch).entropy
+        except FeatureError as exc:
+            self.feature = self.feature or exc
+            return batch.entropy if stored else None
+
+    def check(self) -> None:
+        if self.lacking and (self.order or self.feature):
+            raise self.order or self.feature
 
 
 def enrich(seq: SequenceRecord) -> SequenceRecord:

@@ -5,9 +5,12 @@ on its pooled-tail layout ``LogBatch.layout``, built once per batch and
 shared with fit and apply: each record's listed entries, an unlisted EOS
 and one slot for the unlisted tail, whose tokens share one probability and
 therefore one bin. That equals densifying first at O(N*K) cost. Each
-bin's sums are ``math.fsum`` over its items, gathered a block of rows at a
-time: exact in any order, so scores are bit-identical under record
-permutation and at any block size.
+metric is a fold (``Calibration``, ``Partition``, ``HeadTail``) of blocks
+of rows into exact integer sums per bin (``BinSums``), which is all it
+keeps between blocks: ``stats`` folds the blocks it reads from a log, and
+the functions below fold their batch through the same code. The sums
+round once, as ``math.fsum`` does, so scores are bit-identical under
+record permutation and at any block size.
 """
 
 from __future__ import annotations
@@ -15,16 +18,20 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import MetricError
-from .features import ensure_features
-from .records import (BinningConfig, PooledLayout, Records, ReliabilityHistogram, TokenRecord, as_batch, blocks,
-                      offsets_of, pooled_layout)
+from .features import FeatureStream
+from .records import (BinningConfig, LogBatch, PooledLayout, Records, ReliabilityHistogram, TokenRecord, as_batch,
+                      blocks, pooled_layout)
+
+EMPTY = "metric undefined on an empty record stream"
+_LOWEST = -1073  # the smallest exponent ``np.frexp`` gives, that of 2**-1074
+_STRIDE = 4096  # more than the exponents of finite floats, -1073..1024
+_CHUNK_ROWS = 256  # rows whose items are added to the sums at once
+_PENDING_CELLS = 1024  # cells of one sum that wait before they are folded into Python ints
 
 
 def _top1(layout: PooledLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -45,15 +52,69 @@ def top1(record: TokenRecord) -> tuple[int, float]:
     return int(pred[0]), float(conf[0])
 
 
-# A metric's items add (weight, confidence, accuracy, gap) values to the sums of
-# the bin their key falls in: four functions of flat indices into the keys, so a
-# metric pass holds the keys, their order by bin and one block's items of a bin.
-Items = tuple[Callable[[np.ndarray], np.ndarray], ...]
+class BinSums:
+    """Exact sums of values by bin, added a block of items at a time.
+
+    ``np.frexp`` splits each value into a 53-bit integer mantissa and an
+    exponent. The mantissas, split into 27- and 26-bit halves so that int64
+    cannot overflow below 2**36 items, are added per (bin, exponent) cell
+    that the items hit. Up to ``_PENDING_CELLS`` cells wait as arrays;
+    then each distinct cell is folded into one Python int per bin and sum,
+    in units of 2**-1126. ``sums`` divides each by 2**1126, which rounds
+    correctly, as ``math.fsum`` of the bin's values does.
+    """
+
+    def __init__(self, bins: int, values: int = 4) -> None:
+        self.totals = [[0] * bins for _ in range(values)]
+        self.pending: list[list[tuple[np.ndarray, ...]]] = [[] for _ in range(values)]  # (cells, high, low)
+
+    def add(self, bin_idx: np.ndarray, values: Iterable[np.ndarray]) -> None:
+        """Add each array of ``values``, one per sum, to the bins of ``bin_idx``."""
+        base = bin_idx.astype(np.int64) * _STRIDE - _LOWEST
+        for pending, value in zip(self.pending, values):
+            mantissa, exponent = np.frexp(value)
+            mantissa = (mantissa * 2.0**53).astype(np.int64)  # exact
+            pending.append(_cell_sums(base + exponent, mantissa >> 26, mantissa & (2**26 - 1)))
+        if sum(len(cells) for cells, _, _ in self.pending[0]) > _PENDING_CELLS:
+            self._fold()
+
+    def _fold(self) -> None:
+        for total, pending in zip(self.totals, self.pending):
+            if pending:
+                for cell, high, low in zip(*(a.tolist() for a in _cell_sums(*map(np.concatenate, zip(*pending))))):
+                    b, shift = divmod(cell, _STRIDE)
+                    total[b] += ((high << 26) + low) << shift
+            pending.clear()
+
+    def sums(self) -> list[list[float]]:
+        self._fold()
+        return [[t / 2**1126 for t in total] for total in self.totals]
 
 
-def _unit_items(conf: np.ndarray, acc: np.ndarray) -> Items:
-    """Items of weight 1 with the given confidence and accuracy, keyed by ``conf``."""
-    return lambda index: np.ones(len(index)), conf.take, acc.take, lambda index: acc.take(index) - conf.take(index)
+def _cell_sums(key: np.ndarray, *parts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct values of ``key`` in order, and each part summed over the items of each."""
+    order = np.argsort(key)
+    key = key.take(order)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    return key.take(starts), *(np.add.reduceat(part.take(order), starts) for part in parts)
+
+
+def _score(bins: BinningConfig, count: int, sums: list[list[float]]) -> tuple[float, ReliabilityHistogram]:
+    """Score and histogram of ``count`` distributions from their per-bin
+    (weight, confidence, accuracy, gap) sums: the mean over bins of each
+    bin's absolute summed gap."""
+    if count == 0:
+        raise MetricError(EMPTY)
+    weight, confidence, accuracy, gap = map(np.array, sums)
+    return math.fsum(abs(gap)) / count, ReliabilityHistogram(bins.num_bins, weight, confidence, accuracy, float(count))
+
+
+def _finalize(bins: BinningConfig, count: int, key: np.ndarray, values: Iterable[np.ndarray]):
+    """Score and histogram of ``count`` distributions from their items, each
+    binned by its ``key`` and adding (weight, confidence, accuracy, gap)."""
+    sums = BinSums(bins.num_bins)
+    sums.add(bins.index_array(key), values)
+    return _score(bins, count, sums.sums())
 
 
 def _gold_slots(layout: PooledLayout, index: np.ndarray) -> np.ndarray:
@@ -62,70 +123,63 @@ def _gold_slots(layout: PooledLayout, index: np.ndarray) -> np.ndarray:
     return col == layout.gold.take(row)
 
 
-def _weighted_items(layout: PooledLayout) -> Items:
-    """Items of the slots, keyed by ``layout.prob``, each contributing
-    p * (correct - p) for each of its tokens; only one token of a slot can
-    be gold."""
-    prob, gold = layout.prob.take, partial(_gold_slots, layout)
-
-    def weight(i):
-        return layout.tokens(i) * prob(i)
-
-    return weight, lambda i: weight(i) * prob(i), lambda i: prob(i) * gold(i), lambda i: (gold(i) - weight(i)) * prob(i)
+def _top1_items(layout: PooledLayout, gold_id: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's item, keyed by its confidence, of weight 1 and accuracy 1
+    where its prediction is gold: (row, key, values)."""
+    pred, conf = _top1(layout)
+    acc = (pred == gold_id).astype(np.float64)
+    return np.arange(len(conf)), conf, (np.ones(len(conf)), conf, acc, acc - conf)
 
 
-def _finalize(
-    bins: BinningConfig, count: int, key: np.ndarray, items: Items, keep: np.ndarray | None = None,
-) -> tuple[float, ReliabilityHistogram]:
-    """Score and histogram of ``count`` distributions from their items (those
-    where ``keep`` holds, if given): the mean over bins of each bin's
-    absolute summed gap. A block of rows at a time, the keys are binned and
-    their positions sorted by bin; each sum of a bin is one ``math.fsum``
-    over its items gathered a block at a time and chained, which rounds
-    exactly, so no sum depends on the order of the items or on the blocks."""
-    if count == 0:
-        raise MetricError("metric undefined on an empty record stream")
-    hist = ReliabilityHistogram.empty(bins.num_bins)
-    hist.count = float(count)
-    sorted_blocks = []  # each block's first key, its keys' positions by bin and where each bin starts among them
-    for lo, hi in blocks(len(key)):
-        bin_idx = bins.index_array(key[lo:hi]).ravel()
-        if keep is not None:
-            bin_idx[~keep[lo:hi].ravel()] = bins.num_bins  # in no bin
-        order = np.argsort(bin_idx, kind="stable").astype(np.min_scalar_type(len(bin_idx)))  # a radix sort
-        sorted_blocks.append((lo * key[0].size, order, offsets_of(np.bincount(bin_idx, minlength=bins.num_bins))))
-    sizes = sum(np.diff(starts[: bins.num_bins + 1]) for _, _, starts in sorted_blocks)
-    largest = max(len(order) for _, order, _ in sorted_blocks)
-    gap_sums = []
-    for b in np.flatnonzero(sizes).tolist():
-        runs = [(first, order[starts[b] : starts[b + 1]]) for first, order, starts in sorted_blocks]
-        # a bin with no more keys than a block is gathered at once, a larger one a block at a time
-        pieces = [runs] if sizes[b] <= largest else [[run] for run in runs]
+def _slot_items(layout: PooledLayout, gold_id: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The items of the active slots, keyed by ``layout.prob``, each
+    contributing p * (correct - p) for each of its tokens; only one token
+    of a slot can be gold: (row, key, values)."""
+    index = np.flatnonzero(layout.prob)
+    prob, gold = layout.prob.ravel().take(index), _gold_slots(layout, index)
+    weight = layout.tokens(index) * prob
+    return index // layout.prob.shape[1], prob, (weight, weight * prob, prob * gold, (gold - weight) * prob)
 
-        def gathered(item):
-            for piece in pieces:
-                yield memoryview(item(np.concatenate([np.add(run, first, dtype=np.intp) for first, run in piece])))
 
-        hist.weight[b], hist.confidence_sum[b], hist.accuracy_sum[b], gap = (
-            math.fsum(chain.from_iterable(gathered(item))) for item in items)
-        gap_sums.append(gap)
-    return math.fsum(abs(g) for g in gap_sums) / count, hist
+class Calibration:
+    """Top-1 calibration error, or (``weighted``) that of the entire
+    distribution, of rows in ``groups``, folded a block at a time: each
+    group's count of rows and per-bin sums of its items."""
+
+    def __init__(self, bins: BinningConfig, weighted: bool = False, groups: int = 1) -> None:
+        self.bins, self.items = bins, _slot_items if weighted else _top1_items
+        self.counts, self.sums = np.zeros(groups, dtype=np.int64), BinSums(groups * bins.num_bins)
+
+    def add(self, batch: LogBatch, group: np.ndarray | None = None) -> None:
+        """Fold the rows of ``batch``, each in its ``group`` (0 if None)."""
+        self.counts += len(batch) if group is None else np.bincount(group, minlength=len(self.counts))
+        for lo in range(0, len(batch), _CHUNK_ROWS):
+            rows = batch.layout.rows(lo, lo + _CHUNK_ROWS)
+            row, key, values = self.items(rows, batch.gold_id[lo : lo + _CHUNK_ROWS])
+            offset = 0 if group is None else group[lo : lo + _CHUNK_ROWS][row] * self.bins.num_bins
+            self.sums.add(offset + self.bins.index_array(key), values)
+
+    def result(self, group: int = 0) -> tuple[float, ReliabilityHistogram]:
+        bins = slice(group * self.bins.num_bins, (group + 1) * self.bins.num_bins)
+        return _score(self.bins, int(self.counts[group]), [sums[bins] for sums in self.sums.sums()])
+
+
+def _fold(fold, records: Records):
+    """``fold`` with a whole batch added."""
+    fold.add(as_batch(records))
+    return fold
 
 
 def ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
     """Top-1 expected calibration error plus its reliability histogram."""
-    batch = as_batch(records)
-    pred, conf = _top1(batch.layout)
-    return _finalize(bins, len(batch), conf, _unit_items(conf, (pred == batch.gold_id).astype(np.float64)))
+    return _fold(Calibration(bins), records).result()
 
 
 def weighted_ece(records: Records, bins: BinningConfig = BinningConfig()) -> tuple[float, ReliabilityHistogram]:
     """Calibration error of the entire distribution: every token's probability
     is binned and contributes p * (correct - p); zero-probability tokens
     contribute nothing."""
-    batch = as_batch(records)
-    layout = batch.layout
-    return _finalize(bins, len(batch), layout.prob, _weighted_items(layout), layout.active)
+    return _fold(Calibration(bins, weighted=True), records).result()
 
 
 def nll(records: Records) -> float:
@@ -133,7 +187,7 @@ def nll(records: Records) -> float:
     under the normalized distributions of the layout."""
     batch = as_batch(records)
     if not len(batch):
-        raise MetricError("metric undefined on an empty record stream")
+        raise MetricError(EMPTY)
     layout = batch.layout
     p = layout.prob[np.arange(len(batch)), layout.gold]
     zero = p <= 0.0
@@ -170,6 +224,8 @@ class PartitionSpec:
     def entropy(cls, threshold: float = 1.0) -> "PartitionSpec":
         if not threshold >= 0:  # NaN fails too
             raise MetricError(f"entropy threshold must be non-negative, got {threshold}")
+        if threshold == math.inf:
+            raise MetricError("entropy threshold must be finite, got inf: no entropy reaches it")
         return cls(kind="entropy_split", threshold=threshold)
 
     @classmethod
@@ -186,51 +242,93 @@ class GroupMetrics:
     count: int
 
 
+class Partition:
+    """``partitioned_metric`` folded a block of whole sequences at a time;
+    the entropy split enriches each block (``features.FeatureStream``)."""
+
+    def __init__(self, spec: PartitionSpec, bins: BinningConfig) -> None:
+        labels = {"entropy_split": ("high", "low"), "confidence_threshold": ("head", "tail"),
+                  "token_class": ("eos" if spec.token_id is None else f"token:{spec.token_id}", "rest")}
+        if spec.kind not in labels:
+            raise MetricError(f"unknown partition kind {spec.kind!r}")
+        self.spec, self.labels, self.largest_vocab = spec, labels[spec.kind], 0
+        self.features = FeatureStream() if spec.kind == "entropy_split" else None
+        self.plain, self.weighted = Calibration(bins, groups=2), Calibration(bins, weighted=True, groups=2)
+
+    def add(self, batch: LogBatch) -> None:
+        spec = self.spec
+        self.largest_vocab = max(self.largest_vocab, int(batch.vocab_size.max(initial=0)))
+        if self.features is not None:  # derived before the layout, so that the two are never alive at once
+            entropy = self.features.entropy(batch)
+            if entropy is None:  # its error is raised at the end
+                return
+            first = entropy >= spec.threshold
+        elif spec.kind == "confidence_threshold":
+            first = _top1(batch.layout)[1] >= spec.threshold
+        else:
+            layout = batch.layout
+            target = layout.ids[np.arange(len(batch)), layout.eos] if spec.token_id is None else spec.token_id
+            first = _top1(layout)[0] == target
+        for fold in (self.plain, self.weighted):
+            fold.add(batch, (~first).astype(np.int64))
+
+    def result(self) -> dict[str, GroupMetrics]:
+        if self.features is not None:
+            self.features.check()
+        if not self.plain.counts.any():
+            raise MetricError(EMPTY)
+        if self.spec.token_id is not None and self.spec.token_id >= self.largest_vocab:
+            raise MetricError(f"token id {self.spec.token_id} is in no row's vocabulary: "
+                              f"the log's largest vocab_size is {self.largest_vocab}")
+        return {label: GroupMetrics(
+            ece=self.plain.result(g)[0] if count else None,
+            weighted_ece=self.weighted.result(g)[0] if count else None,
+            count=count,
+        ) for g, (label, count) in enumerate(zip(self.labels, self.plain.counts.tolist()))}
+
+
 def partitioned_metric(
     records: Records,
     spec: PartitionSpec,
     bins: BinningConfig = BinningConfig(),
 ) -> dict[str, GroupMetrics]:
     """Metrics per partition group; empty groups report count 0 with no scores.
-    The entropy split reads the entropy of ``ensure_features``."""
-    entropy_split = spec.kind == "entropy_split"
-    batch = as_batch(records)
-    # derived before the layout, keeping only the entropy column, so that the
-    # enriched batch and the layout are never alive at once
-    entropy = ensure_features(batch).entropy if entropy_split else None
-    layout = batch.layout
-    pred, conf = _top1(layout)
-    if spec.kind == "token_class":
-        if spec.token_id is None:
-            target, label = layout.ids[np.arange(len(batch)), layout.eos], "eos"
-        else:
-            if spec.token_id >= (largest := int(batch.vocab_size.max(initial=0))):
-                raise MetricError(f"token id {spec.token_id} is in no row's vocabulary: "
-                                  f"the log's largest vocab_size is {largest}")
-            target, label = spec.token_id, f"token:{spec.token_id}"
-        hit = pred == target
-        groups = {label: hit, "rest": ~hit}
-    elif entropy_split:
-        high = entropy >= spec.threshold
-        groups = {"high": high, "low": ~high}
-    elif spec.kind == "confidence_threshold":
-        head = conf >= spec.threshold
-        groups = {"head": head, "tail": ~head}
-    else:
-        raise MetricError(f"unknown partition kind {spec.kind!r}")
+    The entropy split reads the entropy of ``ensure_features``, derived a
+    block of whole sequences at a time."""
+    batch, partition = as_batch(records), Partition(spec, bins)
+    for lo, hi in blocks(len(batch), batch.seq_starts):
+        partition.add(batch.block(lo, hi))
+    return partition.result()
 
-    top = _unit_items(conf, (pred == batch.gold_id).astype(np.float64))
-    weighted_items = _weighted_items(layout)
-    result: dict[str, GroupMetrics] = {}
-    for label, members in groups.items():
-        count = int(members.sum())
-        if count == 0:
-            result[label] = GroupMetrics(ece=None, weighted_ece=None, count=0)
-            continue
-        plain, _ = _finalize(bins, count, conf, top, members)
-        weighted, _ = _finalize(bins, count, layout.prob, weighted_items, layout.active & members[:, None])
-        result[label] = GroupMetrics(ece=plain, weighted_ece=weighted, count=count)
-    return result
+
+class HeadTail:
+    """``head_tail_curve`` folded a block at a time: per threshold and side,
+    the exact sums of the mass and of the gold flags of the active slots."""
+
+    def __init__(self, thresholds: Sequence[float]) -> None:
+        for t in thresholds:
+            if not 0.0 < t <= 1.0:
+                raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
+        self.thresholds, self.count = list(thresholds), 0
+        self.sums = BinSums(2 * len(self.thresholds), 2)  # per threshold: tail, head
+
+    def add(self, batch: LogBatch) -> None:
+        self.count += len(batch)
+        for lo in range(0, len(batch), _CHUNK_ROWS):
+            rows = batch.layout.rows(lo, lo + _CHUNK_ROWS)
+            index = np.flatnonzero(rows.prob)
+            prob = rows.prob.ravel().take(index)
+            values = (rows.tokens(index) * prob, _gold_slots(rows, index).astype(np.float64))
+            for k, t in enumerate(self.thresholds):
+                self.sums.add(2 * k + (prob >= t), values)
+
+    def result(self) -> list[dict]:
+        if not self.count:
+            raise MetricError(EMPTY)
+        mass, gold = self.sums.sums()
+        return [{"threshold": t, "tail_conf_sum": mass[2 * k], "tail_acc_sum": gold[2 * k],
+                 "head_conf_sum": mass[2 * k + 1], "head_acc_sum": gold[2 * k + 1]}
+                for k, t in enumerate(self.thresholds)]
 
 
 def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]:
@@ -241,23 +339,7 @@ def head_tail_curve(records: Records, thresholds: Sequence[float]) -> list[dict]
     above T (head). Zero-probability tokens are skipped, matching the
     weighted metric convention.
     """
-    for t in thresholds:
-        if not 0.0 < t <= 1.0:
-            raise MetricError(f"head/tail threshold must be in (0, 1], got {t}")
-    layout = as_batch(records).layout
-    width, prob = layout.prob.shape[1], layout.prob.reshape(-1)
-    mass, gold = _weighted_items(layout)[0], partial(_gold_slots, layout)
-
-    def fsum(value, head: bool, t: float) -> float:
-        """``math.fsum`` of ``value`` over the active slots on one side of ``t``, a block at a time."""
-        def side(lo, hi):
-            p = prob[lo:hi]
-            return memoryview(value(lo + np.flatnonzero((p > 0) & ((p < t) != head))))
-
-        return math.fsum(chain.from_iterable(side(lo * width, hi * width) for lo, hi in blocks(len(layout.gold))))
-
-    return [{"threshold": t, "tail_conf_sum": fsum(mass, False, t), "tail_acc_sum": fsum(gold, False, t),
-             "head_conf_sum": fsum(mass, True, t), "head_acc_sum": fsum(gold, True, t)} for t in thresholds]
+    return _fold(HeadTail(thresholds), records).result()
 
 
 RELIABILITY_COLUMNS = ("bin_lo", "bin_hi", "mass", "avg_confidence", "avg_accuracy")

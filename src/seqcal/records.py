@@ -4,10 +4,11 @@ binning, histograms, JSONL IO.
 A log file is UTF-8, line-delimited JSON, one token record per line. Each
 record stores a sparse next-token distribution (explicit ``entries`` plus a
 ``rest_mass`` spread uniformly over the unlisted tokens), the gold token,
-and optional attention-derived data. ``read_log_file`` parses a whole log
-once into a ``LogBatch`` of columns and checks it a block of rows at a time;
-``parse_log_line`` and ``validate_record`` are one-row calls into the same
-parser and checks, and far slower per row than a whole log.
+and optional attention-derived data. ``read_log_blocks`` parses a log into
+checked ``LogBatch``es of columns, a block of whole sequences at a time, and
+``read_log_file`` the whole log into one; ``parse_log_line`` and
+``validate_record`` are one-row calls into the same parser and checks, and
+far slower per row than a whole log.
 ``pooled_layout`` turns a batch into the padded rows of slots that the
 metrics, fitting and apply all run on. Records are immutable and safe to
 share across threads.
@@ -33,7 +34,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 PROB_ATOL = 1e-6
-BLOCK_ROWS = 1024  # rows per block of every blocked pass over a log (``blocks``)
+BLOCK_ROWS = 1024  # rows per block of every blocked pass over a log (``blocks``, ``read_log_blocks``)
+MAX_BINS = 10_000
 
 INT_FIELDS = ("t", "vocab_size", "eos_id", "gold_id")
 VECTOR_FIELDS = ("attention", "cum_attention")
@@ -75,13 +77,13 @@ class SequenceRecord:
 
 @dataclass(frozen=True)
 class BinningConfig:
-    """Equal-width confidence bins over [0, 1]."""
+    """Equal-width confidence bins over [0, 1], at most ``MAX_BINS`` of them."""
 
     num_bins: int = 20
 
     def __post_init__(self) -> None:
-        if self.num_bins < 1:
-            raise ValidationError("num_bins", f"must be >= 1, got {self.num_bins}")
+        if not 1 <= self.num_bins <= MAX_BINS:
+            raise ValidationError("num_bins", f"must be in 1..{MAX_BINS}, got {self.num_bins}")
 
     def index_array(self, p: np.ndarray) -> np.ndarray:
         """Each ``p``'s bin, left-closed and right-open with the last bin
@@ -109,16 +111,6 @@ class ReliabilityHistogram:
     confidence_sum: np.ndarray
     accuracy_sum: np.ndarray
     count: float
-
-    @classmethod
-    def empty(cls, num_bins: int) -> "ReliabilityHistogram":
-        return cls(
-            num_bins=num_bins,
-            weight=np.zeros(num_bins),
-            confidence_sum=np.zeros(num_bins),
-            accuracy_sum=np.zeros(num_bins),
-            count=0.0,
-        )
 
     @property
     def mass(self) -> np.ndarray:
@@ -608,10 +600,30 @@ class _Columns:
         if self.seq_starts and self.seq_starts[-1] == rows:
             del self.seq_starts[-1], self.seq_ids[-1]
         del self.ints[4 * rows :], self.rest_mass[rows:], self.features[2 * rows :], self.has_features[rows:]
-        del self.ids[self.offsets[-1] :], self.probs[self.offsets[-1] :]
+        del self.ids[self.offsets[-1] :], self.probs[self.offsets[-1] :], self.lines[rows:]
         for values, offsets, present in self.vectors.values():
             del offsets[rows + 1 :], present[rows:]
             del values[offsets[-1] :]
+
+    def split(self, rows: int) -> "_Columns":
+        """New columns holding the rows from ``rows``, where the last sequence
+        starts; these columns drop them."""
+        rest, at = _Columns(), self.offsets[rows]
+        rest.seq_ids, rest.seq_starts = self.seq_ids[-1:], array("q", [0])
+        rest.ints, rest.rest_mass, rest.lines = self.ints[4 * rows :], self.rest_mass[rows:], self.lines[rows:]
+        rest.features, rest.has_features = self.features[2 * rows :], self.has_features[rows:]
+        rest.ids, rest.probs = self.ids[at:], self.probs[at:]
+        rest.offsets = array("q", (o - at for o in self.offsets[rows:]))
+        for name, (values, offsets, present) in self.vectors.items():
+            start = offsets[rows]
+            rest.vectors[name] = values[start:], array("q", (o - start for o in offsets[rows:])), present[rows:]
+        self._truncate(rows)
+        return rest
+
+    def checked(self, numbered: bool = True) -> LogBatch:
+        batch = self.batch(numbered)
+        batch.validate()
+        return batch
 
     def batch(self, numbered: bool = True) -> LogBatch:
         n = len(self.lines)
@@ -655,9 +667,7 @@ def parse_log_line(line: str, line_number: int | None = None) -> TokenRecord:
     """
     columns = _Columns()
     columns.add(line, line_number)
-    batch = columns.batch(numbered=line_number is not None)
-    batch.validate()
-    return batch[0]
+    return columns.checked(numbered=line_number is not None)[0]
 
 
 def serialize_record(record: TokenRecord) -> str:
@@ -712,6 +722,11 @@ class PooledLayout:
     ids: np.ndarray | None = None       # (N, W) token id of each slot; None in a decoder step
     entropy: np.ndarray | None = None   # (N,) attention entropy, variable recalibration only
     coverage: np.ndarray | None = None  # (N,) input coverage, variable recalibration only
+
+    def rows(self, lo: int, hi: int) -> "PooledLayout":
+        """Rows lo..hi-1 as a layout of views into these arrays."""
+        return PooledLayout(*(None if a is None else a[lo:hi] for a in (
+            self.prob, self.tail, self.gold, self.eos, self.ids, self.entropy, self.coverage)))
 
     def tokens(self, index: np.ndarray) -> np.ndarray:
         """The tokens each slot stands for, by flat index: ``tail`` in column W-1, else 1."""
@@ -821,20 +836,33 @@ def _fill(batch: LogBatch, prob, tail, gold, eos, ids) -> None:
     ids[has_tail, tail_col] = np.argmin(taken, axis=1)[has_tail]
 
 
-def read_log(lines: Iterable[str]) -> LogBatch:
-    """Strictly parse a log into a checked LogBatch, raising on the first
-    bad line; blank lines are skipped."""
+def read_log_blocks(lines: Iterable[str], cut: bool = True) -> Iterator[LogBatch]:
+    """Strictly parse a log into checked batches of whole sequences, raising
+    on the first bad line; blank lines are skipped, and each row keeps the
+    number of its line in the log. The batches are the blocks ``blocks``
+    takes with the log's sequence starts: the whole sequences that fit in
+    ``BLOCK_ROWS`` rows, or one longer sequence. Without ``cut`` the whole
+    log is one batch. Each batch is checked before the next line is read,
+    so a bad record comes before any bad line after it."""
     columns = _Columns()
     try:
         for line_number, line in enumerate(lines, start=1):
             if line.strip():
                 columns.add(line, line_number)
+                if cut and len(columns.lines) > BLOCK_ROWS and columns.seq_starts[-1]:
+                    rest = columns.split(columns.seq_starts[-1])  # the last sequence goes on into the next batch
+                    yield columns.checked()
+                    columns = rest
     except ParseError:
-        columns.batch().validate()  # a bad record on an earlier line comes first
+        columns.checked()  # a bad record on an earlier line comes first
         raise
-    batch = columns.batch()
-    batch.validate()
-    return batch
+    if columns.lines or not cut:
+        yield columns.checked()
+
+
+def read_log(lines: Iterable[str]) -> LogBatch:
+    """Strictly parse a whole log into one checked LogBatch (``read_log_blocks`` without a cut)."""
+    return next(read_log_blocks(lines, cut=False))
 
 
 def read_log_file(path) -> LogBatch:

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import MetricError, ModelError
-from .metrics import _finalize, _unit_items
+from .metrics import _finalize
 from .records import BinningConfig, ReliabilityHistogram, running_sums, sums_to_one
 
 Tokens = tuple[int, ...]
@@ -304,4 +304,4 @@ def structured_ece(
         if not (0.0 <= expected <= 1.0 and 0.0 <= actual <= 1.0):
             raise MetricError(f"BLEU values must lie in [0, 1], got ({expected}, {actual})")
     expected, actual = np.array(materialized, dtype=np.float64).T
-    return _finalize(bins, len(materialized), expected, _unit_items(expected, actual))
+    return _finalize(bins, len(materialized), expected, (np.ones(len(expected)), expected, actual, actual - expected))

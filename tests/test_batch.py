@@ -267,6 +267,9 @@ COMMANDS = [
 
 
 def test_each_command_builds_one_pooled_layout(tmp_path, monkeypatch):
+    """``fit`` and ``apply`` build one layout of the whole log; ``stats``,
+    which reads a block of whole sequences at a time, one of each block,
+    which all of its metrics share."""
     task = tmp_path / "task.json"
     ToyTaskSpec.two_way_default(min_len=3, max_len=5, seed=3).save(task)
     logs = tmp_path / "logs.jsonl"
@@ -277,15 +280,18 @@ def test_each_command_builds_one_pooled_layout(tmp_path, monkeypatch):
     built = []
     real = records.pooled_layout
     monkeypatch.setattr(records, "pooled_layout", lambda batch: built.append(len(batch)) or real(batch))
-    monkeypatch.setattr(records, "BLOCK_ROWS", 7)  # several blocks of every pass, still one layout
+    monkeypatch.setattr(records, "BLOCK_ROWS", 7)  # several blocks of every pass
     monkeypatch.chdir(tmp_path)
     for log in (logs, bare):
+        with open(log, encoding="utf-8") as handle:
+            sizes = [len(block) for block in records.read_log_blocks(handle)]
+        assert len(sizes) > 1
         for argv in COMMANDS:
             if log is bare and argv[1:3] == ["--mode", "variable"]:
                 continue  # a library fit needs stored features
             built.clear()
             assert main([argv[0], "--logs", str(log), *argv[1:]]) == 0, argv
-            assert len(built) == 1, (log.name, argv)
+            assert built == (sizes if argv[0] == "stats" else [sum(sizes)]), (log.name, argv)
 
 
 # ---------------------------------------------------------------------------

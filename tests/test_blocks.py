@@ -9,17 +9,27 @@ single row (or a single sequence) gives, bit for bit, and every metric the
 same bits at any block size. (Apply is left out of the last check: it lays
 out each of its blocks at that block's own width, as ``pooled_layout`` of
 those rows alone would.)
+
+``stats`` reads, checks and scores the log a block of whole sequences at a
+time (``read_log_blocks``): its reports must be the bytes of the whole-log
+path at any block size, its errors must name the line they name in the
+whole log, and the entropy partition must keep ``ensure_features``'s rule
+across blocks.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from seqcal import records
+from seqcal.cli import main
+from seqcal.errors import ParseError, ValidationError
 from seqcal.features import enrich, enrich_batch
 from seqcal.metrics import PartitionSpec, ece, head_tail_curve, nll, partitioned_metric, weighted_ece
-from seqcal.records import BLOCK_ROWS, LogBatch, SequenceRecord, TokenRecord, blocks, pooled_layout
+from seqcal.records import (BLOCK_ROWS, LogBatch, SequenceRecord, StepFeatures, TokenRecord, blocks, pooled_layout,
+                            read_log_blocks, read_log_file, write_log_file)
 
 VOCAB, EOS_ID = 50, 2
 # the second sequence covers rows 700..2023: the first edge, and more than a block
@@ -158,3 +168,130 @@ def test_every_metric_is_the_same_at_any_block_size(batch, block_rows, monkeypat
     want = scores(batch)
     monkeypatch.setattr(records, "BLOCK_ROWS", block_rows)
     assert scores(batch) == want
+
+
+STATS = {  # every stats mode: report name -> its options
+    "plain": [],
+    "weighted": ["--weighted"],
+    "eos": ["--partition", "eos"],
+    "token": ["--partition", "token:7"],
+    "entropy": ["--partition", "entropy:1.2"],
+    "headtail": ["--partition", "headtail:0.05,0.5,1.0"],
+}
+
+
+def stats_reports(log, out, block_rows, monkeypatch) -> dict[str, bytes]:
+    """The bytes of every file every stats mode writes, read at ``block_rows``."""
+    monkeypatch.setattr(records, "BLOCK_ROWS", block_rows)
+    out.mkdir()
+    for name, options in STATS.items():
+        assert main(["stats", "--logs", str(log), *options, "--out", str(out / f"{name}.json")]) == 0, name
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def log_file(batch, tmp_path_factory):
+    path = tmp_path_factory.mktemp("stream") / "log.jsonl"
+    write_log_file(path, batch)
+    return path
+
+
+@pytest.mark.parametrize("block_rows", [7, 61, 1024])
+def test_streamed_stats_write_the_whole_log_reports(batch, log_file, tmp_path, block_rows, monkeypatch):
+    """The lines of a block of 1,024 end inside the second sequence, which is
+    longer than that block; at 7 and 61 rows most sequences are. The stream
+    reads the blocks that the blocked passes take over the whole log."""
+    monkeypatch.setattr(records, "BLOCK_ROWS", block_rows)
+    with open(log_file, encoding="utf-8") as handle:
+        read = [(int(block.lines[0]) - 1, len(block)) for block in read_log_blocks(handle)]
+    assert read == [(lo, hi - lo) for lo, hi in blocks(len(batch), batch.seq_starts)] and len(read) > 2
+    whole = stats_reports(log_file, tmp_path / "whole", 10**9, monkeypatch)
+    assert len(whole) == len(STATS) + 2  # and the two reliability tables
+    assert stats_reports(log_file, tmp_path / "blocks", block_rows, monkeypatch) == whole
+    assert json.loads(whole["entropy.json"])["groups"] == {label: {
+        "ece": group.ece, "weighted_ece": group.weighted_ece, "count": group.count,
+    } for label, group in partitioned_metric(batch, PartitionSpec.entropy(1.2)).items()}
+
+
+def planted(log_file, tmp_path, bad: dict[int, str]) -> str:
+    """The log with two blank lines before it and the lines in ``bad``, by row, replaced."""
+    lines = log_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    for row, line in bad.items():
+        lines[row] = line
+    path = tmp_path / "planted.jsonl"
+    path.write_text("\n\n" + "".join(lines), encoding="utf-8")
+    return str(path)
+
+
+def read_blocks(path) -> list[LogBatch]:
+    with open(path, encoding="utf-8") as handle:
+        return list(read_log_blocks(handle))
+
+
+def third_block_row(log_file, monkeypatch) -> int:
+    monkeypatch.setattr(records, "BLOCK_ROWS", 61)
+    with open(log_file, encoding="utf-8") as handle:
+        firsts = [int(block.lines[0]) - 1 for block in read_log_blocks(handle)]
+    return firsts[2] + 3
+
+
+def test_a_bad_record_in_the_third_block_names_its_line(log_file, tmp_path, monkeypatch):
+    row = third_block_row(log_file, monkeypatch)
+    record = json.loads(log_file.read_text(encoding="utf-8").splitlines()[row])
+    path = planted(log_file, tmp_path, {row: json.dumps(dict(record, gold_id=VOCAB)) + "\n"})
+    with open(path, encoding="utf-8") as handle:
+        read = []
+        with pytest.raises(ValidationError) as caught:
+            for block in read_log_blocks(handle):
+                read.append(block)
+    assert caught.value.field == "gold_id" and caught.value.line_number == row + 3
+    assert len(read) == 2
+    with pytest.raises(ValidationError) as whole:
+        read_log_file(path)
+    assert str(whole.value) == str(caught.value)
+
+
+def test_a_bad_line_after_a_bad_record_reports_the_record(log_file, tmp_path, monkeypatch):
+    """In an earlier block, or earlier in the same block, as the whole-log reader does."""
+    row = third_block_row(log_file, monkeypatch)
+    record = json.loads(log_file.read_text(encoding="utf-8").splitlines()[row])
+    bad_record = json.dumps(dict(record, rest_mass=-0.5)) + "\n"
+    for record_row, line_row in ((row - 30, row), (row, row + 1), (row, row + 200)):
+        path = planted(log_file, tmp_path, {record_row: bad_record, line_row: "{not json\n"})
+        for read in (read_blocks, read_log_file):
+            with pytest.raises(ValidationError) as caught:
+                read(path)
+            assert (caught.value.field, caught.value.line_number) == ("rest_mass", record_row + 3)
+    path = planted(log_file, tmp_path, {row: "{not json\n"})
+    with pytest.raises(ParseError, match=f"line {row + 3}"):
+        read_blocks(path)
+
+
+@pytest.mark.parametrize("later_rows_store_features", [False, True])
+def test_the_entropy_split_checks_step_order_once_a_row_lacks_features(
+    steps, tmp_path, capsys, monkeypatch, later_rows_store_features,
+):
+    """The first block stores features and breaks step order. When later
+    rows carry only attention, the whole log must be enriched, so its step
+    order is checked: a data error, streamed or not. When every row stores
+    features, none is derived and the order is not checked."""
+    rows = list(enrich_batch(LogBatch.from_records(row for seq in steps for row in seq)))
+    rows[5] = replace(rows[5], t=99)
+    if not later_rows_store_features:
+        rows[len(steps[0]):] = [replace(r, features=None, cum_attention=None) for r in rows[len(steps[0]):]]
+    assert all(isinstance(r.features, StepFeatures) for r in rows[: len(steps[0])])
+    log = tmp_path / "log.jsonl"
+    write_log_file(log, rows)
+    spec = PartitionSpec.entropy(1.2)
+    monkeypatch.setattr(records, "BLOCK_ROWS", 61)
+    rc = main(["stats", "--logs", str(log), "--partition", "entropy:1.2", "--out", str(tmp_path / "p.json")])
+    if later_rows_store_features:
+        assert rc == 0
+        groups = json.loads((tmp_path / "p.json").read_text())["groups"]
+        assert {k: g["count"] for k, g in groups.items()} == {
+            k: g.count for k, g in partitioned_metric(read_log_file(log), spec).items()}
+        return
+    assert rc == 2
+    assert "sequence 's0' has step 99 where 6 was expected" in capsys.readouterr().err
+    with pytest.raises(ValidationError, match="has step 99 where 6 was expected"):
+        partitioned_metric(read_log_file(log), spec)

@@ -443,6 +443,7 @@ class TestSequenceCount:
 @pytest.mark.parametrize("partition, message", [
     ("entropy:nan", "entropy threshold must be non-negative, got nan"),
     ("entropy:-0.5", "entropy threshold must be non-negative, got -0.5"),
+    ("entropy:inf", "entropy threshold must be finite, got inf"),
     ("token:-5", "token id must be non-negative, got -5"),
     ("token:21", "token id 21 is in no row's vocabulary: the log's largest vocab_size is 21"),
 ])
@@ -451,6 +452,31 @@ def test_a_partition_that_cannot_split_is_a_data_error(tmp_path, small_task, cap
     assert main(["toy", "gen", "--spec", str(small_task), "--n", "5", "--logs-out", str(logs)]) == 0
     assert main(["stats", "--logs", str(logs), "--partition", partition, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options", [[], ["--weighted"], ["--partition", "eos"], ["--partition", "token:0"],
+                                     ["--partition", "entropy:0.5"], ["--partition", "headtail:0.5"]])
+def test_an_empty_log_is_a_data_error_in_every_stats_mode(tmp_path, capsys, options):
+    logs, out = tmp_path / "empty.jsonl", tmp_path / "r.json"
+    logs.write_text("\n")
+    assert main(["stats", "--logs", str(logs), *options, "--out", str(out)]) == 2
+    assert "metric undefined on an empty record stream" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_partition_without_thresholds_is_a_usage_error(tmp_path, appendix_log, capsys):
+    out = tmp_path / "p.json"
+    assert main(["stats", "--logs", str(appendix_log), "--partition", "headtail:", "--out", str(out)]) == 1
+    assert "'headtail:': no thresholds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bins", ["0", "10001", "100000000"])
+def test_a_bin_count_out_of_range_is_a_data_error(tmp_path, appendix_log, capsys, bins):
+    out = tmp_path / "r.json"
+    assert main(["stats", "--logs", str(appendix_log), "--bins", bins, "--out", str(out)]) == 2
+    assert f"num_bins: must be in 1..10000, got {bins}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -8,7 +8,9 @@ layout already built. Each is bounded by a multiple of the batch's own
 column bytes, set from the passes that hold one block of rows at a time
 with at most 25 % headroom: ``ece``, ``weighted_ece``, ``enrich_batch``, the
 entropy partition, ``LogBatch.validate`` and building the layout measured
-0.071, 0.423, 1.330, 1.330, 0.420 and 0.911. The whole-log passes before
+0.062, 0.428, 1.330, 1.155, 0.420 and 0.911 (``ece`` 0.071 and the entropy
+partition 1.330 while they took every row's top-1 items, and enriched the
+whole batch, at once). The whole-log passes before
 them peaked at 0.077, 0.587, 1.46, 1.46, 0.773 and 1.182; the passes before
 those, which stably sorted every item by bin and built int64 indices with
 one entry per attention weight, at 0.24, 2.26, 3.19 and 3.19.
@@ -16,12 +18,17 @@ one entry per attention weight, at 0.24, 2.26, 3.19 and 3.19.
 ``tracemalloc`` sees only what Python allocates, and glibc keeps freed heap
 memory resident, so a command's own peak RSS (``VmHWM``) above that of the
 import is bounded too, for ``stats --weighted`` and the entropy partition
-on a log of the same rows, about 8,000 of them: they measured 1.69 and 1.86
-times the log's column bytes, the whole-log passes 2.62 and 2.69.
+on a log of the same rows, about 8,000 of them. Read, checked and scored a
+block of whole sequences at a time, they measured 0.55-0.58 and 0.68
+times the log's column bytes, and three times the rows raised them by
+0.16-0.35 and 0.72-0.80 MB (three runs each). Holding the whole log's
+columns they measured 1.79-1.81 and 1.81-1.82 times, and grew by 11.5 and
+12.5-12.8 MB; the whole-log passes before those, 2.62 and 2.69 times.
 
-``_finalize`` sums each bin on its own; ``reference_finalize`` below is the
-earlier version, which summed slices of the items sorted by bin. Both use
-``math.fsum``, which rounds exactly, so they must agree bit for bit.
+``_finalize`` adds each bin's items up as exact integers (``BinSums``);
+``reference_finalize`` below is an earlier version, which took
+``math.fsum`` over slices of the items sorted by bin. Both round exactly,
+so they must agree bit for bit.
 
 ``write_log_file`` formats a block of rows at a time, so its peak must not
 grow with the log: writing four times the rows may raise it by less than
@@ -44,7 +51,8 @@ import pytest
 
 import seqcal
 from seqcal.features import enrich_batch
-from seqcal.metrics import PartitionSpec, _finalize, _top1, _weighted_items, ece, partitioned_metric, weighted_ece
+from seqcal.metrics import (BinSums, Calibration, PartitionSpec, _finalize, _top1, ece, partitioned_metric,
+                            weighted_ece)
 from seqcal.records import (BLOCK_ROWS, BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord, pooled_layout,
                             write_log_file)
 from seqcal.toybench import ToyTaskSpec, build_true_model, emit_log_batch
@@ -98,7 +106,7 @@ def traced_peak(call) -> int:
 
 
 PEAKS = [
-    ("ece", lambda b: ece(b), 0.08),
+    ("ece", lambda b: ece(b), 0.07),
     ("weighted_ece", lambda b: weighted_ece(b), 0.52),
     ("enrich_batch", lambda b: enrich_batch(b), 1.45),
     ("entropy partition", lambda b: partitioned_metric(b, PartitionSpec.entropy(2.0)), 1.45),
@@ -127,11 +135,19 @@ VMHWM = ("def hwm():\n    with open('/proc/self/status') as status:\n"
          "        return int(next(l.split()[1] for l in status if l.startswith('VmHWM:'))) * 1024\n")
 
 
-@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
-def test_command_peak_rss_is_a_bounded_multiple_of_the_input(tmp_path):
+STATS_OPTIONS = (("--weighted",), ("--partition", "entropy:2.0"))
+
+
+@pytest.fixture(scope="module")
+def stats_peaks(tmp_path_factory):
+    """The column bytes of an 8,000-row log, and the peak RSS above that of
+    the import of ``stats`` with each of ``STATS_OPTIONS`` on that log (1)
+    and on the log written three times over (3)."""
+    tmp_path = tmp_path_factory.mktemp("peaks")
     batch = sparse_batch(rows=8000)
-    log = tmp_path / "sparse.jsonl"
-    write_log_file(log, batch)
+    logs = {1: tmp_path / "sparse.jsonl", 3: tmp_path / "sparse3.jsonl"}
+    write_log_file(logs[1], batch)
+    logs[3].write_text(logs[1].read_text(encoding="utf-8") * 3, encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(seqcal.__file__).parents[1]))
 
     def peak(code, *args) -> int:
@@ -142,15 +158,33 @@ def test_command_peak_rss_is_a_bounded_multiple_of_the_input(tmp_path):
     imported = peak("import seqcal.cli\nprint(hwm())")
     command = ("import atexit, runpy\natexit.register(lambda: print(hwm()))\n"
                "runpy.run_module('seqcal.cli', run_name='__main__')")
-    for options, multiple in ((["--weighted"], 2.1), (["--partition", "entropy:2.0"], 2.3)):
-        above = peak(command, "stats", "--logs", log, *options, "--out", tmp_path / "stats.json") - imported
-        assert above <= multiple * column_bytes(batch), f"{options} peaked at {above / column_bytes(batch):.3f}x"
+    return column_bytes(batch), {
+        (options, k): peak(command, "stats", "--logs", log, *options, "--out", tmp_path / "stats.json") - imported
+        for options in STATS_OPTIONS for k, log in logs.items()
+    }
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_command_peak_rss_is_a_bounded_multiple_of_the_input(stats_peaks):
+    column_bytes, peaks = stats_peaks
+    for options, multiple in zip(STATS_OPTIONS, (0.72, 0.85)):
+        above = peaks[options, 1]
+        assert above <= multiple * column_bytes, f"{options} peaked at {above / column_bytes:.3f}x"
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_command_peak_rss_does_not_grow_with_the_log(stats_peaks):
+    """``stats`` holds one block of the log at a time: three times the rows
+    may raise its peak by at most 1.5 MB."""
+    _, peaks = stats_peaks
+    for options in STATS_OPTIONS:
+        growth = peaks[options, 3] - peaks[options, 1]
+        assert growth <= 1.5 * 2**20, f"{options} grew by {growth / 2**20:.2f} MB from 1x to 3x rows"
 
 
 def reference_finalize(bins, count, key, weight, conf, acc, gap):
     """The earlier ``_finalize``: fsum over slices of the items stably sorted by bin."""
-    hist = ReliabilityHistogram.empty(bins.num_bins)
-    hist.count = float(count)
+    hist = ReliabilityHistogram(bins.num_bins, *np.zeros((3, bins.num_bins)), float(count))
     bin_idx = np.clip((np.asarray(key, dtype=np.float64) * bins.num_bins).astype(np.int64), 0, bins.num_bins - 1)
     order = np.argsort(bin_idx, kind="stable")
     present, starts = np.unique(bin_idx[order], return_index=True)
@@ -184,9 +218,26 @@ def test_bin_by_bin_sums_equal_the_sorted_slices(num_bins, case):
     weight, conf, acc, gap = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 6, n) for _ in range(4))
     keep = rng.random(n) < 0.3 if case == "members" else np.ones(n, dtype=bool)
     count = int(keep.sum())
-    got = _finalize(BinningConfig(num_bins), count, key, (weight.take, conf.take, acc.take, gap.take), keep)
+    got = _finalize(BinningConfig(num_bins), count, key[keep], (a[keep] for a in (weight, conf, acc, gap)))
     want = reference_finalize(BinningConfig(num_bins), count, *(a[keep] for a in (key, weight, conf, acc, gap)))
     assert_same_bits(got, want)
+
+
+def test_bin_sums_equal_fsum_at_every_magnitude():
+    """Subnormals to 1e300, both signs and exact cancellations, added in
+    uneven pieces: each bin's sum is ``math.fsum`` of its values."""
+    rng = np.random.default_rng(5)
+    n, bins = 3000, 7
+    values = [rng.choice([-1.0, 1.0], n) * rng.random(n) * 2.0 ** rng.integers(-1074, 997, n) for _ in range(2)]
+    values[1][:100] = -values[0][:100]
+    values[1][100:200] = 5e-324
+    bin_idx = rng.integers(0, bins, n)
+    sums = BinSums(bins, 2)
+    for lo, hi in zip([0, 1, 500, 2999], [1, 500, 2999, 3000]):
+        sums.add(bin_idx[lo:hi], (v[lo:hi] for v in values))
+    got = sums.sums()
+    for k, v in enumerate(values):
+        assert [x.hex() for x in got[k]] == [math.fsum(v[bin_idx == b]).hex() for b in range(bins)]
 
 
 def test_weighted_ece_equals_the_earlier_whole_array_items(batch):
@@ -201,7 +252,9 @@ def test_weighted_ece_equals_the_earlier_whole_array_items(batch):
         weight = mult * p
         count = int(members.sum())
         want = reference_finalize(BinningConfig(), count, p, weight, weight * p, p * is_gold, p * (is_gold - weight))
-        got = _finalize(BinningConfig(), count, layout.prob, _weighted_items(layout), active)
+        calibration = Calibration(BinningConfig(), weighted=True, groups=2)
+        calibration.add(batch, members.astype(np.int64))  # the members are group 1
+        got = calibration.result(1)
         assert_same_bits(got, want)
     assert_same_bits(weighted_ece(batch), want)  # all rows, the last members above
 
