@@ -34,7 +34,7 @@ from .toybench import (
     beam_sweep,
     build_true_model,
     distort,
-    emit_log_batch,
+    emit_log_blocks,
     sequence_calibration_experiment,
 )
 
@@ -251,9 +251,9 @@ def _cmd_toy_gen(args) -> int:
     task = ToyTaskSpec.load(args.spec)
     model = _load_model(task, _distortion(args.distort))
     seed = _resolve_seed(args)
-    batch = emit_log_batch(model, task, args.n, seed=task.seed if seed is None else seed)
-    write_log_file(args.logs_out, batch)
-    print(f"sequences={len(batch.seq_ids)} records={len(batch)} -> {args.logs_out}")
+    # drawn, teacher-forced, checked and written a block of whole sequences at a time
+    records = write_log_file(args.logs_out, emit_log_blocks(model, task, args.n, task.seed if seed is None else seed))
+    print(f"sequences={args.n} records={records} -> {args.logs_out}")
     return 0
 
 

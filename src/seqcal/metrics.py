@@ -30,7 +30,8 @@ from .records import (BinningConfig, LogBatch, PooledLayout, Records, Reliabilit
 EMPTY = "metric undefined on an empty record stream"
 _LOWEST = -1073  # the smallest exponent ``np.frexp`` gives, that of 2**-1074
 _STRIDE = 4096  # more than the exponents of finite floats, -1073..1024
-_CHUNK_ROWS = 256  # rows whose items are added to the sums at once
+_CHUNK_ROWS = 256  # rows whose weighted items (one per active slot) are added to the sums at once
+_TOP1_ROWS = 512  # rows whose top-1 items (one per row) are added at once
 _PENDING_CELLS = 1024  # cells of one sum that wait before they are folded into Python ints
 
 
@@ -70,11 +71,15 @@ class BinSums:
 
     def add(self, bin_idx: np.ndarray, values: Iterable[np.ndarray]) -> None:
         """Add each array of ``values``, one per sum, to the bins of ``bin_idx``."""
-        base = bin_idx.astype(np.int64) * _STRIDE - _LOWEST
+        base = np.multiply(bin_idx, _STRIDE, dtype=np.int64)
+        base -= _LOWEST
         for pending, value in zip(self.pending, values):
             mantissa, exponent = np.frexp(value)
-            mantissa = (mantissa * 2.0**53).astype(np.int64)  # exact
-            pending.append(_cell_sums(base + exponent, mantissa >> 26, mantissa & (2**26 - 1)))
+            mantissa *= 2.0**53
+            mantissa = mantissa.astype(np.int64)  # exact
+            high = mantissa >> 26
+            mantissa &= 2**26 - 1
+            pending.append(_cell_sums(base + exponent, high, mantissa))
         if sum(len(cells) for cells, _, _ in self.pending[0]) > _PENDING_CELLS:
             self._fold()
 
@@ -128,7 +133,13 @@ def _top1_items(layout: PooledLayout, gold_id: np.ndarray) -> tuple[np.ndarray, 
     where its prediction is gold: (row, key, values)."""
     pred, conf = _top1(layout)
     acc = (pred == gold_id).astype(np.float64)
-    return np.arange(len(conf)), conf, (np.ones(len(conf)), conf, acc, acc - conf)
+
+    def values():  # made as they are added, so that they are not all alive at once
+        yield np.ones(len(conf))
+        yield conf
+        yield acc
+        yield acc - conf
+    return slice(None), conf, values()
 
 
 def _slot_items(layout: PooledLayout, gold_id: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -148,15 +159,16 @@ class Calibration:
 
     def __init__(self, bins: BinningConfig, weighted: bool = False, groups: int = 1) -> None:
         self.bins, self.items = bins, _slot_items if weighted else _top1_items
+        self.chunk = _CHUNK_ROWS if weighted else _TOP1_ROWS
         self.counts, self.sums = np.zeros(groups, dtype=np.int64), BinSums(groups * bins.num_bins)
 
     def add(self, batch: LogBatch, group: np.ndarray | None = None) -> None:
         """Fold the rows of ``batch``, each in its ``group`` (0 if None)."""
         self.counts += len(batch) if group is None else np.bincount(group, minlength=len(self.counts))
-        for lo in range(0, len(batch), _CHUNK_ROWS):
-            rows = batch.layout.rows(lo, lo + _CHUNK_ROWS)
-            row, key, values = self.items(rows, batch.gold_id[lo : lo + _CHUNK_ROWS])
-            offset = 0 if group is None else group[lo : lo + _CHUNK_ROWS][row] * self.bins.num_bins
+        for lo in range(0, len(batch), self.chunk):
+            rows = batch.layout.rows(lo, lo + self.chunk)
+            row, key, values = self.items(rows, batch.gold_id[lo : lo + self.chunk])
+            offset = 0 if group is None else group[lo : lo + self.chunk][row] * self.bins.num_bins
             self.sums.add(offset + self.bins.index_array(key), values)
 
     def result(self, group: int = 0) -> tuple[float, ReliabilityHistogram]:

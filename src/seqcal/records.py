@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, is_not
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -870,13 +872,38 @@ def read_log_file(path) -> LogBatch:
         return read_log(handle)
 
 
-def write_log_file(path, records: Records) -> None:
+def _batches(records: Records | Iterable[LogBatch]) -> Iterator[LogBatch]:
+    """A log's blocks, given as a batch, as batches in order or as records (a batch a block at a time)."""
+    items = iter([records] if isinstance(records, LogBatch) else records)
+    for item in items:
+        if isinstance(item, LogBatch):
+            yield from (item.block(lo, hi) for lo, hi in blocks(len(item)))
+        else:
+            yield LogBatch.from_records(list(chain([item], islice(items, BLOCK_ROWS - 1))))
+
+
+def write_log_file(path, records: Records | Iterable[LogBatch]) -> int:
     """Write a log as JSONL, the bytes ``json.dumps`` writes for each record,
-    a block of rows at a time; records become a batch a block at a time."""
-    if isinstance(records, LogBatch):
-        batches = (records.block(lo, hi) for lo, hi in blocks(len(records)))
-    else:
-        records = iter(records)
-        batches = map(LogBatch.from_records, iter(lambda: list(islice(records, BLOCK_ROWS)), []))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(batch._text() for batch in batches)
+    a block of rows at a time, and return its row count. A new or regular
+    file (a link's target) gets the rows through a temporary file beside it,
+    which replaces it, with its mode, once all are written; on any error it
+    is removed and the file stays as it was. Another target, such as a FIFO
+    or ``/dev/stdout``, is written in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = Path(path).resolve()
+    temporary = Path(path) if in_place else target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    rows, handle = 0, open(temporary, "w" if in_place else "x", encoding="utf-8")
+    try:
+        with handle:
+            for batch in _batches(records):
+                handle.write(batch._text())
+                rows += len(batch)
+        if not in_place:
+            if target.exists():
+                os.chmod(temporary, target.stat().st_mode & 0o7777)
+            os.replace(temporary, target)
+    except BaseException:
+        if not in_place:
+            temporary.unlink()
+        raise
+    return rows

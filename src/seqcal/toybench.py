@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import records
 from .errors import ModelError, SeqcalError, ValidationError
 from .features import coverage, masked_row_sums
 from .jsonfile import field, is_number, read_json, write_json
@@ -285,36 +286,46 @@ def distort(model: ScoringModel, distortion: DistortionSpec) -> ScoringModel:
     return DistortedModel(model, distortion)
 
 
-def _draw_pair(task: ToyTaskSpec, rng: np.random.Generator) -> tuple[Tokens, Tokens]:
-    """Draw one (source, gold target) pair from the true task distribution.
+def _draw_pairs(task: ToyTaskSpec, rngs: Iterable[np.random.Generator]) -> list[tuple[Tokens, Tokens]]:
+    """Draw one (source, gold target) pair per generator from the true task distribution.
 
-    ``rng`` draws the length k and the source, then k + 1 uniforms at once,
-    one per step. Each step's token is the one ``Generator.choice`` would
-    pick with that uniform from the step's emission row (EOS after the last
-    source token): the first index whose normalised cdf exceeds it. The
-    true model ignores the prefix, so the pair equals ancestral sampling
-    with ``sample_sequence``; the reference ends at its first EOS.
+    Each generator draws the length k and the source, then k + 1 uniforms
+    at once, one per step. Each step's token is the one ``Generator.choice``
+    would pick with that uniform from the step's emission row (EOS after the
+    last source token): the first index whose normalised cdf exceeds it,
+    found for all the steps of one row at once. The true model ignores the
+    prefix, so a pair equals ancestral sampling with ``sample_sequence``;
+    the reference ends at its first EOS.
     """
-    k = int(rng.integers(task.min_len, task.max_len + 1))
-    source = rng.integers(0, task.source_vocab_size, k)
-    rows = task.table[np.append(source, task.source_vocab_size)]  # each step's row, the last one EOS
-    cdf = (rows / rows.sum(axis=1, keepdims=True)).cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    # searchsorted(cdf, u, side="right") of each row: the count of cdf values <= u
-    tokens = np.count_nonzero(cdf <= rng.random(k + 1)[:, None], axis=1)
-    end = int(np.argmax(tokens == task.eos_id)) + 1
-    return tuple(source.tolist()), tuple(tokens[:end].tolist())
+    sources, uniforms = [], []
+    for rng in rngs:
+        k = int(rng.integers(task.min_len, task.max_len + 1))
+        sources.append(rng.integers(0, task.source_vocab_size, k))
+        uniforms.append(rng.random(k + 1))
+    if not sources:
+        return []
+    steps = np.concatenate([np.append(source, task.source_vocab_size) for source in sources])  # each step's row
+    u, tokens = np.concatenate(uniforms), np.empty(len(steps), dtype=np.int64)
+    for row in np.flatnonzero(np.bincount(steps)):  # the steps of one emission row
+        cdf = (task.table[row] / task.table[row].sum()).cumsum()
+        at = steps == row
+        tokens[at] = np.searchsorted(cdf / cdf[-1], u[at], side="right")  # the count of cdf values <= u
+    starts = offsets_of(np.array([len(source) + 1 for source in sources], dtype=np.int64))[:-1]
+    eos = np.flatnonzero(tokens == task.eos_id)  # each pair's last step is EOS, so each has one at or after its start
+    ends = eos[np.searchsorted(eos, starts)] + 1
+    return [(tuple(source.tolist()), tuple(tokens[lo:hi].tolist()))
+            for source, lo, hi in zip(sources, starts.tolist(), ends.tolist())]
 
 
-def _pairs(task: ToyTaskSpec, n: int, seed: int, stream: int) -> list[tuple[Tokens, Tokens]]:
-    """Pair i of the (seed, stream) series, drawn from its own generator."""
+def _pairs(task: ToyTaskSpec, n: int, seed: int, stream: int, first: int = 0) -> list[tuple[Tokens, Tokens]]:
+    """Pairs first..n-1 of the (seed, stream) series, pair i drawn from its own generator."""
     if n < 0:
         raise SeqcalError(f"the number of sequences must be non-negative, got {n}")
-    return [_draw_pair(task, np.random.default_rng((seed, stream, i))) for i in range(n)]
+    return _draw_pairs(task, (np.random.default_rng((seed, stream, i)) for i in range(first, n)))
 
 
-def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) -> LogBatch:
-    """The checked log of ``model`` teacher-forced on ``pairs``:
+def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]], first: int = 0) -> LogBatch:
+    """The checked log of ``model`` teacher-forced on ``pairs``, numbered from ``first``:
     one model call per step position for the sequences of one source
     length, longest reference first, so the sequences still running at a
     step are a prefix of the bucket."""
@@ -351,7 +362,7 @@ def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]]) 
     entry_row = np.concatenate(rows_of)
     order = np.argsort(entry_row, kind="stable")  # file order; a row's entries all come from one step
     batch = LogBatch(
-        seq_ids=[f"toy-{i:06d}" for i in range(len(pairs))],
+        seq_ids=[f"toy-{i:06d}" for i in range(first, first + len(pairs))],
         seq_starts=starts,
         t=np.arange(n) - np.repeat(starts[:-1], ref_len) + 1,
         vocab_size=np.full(n, model.vocab_size, dtype=np.int64),
@@ -379,6 +390,14 @@ def emit_log_batch(model: ScoringModel, task: ToyTaskSpec, n_sequences: int, see
     ``rest_mass`` and attention, and no derived field; a row that breaks a
     record invariant raises ModelError naming its sequence, step and field."""
     return _teacher_force(model, _pairs(task, n_sequences, seed, _STREAM_LOGS))
+
+
+def emit_log_blocks(model: ScoringModel, task: ToyTaskSpec, n_sequences: int, seed: int) -> Iterator[LogBatch]:
+    """``emit_log_batch``'s rows a block at a time: the whole sequences (at least one) that fill about
+    ``records.BLOCK_ROWS`` rows at the task's mean length plus EOS. Zero sequences give one empty block."""
+    per_block = max(1, 2 * records.BLOCK_ROWS // (task.min_len + task.max_len + 2))
+    for lo in range(0, max(n_sequences, 1), per_block):
+        yield _teacher_force(model, _pairs(task, min(lo + per_block, n_sequences), seed, _STREAM_LOGS, lo), lo)
 
 
 def emit_logs(

@@ -24,7 +24,7 @@ from seqcal.errors import ModelError
 from seqcal.recalibrate import THETA_SIZE, CalibratedModel, CalibratorParams, SingleTemperature
 from seqcal.records import PROB_ATOL
 from seqcal.sequence import BeamConfig, Hypothesis, ScoringModel, beam_search, sample_sequence
-from seqcal.toybench import DistortionSpec, ToyModel, ToyTaskSpec, _draw_pair, beam_sweep, distort
+from seqcal.toybench import DistortionSpec, ToyModel, ToyTaskSpec, _draw_pairs, beam_sweep, distort
 
 from test_sequence import TwoStepModel, random_positional_model
 from test_step_batch import rows_by_position
@@ -100,7 +100,7 @@ CONFIGS = [BeamConfig(beam_width=1, max_len=12), BeamConfig(beam_width=3, max_le
 
 
 def sources(n, seed):
-    return [_draw_pair(TASK, np.random.default_rng((seed, i)))[0] for i in range(n)]
+    return [_draw_pairs(TASK, [np.random.default_rng((seed, i))])[0][0] for i in range(n)]
 
 
 @pytest.mark.parametrize("name", EXACT)

@@ -15,6 +15,11 @@ time (``read_log_blocks``): its reports must be the bytes of the whole-log
 path at any block size, its errors must name the line they name in the
 whole log, and the entropy partition must keep ``ensure_features``'s rule
 across blocks.
+
+``toy gen`` draws, teacher-forces, checks and writes a block of whole
+sequences at a time (``emit_log_blocks``): its log must be the bytes of
+``emit_log_batch`` at any block size, and a model that fails in a later
+block must leave no file behind and an existing target as it was.
 """
 
 import json
@@ -23,13 +28,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seqcal import records
+from seqcal import cli, records
 from seqcal.cli import main
 from seqcal.errors import ParseError, ValidationError
 from seqcal.features import enrich, enrich_batch
 from seqcal.metrics import PartitionSpec, ece, head_tail_curve, nll, partitioned_metric, weighted_ece
 from seqcal.records import (BLOCK_ROWS, LogBatch, SequenceRecord, StepFeatures, TokenRecord, blocks, pooled_layout,
                             read_log_blocks, read_log_file, write_log_file)
+from seqcal.toybench import (DistortionSpec, ToyModel, ToyTaskSpec, _pairs, build_true_model, distort, emit_log_batch,
+                             emit_log_blocks)
 
 VOCAB, EOS_ID = 50, 2
 # the second sequence covers rows 700..2023: the first edge, and more than a block
@@ -295,3 +302,60 @@ def test_the_entropy_split_checks_step_order_once_a_row_lacks_features(
     assert "sequence 's0' has step 99 where 6 was expected" in capsys.readouterr().err
     with pytest.raises(ValidationError, match="has step 99 where 6 was expected"):
         partitioned_metric(read_log_file(log), spec)
+
+
+GEN_TASK = ToyTaskSpec.two_way_default(seed=1)  # lengths 4-8, each reference its source length plus EOS
+GEN_DISTORTION = DistortionSpec(temperature=0.5, eos_bias=1.5)
+
+
+def gen(tmp_path, n: int, seed: int, out) -> int:
+    GEN_TASK.save(tmp_path / "task.json")
+    GEN_DISTORTION.save(tmp_path / "distort.json")
+    return main(["toy", "gen", "--spec", str(tmp_path / "task.json"), "--distort", str(tmp_path / "distort.json"),
+                 "--n", str(n), "--seed", str(seed), "--logs-out", str(out)])
+
+
+@pytest.mark.parametrize("block_rows", [7, 61, 1024])
+def test_gen_writes_the_whole_log_bytes_at_any_block_size(tmp_path, block_rows, monkeypatch):
+    """At 7 rows every block is one sequence, longer than a block; at 61
+    and 1,024 the 300 sequences take 38 and 3 blocks."""
+    model = distort(build_true_model(GEN_TASK), GEN_DISTORTION)
+    whole = emit_log_batch(model, GEN_TASK, 300, seed=9)
+    write_log_file(tmp_path / "whole.jsonl", whole)
+    monkeypatch.setattr(records, "BLOCK_ROWS", block_rows)
+    emitted = list(emit_log_blocks(model, GEN_TASK, 300, seed=9))
+    assert len(emitted) == {7: 300, 61: 38, 1024: 3}[block_rows]
+    assert [seq_id for block in emitted for seq_id in block.seq_ids] == whole.seq_ids
+    if block_rows == 7:
+        assert max(len(block) for block in emitted) > block_rows
+    assert gen(tmp_path, 300, 9, tmp_path / "gen.jsonl") == 0
+    assert (tmp_path / "gen.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+
+
+class NaNModel(ToyModel):
+    """The true model, with NaN probabilities at step 3 of one source."""
+
+    def __init__(self, spec: ToyTaskSpec, source):
+        super().__init__(spec)
+        self.source = source
+
+    def step_batch(self, states, prefixes):
+        probs, alpha, states = super().step_batch(states, prefixes)
+        for i, (state, prefix) in enumerate(zip(states, prefixes)):
+            if state == self.source and len(prefix) == 2:
+                probs[i] = np.nan
+        return probs, alpha, states
+
+
+def test_gen_failing_in_a_later_block_names_the_sequence_and_keeps_the_target(tmp_path, capsys, monkeypatch):
+    pairs = _pairs(GEN_TASK, 300, 9, 0)
+    bad = next(i for i, (source, _) in enumerate(pairs) if source == pairs[250][0])  # the first with its source
+    monkeypatch.setattr(records, "BLOCK_ROWS", 61)  # 8 sequences a block, so that 30 blocks come first
+    assert bad >= 8 * 30
+    monkeypatch.setattr(cli, "_load_model", lambda task, distortion: NaNModel(task, pairs[250][0]))
+    target = tmp_path / "logs.jsonl"
+    target.write_bytes(b"an earlier log\n")
+    assert gen(tmp_path, 300, 9, target) == 2
+    assert f"sequence 'toy-{bad:06d}' step 3: " in capsys.readouterr().err
+    assert target.read_bytes() == b"an earlier log\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["distort.json", "logs.jsonl", "task.json"]

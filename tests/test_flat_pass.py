@@ -36,7 +36,7 @@ from seqcal.recalibrate import (
     recalibrate_log,
     sigmoid,
 )
-from seqcal.toybench import DistortionSpec, ToyModel, ToyTaskSpec, _draw_pair, distort
+from seqcal.toybench import DistortionSpec, ToyModel, ToyTaskSpec, _draw_pairs, distort
 
 from test_batch import SEED, derived_seed
 from test_calibrator_layout import EPOCHS, LOGS
@@ -229,7 +229,7 @@ def decoder_rows(n, seed):
     and cumulative attention of ``n`` rows whose sources share a length."""
     rng = np.random.default_rng(seed)
     model = distort(ToyModel(TASK), DistortionSpec(temperature=0.5, eos_bias=1.5))
-    source = _draw_pair(TASK, rng)[0]
+    source = _draw_pairs(TASK, [rng])[0][0]
     rows = []
     for _ in range(n):
         state, prefix, cum = model.start(source), (), np.zeros(len(source))

@@ -35,7 +35,12 @@ grow with the log: writing four times the rows may raise it by less than
 the text of one block.
 
 Teacher forcing keeps each step's nonzero entries, so ``toy gen`` at
-V = 32000 never holds a dense (N, V) log.
+V = 32000 never holds a dense (N, V) log. ``toy gen`` draws, teacher-forces
+and writes a block of whole sequences at a time, so its peak RSS
+(``command_peak``, the launcher the ``stats`` gates use) must not grow with
+``--n``: from 1,500 to 4,500 sequences it grew by 0.28-0.39 MB (three
+runs); holding the whole log's columns before formatting them, it grew by
+6.64-6.77 MB.
 """
 
 import math
@@ -55,7 +60,7 @@ from seqcal.metrics import (BinSums, Calibration, PartitionSpec, _finalize, _top
                             weighted_ece)
 from seqcal.records import (BLOCK_ROWS, BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord, pooled_layout,
                             write_log_file)
-from seqcal.toybench import ToyTaskSpec, build_true_model, emit_log_batch
+from seqcal.toybench import DistortionSpec, ToyTaskSpec, build_true_model, emit_log_batch
 
 VOCAB, TOP_K, EOS_ID = 32000, 10, 2
 
@@ -133,6 +138,22 @@ def has_vmhwm() -> bool:
 # a child's peak RSS in bytes, printed at exit
 VMHWM = ("def hwm():\n    with open('/proc/self/status') as status:\n"
          "        return int(next(l.split()[1] for l in status if l.startswith('VmHWM:'))) * 1024\n")
+# runs ``seqcal`` with the child's arguments, as the benchmark's launcher does
+COMMAND = ("import atexit, runpy\natexit.register(lambda: print(hwm()))\n"
+           "runpy.run_module('seqcal.cli', run_name='__main__')")
+
+
+def child_peak(code: str, argv, cwd) -> int:
+    """The peak RSS in bytes of a child that runs ``code`` with ``argv`` in ``cwd``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(seqcal.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", VMHWM + code, *map(str, argv)], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return int(run.stdout.split()[-1])
+
+
+def command_peak(argv, cwd) -> int:
+    """The peak RSS in bytes of ``seqcal`` run with ``argv`` in ``cwd``."""
+    return child_peak(COMMAND, argv, cwd)
 
 
 STATS_OPTIONS = (("--weighted",), ("--partition", "entropy:2.0"))
@@ -148,18 +169,9 @@ def stats_peaks(tmp_path_factory):
     logs = {1: tmp_path / "sparse.jsonl", 3: tmp_path / "sparse3.jsonl"}
     write_log_file(logs[1], batch)
     logs[3].write_text(logs[1].read_text(encoding="utf-8") * 3, encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(Path(seqcal.__file__).parents[1]))
-
-    def peak(code, *args) -> int:
-        run = subprocess.run([sys.executable, "-c", VMHWM + code, *map(str, args)], env=env, cwd=tmp_path,
-                             capture_output=True, text=True, check=True, timeout=120)
-        return int(run.stdout.split()[-1])
-
-    imported = peak("import seqcal.cli\nprint(hwm())")
-    command = ("import atexit, runpy\natexit.register(lambda: print(hwm()))\n"
-               "runpy.run_module('seqcal.cli', run_name='__main__')")
+    imported = child_peak("import seqcal.cli\nprint(hwm())", [], tmp_path)
     return column_bytes(batch), {
-        (options, k): peak(command, "stats", "--logs", log, *options, "--out", tmp_path / "stats.json") - imported
+        (options, k): command_peak(["stats", "--logs", log, *options, "--out", "stats.json"], tmp_path) - imported
         for options in STATS_OPTIONS for k, log in logs.items()
     }
 
@@ -180,6 +192,18 @@ def test_command_peak_rss_does_not_grow_with_the_log(stats_peaks):
     for options in STATS_OPTIONS:
         growth = peaks[options, 3] - peaks[options, 1]
         assert growth <= 1.5 * 2**20, f"{options} grew by {growth / 2**20:.2f} MB from 1x to 3x rows"
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_gen_peak_rss_does_not_grow_with_the_sequence_count(tmp_path):
+    """``toy gen`` holds one block of sequences at a time: three times the
+    sequences may raise its peak by at most 1.5 MB."""
+    ToyTaskSpec.two_way_default(eos_floor=0.02).save(tmp_path / "task.json")
+    DistortionSpec(temperature=0.5, eos_bias=1.5).save(tmp_path / "distort.json")
+    argv = ["toy", "gen", "--spec", "task.json", "--distort", "distort.json", "--seed", "3", "--logs-out", "logs.jsonl"]
+    peaks = [command_peak([*argv, "--n", n], tmp_path) for n in (1500, 4500)]
+    growth = peaks[1] - peaks[0]
+    assert growth <= 1.5 * 2**20, f"grew by {growth / 2**20:.2f} MB from 1,500 to 4,500 sequences"
 
 
 def reference_finalize(bins, count, key, weight, conf, acc, gap):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -233,17 +236,51 @@ class TestWriter:
         assert parse_log_line(serialize_record(record)) == record
 
     def test_records_become_a_batch_a_block_at_a_time(self, rng, tmp_path):
-        """A stream that fails one row into its second block leaves the first
-        block written: no whole list of records was drawn first."""
+        """A stream that fails one row into its second block has had its
+        first block written, into the temporary file beside the target: no
+        whole list of records was drawn first. The failure removes that file
+        and leaves the target as it was."""
         log = writer_log(rng, BLOCK_ROWS + 1)
+        target = tmp_path / "log"
+        target.write_bytes(b"kept\n")
+        written = []
 
         def records():
             yield from log
+            written.extend(path.read_bytes() for path in tmp_path.glob(".log.*.tmp"))
             raise RuntimeError("stream broke")
 
         with pytest.raises(RuntimeError, match="stream broke"):
-            write_log_file(tmp_path / "log", records())
-        assert (tmp_path / "log").read_bytes() == "".join(map(oracle_line, log[:BLOCK_ROWS])).encode("ascii")
+            write_log_file(target, records())
+        assert written == ["".join(map(oracle_line, log[:BLOCK_ROWS])).encode("ascii")]
+        assert target.read_bytes() == b"kept\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_a_link_is_kept_and_its_file_replaced_with_its_mode(self, rng, tmp_path):
+        log = writer_log(rng, 30)
+        target, link = tmp_path / "log", tmp_path / "link"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        link.symlink_to(target)
+        assert write_log_file(link, log) == 30
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == "".join(map(oracle_line, log)).encode("ascii")
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link", "log"]
+
+    def test_a_fifo_is_written_in_place(self, rng, tmp_path):
+        """A target that is not a regular file, such as a FIFO or
+        ``/dev/stdout``, gets the rows itself: no temporary replaces it."""
+        log = writer_log(rng, BLOCK_ROWS + 3)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_log_file(fifo, log)
+        reader.join(timeout=10)
+        assert read == ["".join(map(oracle_line, log)).encode("ascii")]
+        assert fifo.is_fifo() and list(tmp_path.iterdir()) == [fifo]
 
 
 class TestDensify:

@@ -24,7 +24,7 @@ from seqcal.toybench import (
     distort,
     emit_log_batch,
     emit_logs,
-    _draw_pair,
+    _draw_pairs,
     flatten,
 )
 
@@ -229,7 +229,7 @@ def test_sample_pair_equals_ancestral_sampling(task):
         k = int(rng.integers(task.min_len, task.max_len + 1))
         source = tuple(int(s) for s in rng.integers(0, task.source_vocab_size, k))
         expected = (source, sample_sequence(model, source, rng, max_len=k + 1))
-        assert _draw_pair(task, np.random.default_rng((seed, 0, 7))) == expected, seed
+        assert _draw_pairs(task, [np.random.default_rng((seed, 0, 7))])[0] == expected, seed
 
 
 def log_bytes(tmp_path, name, records):

@@ -18,7 +18,7 @@ from seqcal.toybench import (
     DistortionSpec,
     ToyModel,
     ToyTaskSpec,
-    _draw_pair,
+    _draw_pairs,
     beam_sweep,
     build_true_model,
     distort,
@@ -268,7 +268,7 @@ class TestSpecFiles:
     def test_sample_pair_lengths_within_range(self, rng):
         task = ToyTaskSpec.two_way_default()
         for _ in range(20):
-            source, reference = _draw_pair(task, rng)
+            source, reference = _draw_pairs(task, [rng])[0]
             assert task.min_len <= len(source) <= task.max_len
             assert len(reference) == len(source) + 1
             assert reference[-1] == task.eos_id
