@@ -39,12 +39,25 @@ def attention_entropy(alpha: Sequence[float] | np.ndarray) -> float | np.ndarray
     ok = sums_to_one(total)
     if not (ok if arr.ndim == 1 else ok.all()):  # a np.bool_'s .all() would cost a reduction
         raise FeatureError(f"attention sums to {np.ravel(total)[np.argmin(ok)]:.8f}, expected 1")
-    positive = arr > 0
-    x = arr[positive]
+    if arr.ndim > 1:
+        return _entropy(arr.ravel(), np.full(len(arr), arr.shape[1]))
+    x = arr[arr > 0]
     x *= np.log(x)
-    if arr.ndim == 1:
-        return max(0.0, -float(x.sum()))
-    entropy = -row_sums(x, offsets_of(positive.sum(axis=1)))
+    return max(0.0, -float(x.sum()))
+
+
+def _entropy(alpha: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each row's entropy, of flat rows of ``width`` weights ``alpha``: the rows
+    with one count of positive weights at a time, as a 2-D array that numpy
+    sums row by row as it sums one vector, so that no pass holds them all."""
+    positive = alpha > 0
+    count = row_sums(positive, offsets_of(width))
+    entropy = np.zeros(len(width))
+    for length in sorted(set(count.tolist()) - {0}):  # the rows with this many positive weights
+        rows = count == length
+        x = alpha[np.repeat(rows, width) & positive].reshape(-1, length)
+        x *= np.log(x)
+        entropy[rows] = -x.sum(axis=1)
     entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
     return entropy
 
@@ -181,16 +194,8 @@ def _enrich(batch: LogBatch) -> tuple[np.ndarray, ...]:
 
     known_att, known_cum = has_vec & known(alpha), has_vec & known(cum)
     total, negative = row_sums(alpha, off), rows_with(~(alpha >= 0), off)
-    positive = alpha > 0
-    count = row_sums(positive, off)
-    entropy = np.zeros(n)
-    for length in sorted(set(count.tolist()) - {0}):  # the rows with this many positive weights
-        rows = count == length
-        x = alpha[np.repeat(rows, width) & positive].reshape(-1, length)
-        x *= np.log(x)
-        entropy[rows] = -x.sum(axis=1)
-    del alpha, positive  # the copy of cum below takes their place
-    entropy[entropy <= 0.0] = 0.0  # max(0, -sum), which also turns -0.0 into 0.0
+    entropy = _entropy(alpha, width)
+    del alpha  # the copy of cum below takes its place
     cov = np.divide(row_sums(cum > COVERAGE_THRESHOLD, off), width, out=np.zeros(n), where=width > 0)
     gap = "after a step that carries only features; store {} or features on this step"
     _raise_first(batch, [

@@ -14,12 +14,12 @@ Fitting, applying and ``CalibratedModel`` all run on the pooled-tail layout
 of ``records.pooled_layout``, as the metrics do: the listed entries, an
 unlisted EOS and the unlisted tail pooled into one slot, so a sparse top-K
 log costs O(N*K), not O(N*V). Fits and apply take a ``LogBatch`` (or
-records, which become one) and use its one cached layout. One pass over
-the layout's M active slots (``PooledLayout.slots``) serves all of them:
-logits, softmax, loss and gradient are flat (M,) vectors, and only the
-softmax's row sum sees an (N, W) buffer. The variable
-calibrator reads each row's stored features, or those
-``features.ensure_features`` derives from its attention.
+records, which become one); fits use its one cached layout, and apply lays
+out a block of its rows at a time. One pass over the layout's M active
+slots (``PooledLayout.slots``) serves all of them: logits, softmax, loss
+and gradient are flat (M,) vectors, and only the softmax's row sum sees an
+(N, W) buffer. The variable calibrator reads each row's stored features,
+or those ``features.ensure_features`` derives from its attention.
 
 All fitting is deterministic given the seed and input order. One table,
 ``NET_LAYERS``, lays out a net's weights, flat and in params files, whose
@@ -228,20 +228,17 @@ def eos_correction(
 # ---------------------------------------------------------------------------
 
 
-def _pool(batch: LogBatch, with_features: bool = False) -> PooledLayout:
-    """The layout of ``batch``; ``with_features``, a copy that also carries
-    the features the variable calibrator reads, from ``ensure_features``."""
-    if not with_features:
-        return batch.layout
+def _features(batch: LogBatch) -> dict[str, np.ndarray]:
+    """The layout fields the variable calibrator reads, from ``ensure_features`` of the whole log."""
     enriched = ensure_features(batch)  # the same probabilities, so the same layout
-    return replace(batch.layout, entropy=enriched.entropy, coverage=enriched.coverage)
+    return {"entropy": enriched.entropy, "coverage": enriched.coverage}
 
 
 def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
     batch = as_batch(records)
     if not len(batch):
         raise FitError("cannot fit on an empty dataset")
-    pool = _pool(batch, with_features)
+    pool = replace(batch.layout, **_features(batch)) if with_features else batch.layout
     zero = ~pool.active[np.arange(len(batch)), pool.gold]
     if zero.any():
         i = int(np.argmax(zero))
@@ -349,57 +346,36 @@ def _forward_backward(theta: np.ndarray, prep: PooledLayout, plus_one: bool, wan
     return value, grad, losses
 
 
-def _block(pool: PooledLayout, start: int, stop: int, listed: int) -> PooledLayout:
-    """Rows start..stop-1 of ``pool`` as ``pooled_layout`` lays them out on
-    their own: ``listed`` entry columns, the most those rows hold, then the
-    EOS and tail slots. The softmax sums a row over its slots, padding
-    included, so equal layouts keep apply's output bit for bit."""
-    width = pool.prob.shape[1]
-    keep = np.r_[0:listed, width - 2, width - 1]
-
-    def column(col):
-        return np.where(col >= width - 2, col - (width - 2 - listed), col)
-
-    return PooledLayout(
-        pool.prob[start:stop, keep], pool.tail[start:stop],
-        column(pool.gold[start:stop]), column(pool.eos[start:stop]),
-        entropy=None if pool.entropy is None else pool.entropy[start:stop],
-        coverage=None if pool.coverage is None else pool.coverage[start:stop],
-    )
-
-
 def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperature) -> LogBatch:
-    """Recalibrate a whole log columnar, a block of records at a time;
-    records stay sparse. Returns the rewritten batch.
+    """Recalibrate a whole log columnar, a block of records at a time, each
+    with its own layout; records stay sparse. Returns the rewritten batch.
 
     Every input entry keeps its position (zeros are written as 0.0) and the
     unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
     probability differs from the tail's gains its own entry, after the
-    others. The variable calibrator reads the features of
-    ``ensure_features``; every other column is the input's own.
+    others. The variable calibrator reads the features ``ensure_features``
+    derives over whole sequences, which a block may cut; every other column
+    is the input's own.
     """
     batch = as_batch(records)
     n = len(batch)
-    pool = _pool(batch, isinstance(params, CalibratorParams))
     counts = np.diff(batch.offsets)
-    entry_row = np.repeat(np.arange(n), counts)
-    entry_col = np.arange(len(batch.ids)) - batch.offsets[entry_row]
-    listed_probs = np.empty(len(batch.ids))
-    eos_prob, tail_prob = np.empty(n), np.empty(n)
-    for start, stop in blocks(n):
-        listed = int(counts[start:stop].max())
-        probs = _recalibrated(_block(pool, start, stop, listed), params)
-        lo, hi = batch.offsets[start], batch.offsets[stop]
-        listed_probs[lo:hi] = probs[entry_row[lo:hi] - start, entry_col[lo:hi]]
-        eos_prob[start:stop], tail_prob[start:stop] = probs[:, -2], probs[:, -1]
-    eos_unlisted = pool.eos == pool.prob.shape[1] - 2
+    features = _features(batch) if isinstance(params, CalibratorParams) else {}
+    listed, eos_prob, tail_prob, eos_unlisted = np.empty(len(batch.ids)), np.empty(n), np.empty(n), np.empty(n, bool)
+    for lo, hi in blocks(n):
+        layout = replace(batch.block(lo, hi).layout, **{name: f[lo:hi] for name, f in features.items()})
+        probs = _recalibrated(layout, params)
+        width = probs.shape[1]
+        # ``_fill`` puts a row's entries in its first columns in input order
+        listed[batch.offsets[lo] : batch.offsets[hi]] = probs[np.arange(width) < counts[lo:hi, None]]
+        eos_prob[lo:hi], tail_prob[lo:hi], eos_unlisted[lo:hi] = probs[:, -2], probs[:, -1], layout.eos == width - 2
     own_eos = eos_unlisted & (eos_prob != tail_prob)
-    # the tail's tokens, plus an unlisted EOS that kept the tail's probability
-    rest = (pool.tail[:, 0] + (eos_unlisted & ~own_eos)) * tail_prob
+    # every unlisted token but an EOS with its own entry shares the tail's probability
+    rest = (batch.vocab_size - counts - own_eos) * tail_prob
     offsets = offsets_of(counts + own_eos)
     ids, new_probs = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1])
-    moved = np.arange(len(batch.ids)) + (offsets[:-1] - batch.offsets[:-1])[entry_row]
-    ids[moved], new_probs[moved] = batch.ids, listed_probs
+    moved = np.arange(len(batch.ids)) + np.repeat(offsets[:-1] - batch.offsets[:-1], counts)
+    ids[moved], new_probs[moved] = batch.ids, listed
     last = offsets[1:][own_eos] - 1
     ids[last], new_probs[last] = batch.eos_id[own_eos], eos_prob[own_eos]
     return replace(batch, offsets=offsets, ids=ids, probs=new_probs, rest_mass=rest)

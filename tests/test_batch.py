@@ -267,9 +267,10 @@ COMMANDS = [
 
 
 def test_each_command_builds_one_pooled_layout(tmp_path, monkeypatch):
-    """``fit`` and ``apply`` build one layout of the whole log; ``stats``,
-    which reads a block of whole sequences at a time, one of each block,
-    which all of its metrics share."""
+    """``fit`` builds one layout of the whole log; ``stats``, which reads a
+    block of whole sequences at a time, one of each block, which all of its
+    metrics share; ``apply`` one of each block of rows ``records.blocks``
+    takes, which may cut a sequence."""
     task = tmp_path / "task.json"
     ToyTaskSpec.two_way_default(min_len=3, max_len=5, seed=3).save(task)
     logs = tmp_path / "logs.jsonl"
@@ -291,7 +292,8 @@ def test_each_command_builds_one_pooled_layout(tmp_path, monkeypatch):
                 continue  # a library fit needs stored features
             built.clear()
             assert main([argv[0], "--logs", str(log), *argv[1:]]) == 0, argv
-            assert built == (sizes if argv[0] == "stats" else [sum(sizes)]), (log.name, argv)
+            want = {"stats": sizes, "fit": [sum(sizes)], "apply": [hi - lo for lo, hi in records.blocks(sum(sizes))]}
+            assert built == want[argv[0]], (log.name, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ sequences). The log below spans more than three blocks; one sequence
 straddles the first block edge and is longer than a block, and the next
 straddles the second edge. Each blocked pass must give what the code for a
 single row (or a single sequence) gives, bit for bit, and every metric the
-same bits at any block size. (Apply is left out of the last check: it lays
-out each of its blocks at that block's own width, as ``pooled_layout`` of
-those rows alone would.)
+same bits at any block size.
+
+``recalibrate_log`` lays out each block of rows with that block's own
+``pooled_layout``, which must give the bits of the whole log's layout cut
+to the block's width, as the earlier apply did it, at any block size.
 
 ``stats`` reads, checks and scores the log a block of whole sequences at a
 time (``read_log_blocks``): its reports must be the bytes of the whole-log
@@ -31,10 +33,11 @@ import pytest
 from seqcal import cli, records
 from seqcal.cli import main
 from seqcal.errors import ParseError, ValidationError
-from seqcal.features import enrich, enrich_batch
+from seqcal.features import enrich, enrich_batch, ensure_features
 from seqcal.metrics import PartitionSpec, ece, head_tail_curve, nll, partitioned_metric, weighted_ece
-from seqcal.records import (BLOCK_ROWS, LogBatch, SequenceRecord, StepFeatures, TokenRecord, blocks, pooled_layout,
-                            read_log_blocks, read_log_file, write_log_file)
+from seqcal.recalibrate import THETA_SIZE, CalibratorParams, SingleTemperature, _recalibrated, recalibrate_log
+from seqcal.records import (BLOCK_ROWS, LogBatch, PooledLayout, SequenceRecord, StepFeatures, TokenRecord, blocks,
+                            offsets_of, pooled_layout, read_log_blocks, read_log_file, write_log_file)
 from seqcal.toybench import (DistortionSpec, ToyModel, ToyTaskSpec, _pairs, build_true_model, distort, emit_log_batch,
                              emit_log_blocks)
 
@@ -175,6 +178,69 @@ def test_every_metric_is_the_same_at_any_block_size(batch, block_rows, monkeypat
     want = scores(batch)
     monkeypatch.setattr(records, "BLOCK_ROWS", block_rows)
     assert scores(batch) == want
+
+
+def reference_recalibrate_log(batch: LogBatch, params) -> LogBatch:
+    """The earlier ``recalibrate_log``: the whole log's layout (with the features of
+    ``ensure_features`` for variable params), each block cut to the width of its widest row."""
+    pool = pooled_layout(batch)
+    if isinstance(params, CalibratorParams):
+        enriched = ensure_features(batch)
+        pool = replace(pool, entropy=enriched.entropy, coverage=enriched.coverage)
+    n, width = len(batch), pool.prob.shape[1]
+    counts = np.diff(batch.offsets)
+    entry_row = np.repeat(np.arange(n), counts)
+    entry_col = np.arange(len(batch.ids)) - batch.offsets[entry_row]
+    listed_probs, eos_prob, tail_prob = np.empty(len(batch.ids)), np.empty(n), np.empty(n)
+    for start, stop in blocks(n):
+        listed = int(counts[start:stop].max())
+        keep = np.r_[0:listed, width - 2, width - 1]
+
+        def column(col):
+            return np.where(col >= width - 2, col - (width - 2 - listed), col)
+
+        block = PooledLayout(
+            pool.prob[start:stop, keep], pool.tail[start:stop], column(pool.gold[start:stop]),
+            column(pool.eos[start:stop]), entropy=None if pool.entropy is None else pool.entropy[start:stop],
+            coverage=None if pool.coverage is None else pool.coverage[start:stop],
+        )
+        probs = _recalibrated(block, params)
+        lo, hi = batch.offsets[start], batch.offsets[stop]
+        listed_probs[lo:hi] = probs[entry_row[lo:hi] - start, entry_col[lo:hi]]
+        eos_prob[start:stop], tail_prob[start:stop] = probs[:, -2], probs[:, -1]
+    eos_unlisted = pool.eos == width - 2
+    own_eos = eos_unlisted & (eos_prob != tail_prob)
+    rest = (pool.tail[:, 0] + (eos_unlisted & ~own_eos)) * tail_prob
+    offsets = offsets_of(counts + own_eos)
+    ids, new_probs = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1])
+    moved = np.arange(len(batch.ids)) + (offsets[:-1] - batch.offsets[:-1])[entry_row]
+    ids[moved], new_probs[moved] = batch.ids, listed_probs
+    last = offsets[1:][own_eos] - 1
+    ids[last], new_probs[last] = batch.eos_id[own_eos], eos_prob[own_eos]
+    return replace(batch, offsets=offsets, ids=ids, probs=new_probs, rest_mass=rest)
+
+
+APPLIED = {
+    "single": SingleTemperature(1.7),
+    "variable": CalibratorParams.from_flat(np.random.default_rng(23).uniform(-1.0, 1.0, THETA_SIZE), plus_one=True),
+}
+
+
+@pytest.mark.parametrize("name", APPLIED)
+@pytest.mark.parametrize("block_rows", [7, 61, 1024])
+def test_apply_equals_the_whole_log_layout_cut_to_each_block(batch, name, block_rows, monkeypatch):
+    """Rows of every width from 1 to 12 entries, so that blocks of 7 and 61
+    rows differ in width; an unlisted EOS gains its own entry under the
+    variable params."""
+    monkeypatch.setattr(records, "BLOCK_ROWS", block_rows)
+    fresh = replace(batch)  # no cached layout
+    got, want = recalibrate_log(fresh, APPLIED[name]), reference_recalibrate_log(fresh, APPLIED[name])
+    widths = {int(np.diff(batch.offsets)[lo:hi].max()) for lo, hi in blocks(len(batch))}
+    assert len(widths) > 1 or block_rows == 1024
+    if name == "variable":
+        assert len(got.ids) > len(batch.ids)
+    for column in ("offsets", "ids", "probs", "rest_mass"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
 
 
 STATS = {  # every stats mode: report name -> its options

@@ -24,6 +24,10 @@ times the log's column bytes, and three times the rows raised them by
 0.16-0.35 and 0.72-0.80 MB (three runs each). Holding the whole log's
 columns they measured 1.79-1.81 and 1.81-1.82 times, and grew by 11.5 and
 12.5-12.8 MB; the whole-log passes before those, 2.62 and 2.69 times.
+``apply`` with a single temperature still holds the log's columns and the
+ones it writes, but lays out one block of rows at a time: on the log
+written three times over it measured 1.95 times those rows' column bytes
+(two runs), and 2.82 times while it held the whole log's layout.
 
 ``_finalize`` adds each bin's items up as exact integers (``BinSums``);
 ``reference_finalize`` below is an earlier version, which took
@@ -58,6 +62,7 @@ import seqcal
 from seqcal.features import enrich_batch
 from seqcal.metrics import (BinSums, Calibration, PartitionSpec, _finalize, _top1, ece, partitioned_metric,
                             weighted_ece)
+from seqcal.recalibrate import SingleTemperature, save_params
 from seqcal.records import (BLOCK_ROWS, BinningConfig, LogBatch, ReliabilityHistogram, TokenRecord, pooled_layout,
                             write_log_file)
 from seqcal.toybench import DistortionSpec, ToyTaskSpec, build_true_model, emit_log_batch
@@ -157,41 +162,55 @@ def command_peak(argv, cwd) -> int:
 
 
 STATS_OPTIONS = (("--weighted",), ("--partition", "entropy:2.0"))
+# each measured command, by its key in the peaks: its name and the arguments after its log
+COMMANDS = {**{options: ("stats", *options, "--out", "stats.json") for options in STATS_OPTIONS},
+            "apply": ("apply", "--params", "single.json", "--logs-out", "applied.jsonl")}
+APPLY_MULTIPLE = 2.3  # of the column bytes at 3x rows
 
 
 @pytest.fixture(scope="module")
-def stats_peaks(tmp_path_factory):
+def command_peaks(tmp_path_factory):
     """The column bytes of an 8,000-row log, and the peak RSS above that of
-    the import of ``stats`` with each of ``STATS_OPTIONS`` on that log (1)
-    and on the log written three times over (3)."""
+    the import of each of ``COMMANDS`` on that log (1) and on the log
+    written three times over (3); ``apply`` with a single temperature."""
     tmp_path = tmp_path_factory.mktemp("peaks")
     batch = sparse_batch(rows=8000)
     logs = {1: tmp_path / "sparse.jsonl", 3: tmp_path / "sparse3.jsonl"}
     write_log_file(logs[1], batch)
     logs[3].write_text(logs[1].read_text(encoding="utf-8") * 3, encoding="utf-8")
+    save_params(tmp_path / "single.json", SingleTemperature(1.7))
     imported = child_peak("import seqcal.cli\nprint(hwm())", [], tmp_path)
     return column_bytes(batch), {
-        (options, k): command_peak(["stats", "--logs", log, *options, "--out", "stats.json"], tmp_path) - imported
-        for options in STATS_OPTIONS for k, log in logs.items()
+        (key, k): command_peak([command[0], "--logs", log, *command[1:]], tmp_path) - imported
+        for key, command in COMMANDS.items() for k, log in logs.items()
     }
 
 
 @pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
-def test_command_peak_rss_is_a_bounded_multiple_of_the_input(stats_peaks):
-    column_bytes, peaks = stats_peaks
+def test_command_peak_rss_is_a_bounded_multiple_of_the_input(command_peaks):
+    column_bytes, peaks = command_peaks
     for options, multiple in zip(STATS_OPTIONS, (0.72, 0.85)):
         above = peaks[options, 1]
         assert above <= multiple * column_bytes, f"{options} peaked at {above / column_bytes:.3f}x"
 
 
 @pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
-def test_command_peak_rss_does_not_grow_with_the_log(stats_peaks):
+def test_command_peak_rss_does_not_grow_with_the_log(command_peaks):
     """``stats`` holds one block of the log at a time: three times the rows
     may raise its peak by at most 1.5 MB."""
-    _, peaks = stats_peaks
+    _, peaks = command_peaks
     for options in STATS_OPTIONS:
         growth = peaks[options, 3] - peaks[options, 1]
         assert growth <= 1.5 * 2**20, f"{options} grew by {growth / 2**20:.2f} MB from 1x to 3x rows"
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+def test_apply_peak_rss_is_a_bounded_multiple_of_the_input(command_peaks):
+    """``apply`` holds the log's columns and those it writes, but lays out
+    one block of rows at a time."""
+    column_bytes, peaks = command_peaks
+    above = peaks["apply", 3]
+    assert above <= APPLY_MULTIPLE * 3 * column_bytes, f"peaked at {above / (3 * column_bytes):.3f}x at 3x rows"
 
 
 @pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
