@@ -261,7 +261,8 @@ def _cmd_toy_beamsweep(args) -> int:
     task = ToyTaskSpec.load(args.spec)
     model = _load_model(task, _distortion(args.distort), args.params)
     try:
-        beams = [int(b) for b in args.beams.split(",") if b]
+        if not (beams := [int(b) for b in args.beams.split(",") if b]):
+            raise UsageError(f"--beams {args.beams!r}: no beam widths")
     except ValueError as exc:
         raise UsageError(f"--beams must be comma-separated integers: {exc}") from exc
     rows = beam_sweep(model, task, beams, n_eval=BEAMSWEEP_EVAL_SOURCES, seed=_resolve_seed(args))

@@ -1,15 +1,15 @@
 """Calibration features derived from attention: entropy and input coverage.
 
-``enrich_batch`` derives both for a whole ``LogBatch`` in one columnar
-pass; ``attention_entropy`` and ``coverage`` are the one-step forms a
-decoder calls (``coverage`` also takes a batch of rows). Both give the
-same values bit for bit. Entropy is in nats; coverage counts the source
-positions whose cumulative attention exceeds ``COVERAGE_THRESHOLD``, the
-one threshold that logs, fits, ``apply`` and decoders share. An attention
-vector sums to 1 by its ``np.sum``, as the log reader sums it
-(``records.row_sums``). ``ensure_features`` is the one rule for rows
-without stored features, which fits and apply share; ``FeatureStream``
-keeps it for the entropy partition, which enriches a block at a time.
+``enrich_batch`` derives both, with ``cum_attention``, for a whole
+``LogBatch`` in one columnar pass; ``attention_entropy`` and ``coverage``
+are the one-step forms a decoder calls (each also takes a batch of rows).
+Both give the same values bit for bit. Entropy is in nats; coverage counts
+the source positions whose cumulative attention exceeds
+``COVERAGE_THRESHOLD``, the one threshold that logs, fits, ``apply`` and
+decoders share. An attention vector sums to 1 by its ``np.sum``, as the
+log reader sums it (``records.row_sums``). ``ensure_features`` is the one
+rule for rows without stored features; ``feature_columns`` (fits, apply)
+and ``FeatureStream`` (the entropy partition) keep it without cum vectors.
 """
 
 from __future__ import annotations
@@ -85,17 +85,6 @@ def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return row_sums(values[mask], offsets_of(mask.sum(axis=1)))[:, None]
 
 
-def _raise_first(batch: LogBatch, problems) -> None:
-    """Raise FeatureError for the first row failing any of ``problems``,
-    (failed rows, message) pairs, with its first failing message."""
-    first = first_failed([failed for failed, _ in problems])
-    bad = first < len(problems)
-    if bad.any():
-        row = int(np.argmax(bad))
-        message = problems[first[row]][1]
-        raise FeatureError(f"{batch.where(row)}: {message(row) if callable(message) else message}")
-
-
 def enrich_batch(batch: LogBatch) -> LogBatch:
     """Fill (entropy, coverage) on every row of a batch in one columnar pass.
 
@@ -112,13 +101,10 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
     raises FeatureError. Every check raises FeatureError naming the
     sequence and step of the first bad row. Idempotent.
 
-    Every row of a sequence is as wide as the sequence's first vector, and
-    the sequence's rows lie back to back, so a step's predecessor sits one
-    width earlier. NaN marks an unknown vector. One loop over step
-    positions carries only the cumulative vectors; it adds the same floats
-    in the same order as a per-step loop. The pass takes a block of whole
-    sequences at a time (``records.blocks``), so it holds the vectors of one
-    block and every sequence's recurrence still runs whole.
+    The one pass that derives ``cum_attention``, a block of whole sequences
+    at a time (``records.blocks``), so that it holds one block's vectors and
+    each sequence's recurrence still runs whole; ``feature_columns`` and the
+    entropy partition read only entropy and coverage.
     """
     n = len(batch)
     filled, width, entropy, cov = np.empty(n, dtype=bool), np.empty(n, dtype=np.int64), np.empty(n), np.empty(n)
@@ -126,7 +112,8 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
     cum = np.empty(int(np.where(batch.has_attention, np.diff(batch.att_offsets), np.diff(batch.cum_offsets)).sum()))
     end = 0
     for lo, hi in blocks(n, batch.seq_starts):
-        filled[lo:hi], width[lo:hi], values, entropy[lo:hi], cov[lo:hi] = _enrich(batch.block(lo, hi))
+        entropy[lo:hi], cov[lo:hi], filled[lo:hi], width[lo:hi], values = _enrich(batch.block(lo, hi))
+        values = values[np.repeat(filled[lo:hi], width[lo:hi])]
         cum[end : end + len(values)] = values
         end += len(values)
         del values  # before the next block's vectors are made
@@ -141,9 +128,15 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
     )
 
 
-def _enrich(batch: LogBatch) -> tuple[np.ndarray, ...]:
-    """``enrich_batch`` of whole sequences: each row's filled flag and width, the
-    filled rows' cumulative vectors, and each row's entropy and coverage."""
+def _enrich(batch: LogBatch, cumulative: bool = True) -> tuple[np.ndarray, ...]:
+    """``enrich_batch`` of whole sequences: each row's entropy and, if
+    ``cumulative``, its coverage, filled flag and width and every row's
+    cumulative vector, ``width`` long (``enrich_batch`` keeps the filled
+    rows' ones). Entropy reads the stored attention in place; only
+    cumulative vectors or a step with only ``cum_attention`` run the step
+    recurrence, whose one loop over step positions adds the same floats in
+    the same order as a per-step loop. Whether a row's vectors are known is
+    a scan of the row flags, so that no check reads a copy."""
     n = len(batch)
     has_att, has_cum, has_feat = batch.has_attention, batch.has_cum, batch.has_features
     att_len, cum_len = np.diff(batch.att_offsets), np.diff(batch.cum_offsets)
@@ -155,50 +148,48 @@ def _enrich(batch: LogBatch) -> tuple[np.ndarray, ...]:
     seq_width = np.where(first < starts[1:], np.append(length, 0)[first], 0)
     width = seq_width[batch.seq_index]
     bad_len = (has_att & (att_len != width)) | (has_cum & (cum_len != width))
-    off = offsets_of(width)
-    alpha, cum = np.full(off[-1], np.nan), np.full(off[-1], np.nan)
-    for out, values, offsets, has in (
-        (alpha, batch.attention, batch.att_offsets, has_att), (cum, batch.cum_attention, batch.cum_offsets, has_cum),
-    ):
-        fits = has & ~bad_len
-        if (has & bad_len).any():  # a vector of the wrong width stays unknown; its row fails
-            values = values[np.repeat(fits, np.diff(offsets))]
-        out[np.repeat(fits, width)] = values
+    att_fits, cum_fits = has_att & ~bad_len, has_cum & ~bad_len
+    # a running sum is known from its sequence's start or a fitting cum_attention, through fitting attention
+    at_start = np.diff(batch.seq_index, prepend=-1) != 0
+    run_known = (att_fits | cum_fits)[np.maximum.accumulate(np.where(at_start | ~att_fits | cum_fits, np.arange(n), 0))]
+    known_att = has_vec & ((width == 0) | att_fits | (cum_fits & (at_start | np.append(True, run_known[:-1]))))
+    known_cum = has_vec & ((width == 0) | run_known)
 
-    # the sequences by length, longest first: those still running at a step are a prefix
-    seq_len = np.diff(starts)
-    order = np.argsort(-seq_len, kind="stable")
-    w = seq_width[order]
-    at_first = spans(off[starts[:-1][order]], w)
-    back = np.repeat(w, w)
-    live = offsets_of(w)[np.searchsorted(-seq_len[order], -np.arange(seq_len.max(initial=0)), side="left")]
     decreased = np.zeros(n, dtype=bool)
-    for k, m in enumerate(live.tolist()):
-        at = at_first[:m] + k * back[:m]
-        a, c = alpha[at], cum[at]
-        derive = np.isnan(a)
-        if derive.any():  # a step with only cum_attention: difference against the previous step's
-            diff = c[derive] - (cum[at[derive] - back[:m][derive]] if k else 0.0)
-            decreased[np.searchsorted(off, at[derive][diff < -PROB_ATOL], "right") - 1] = True
-            a[derive] = alpha[at[derive]] = np.maximum(diff, 0.0)
-        running = a if k == 0 else running[:m] + a
-        restart = np.isnan(running)  # a stored cum_attention restarts an unknown running sum
-        running[restart] = c[restart]
-        cum[at] = np.where(np.isnan(c), running, c)
-
-    def known(values):
-        """Rows whose vector in ``values`` is known: an unknown one is NaN throughout."""
-        out = np.ones(n, dtype=bool)
-        out[width > 0] = ~np.isnan(values[off[:-1][width > 0]])
-        return out
-
-    known_att, known_cum = has_vec & known(alpha), has_vec & known(cum)
+    if cumulative or (has_cum & ~has_att).any():  # the step recurrence, on copies in which NaN marks an unknown vector
+        off = offsets_of(width)
+        alpha, cum = np.full(off[-1], np.nan), np.full(off[-1], np.nan)
+        for out, values, offsets, has in ((alpha, batch.attention, batch.att_offsets, has_att),
+                                          (cum, batch.cum_attention, batch.cum_offsets, has_cum)):
+            if (has & bad_len).any():  # a vector of the wrong width stays unknown; its row fails
+                values = values[np.repeat(has & ~bad_len, np.diff(offsets))]
+            out[np.repeat(has & ~bad_len, width)] = values
+        # the sequences by length, longest first: those still running at a step are a prefix
+        seq_len = np.diff(starts)
+        order = np.argsort(-seq_len, kind="stable")
+        w = seq_width[order]
+        at_first = spans(off[starts[:-1][order]], w)
+        back = np.repeat(w, w)
+        live = offsets_of(w)[np.searchsorted(-seq_len[order], -np.arange(seq_len.max(initial=0)), side="left")]
+        for k, m in enumerate(live.tolist()):  # a row's predecessor sits one width earlier
+            at = at_first[:m] + k * back[:m]
+            a, c = alpha[at], cum[at]
+            derive = np.isnan(a)
+            if derive.any():  # a step with only cum_attention: difference against the previous step's
+                diff = c[derive] - (cum[at[derive] - back[:m][derive]] if k else 0.0)
+                decreased[np.searchsorted(off, at[derive][diff < -PROB_ATOL], "right") - 1] = True
+                a[derive] = alpha[at[derive]] = np.maximum(diff, 0.0)
+            running = a if k == 0 else running[:m] + a
+            restart = np.isnan(running)  # a stored cum_attention restarts an unknown running sum
+            running[restart] = c[restart]
+            cum[at] = np.where(np.isnan(c), running, c)
+    else:  # the stored attention, read in place
+        alpha, off = batch.attention, batch.att_offsets
     total, negative = row_sums(alpha, off), rows_with(~(alpha >= 0), off)
-    entropy = _entropy(alpha, width)
-    del alpha  # the copy of cum below takes its place
-    cov = np.divide(row_sums(cum > COVERAGE_THRESHOLD, off), width, out=np.zeros(n), where=width > 0)
+    entropy = _entropy(alpha, np.diff(off))
+    del alpha  # before the temporaries of the checks and coverage below
     gap = "after a step that carries only features; store {} or features on this step"
-    _raise_first(batch, [
+    problems = [  # (failed rows, message) pairs: the first row failing any raises its first message
         (~has_vec & ~has_feat, "no attention, cumulative attention, or features"),
         (rows_with(~np.isfinite(batch.attention), batch.att_offsets), "attention weights must be finite"),
         (rows_with(~np.isfinite(batch.cum_attention), batch.cum_offsets),
@@ -211,32 +202,58 @@ def _enrich(batch: LogBatch) -> tuple[np.ndarray, ...]:
         (has_vec & ~has_feat & ~known_att, "attention unknown " + gap.format("attention")),
         (has_vec & ~has_feat & ~known_cum, "cumulative attention unknown " + gap.format("cum_attention")),
         (known_cum & (width == 0), "cumulative attention vector is empty"),
-        (known_cum & rows_with(~(cum >= 0), off), "cumulative attention weights must be non-negative"),
-    ])
-    filled = has_cum | known_cum
-    return filled, width, cum[np.repeat(filled, width)], entropy, cov
+        # a running sum of checked weights is non-negative, so only a stored vector can fail
+        (known_cum & rows_with(~(batch.cum_attention >= 0), batch.cum_offsets),
+         "cumulative attention weights must be non-negative"),
+    ]
+    first = first_failed([failed for failed, _ in problems])
+    if (first < len(problems)).any():
+        row = int(np.argmax(first < len(problems)))
+        message = problems[first[row]][1]
+        raise FeatureError(f"{batch.where(row)}: {message(row) if callable(message) else message}")
+    if not cumulative:
+        return (entropy,)
+    cov = np.divide(row_sums(cum > COVERAGE_THRESHOLD, off), width, out=np.zeros(n), where=width > 0)
+    return entropy, cov, has_cum | known_cum, width, cum
+
+
+def _lacks_features(batch: LogBatch) -> bool:
+    """Whether some row of ``batch`` lacks stored features, once its steps are checked to run t = 1..n."""
+    if batch.has_features.all():
+        return False
+    batch.check_step_order()
+    return True
 
 
 def ensure_features(batch: LogBatch) -> LogBatch:
     """``batch`` itself when every row stores features; else, once its steps
     are checked to run t = 1..n, ``enrich_batch`` of it."""
-    if batch.has_features.all():
-        return batch
-    batch.check_step_order()
-    return enrich_batch(batch)
+    return enrich_batch(batch) if _lacks_features(batch) else batch
+
+
+def feature_columns(batch: LogBatch) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy and coverage columns of ``ensure_features(batch)``, derived
+    a block of whole sequences at a time without a ``cum_attention`` column."""
+    if not _lacks_features(batch):
+        return batch.entropy, batch.coverage
+    derived = np.empty((2, len(batch)))
+    for lo, hi in blocks(len(batch), batch.seq_starts):
+        derived[:, lo:hi] = _enrich(batch.block(lo, hi))[:2]
+    return tuple(np.where(batch.has_features, *pair) for pair in zip((batch.entropy, batch.coverage), derived))
 
 
 class FeatureStream:
-    """``ensure_features`` of a log given as batches of whole sequences in
-    order. Whether a row lacks features is known only at the end, so every
-    batch is checked and enriched, and ``check`` raises the first step-order
-    error, else the first FeatureError, once some row lacked features."""
+    """The entropy of ``ensure_features`` of a log given as blocks of whole
+    sequences in order. Whether a row lacks features is known only at the
+    end, so every block is checked and its entropy derived, and ``check``
+    raises the first step-order error, else the first FeatureError, once
+    some row lacked features."""
 
     def __init__(self) -> None:
         self.lacking, self.order, self.feature = False, None, None
 
     def entropy(self, batch: LogBatch) -> np.ndarray | None:
-        """Each row's entropy, stored or derived; None if the batch lacks features and fails enrichment."""
+        """Each row's entropy, stored or derived; None if the block lacks features and fails enrichment."""
         stored = batch.has_features.all()
         self.lacking |= not stored
         try:
@@ -244,7 +261,7 @@ class FeatureStream:
         except ValidationError as exc:
             self.order = self.order or exc
         try:
-            return enrich_batch(batch).entropy
+            return np.where(batch.has_features, batch.entropy, _enrich(batch, cumulative=False)[0])
         except FeatureError as exc:
             self.feature = self.feature or exc
             return batch.entropy if stored else None

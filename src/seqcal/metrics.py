@@ -256,7 +256,7 @@ class GroupMetrics:
 
 class Partition:
     """``partitioned_metric`` folded a block of whole sequences at a time;
-    the entropy split enriches each block (``features.FeatureStream``)."""
+    the entropy split derives each block's entropy (``features.FeatureStream``)."""
 
     def __init__(self, spec: PartitionSpec, bins: BinningConfig) -> None:
         labels = {"entropy_split": ("high", "low"), "confidence_threshold": ("head", "tail"),

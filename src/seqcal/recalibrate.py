@@ -18,8 +18,8 @@ records, which become one); fits use its one cached layout, and apply lays
 out a block of its rows at a time. One pass over the layout's M active
 slots (``PooledLayout.slots``) serves all of them: logits, softmax, loss
 and gradient are flat (M,) vectors, and only the softmax's row sum sees an
-(N, W) buffer. The variable calibrator reads each row's stored features,
-or those ``features.ensure_features`` derives from its attention.
+(N, W) buffer. The variable calibrator reads each row's stored features, or
+the entropy and coverage ``features.feature_columns`` derives from its attention.
 
 All fitting is deterministic given the seed and input order. One table,
 ``NET_LAYERS``, lays out a net's weights, flat and in params files, whose
@@ -36,7 +36,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import FitError, ModelError, SeqcalError, ValidationError
-from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, ensure_features
+from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, feature_columns
 from .jsonfile import field, is_number, read_json, write_json
 from .records import LogBatch, PooledLayout, Records, TokenRecord, _dense_row, as_batch, blocks, offsets_of
 from .sequence import RescoringModel, ScoringModel
@@ -229,9 +229,10 @@ def eos_correction(
 
 
 def _features(batch: LogBatch) -> dict[str, np.ndarray]:
-    """The layout fields the variable calibrator reads, from ``ensure_features`` of the whole log."""
-    enriched = ensure_features(batch)  # the same probabilities, so the same layout
-    return {"entropy": enriched.entropy, "coverage": enriched.coverage}
+    """The layout fields the variable calibrator reads: the entropy and
+    coverage columns of ``ensure_features``, with no ``cum_attention`` column
+    (``features.feature_columns``)."""
+    return dict(zip(("entropy", "coverage"), feature_columns(batch)))
 
 
 def _fit_pool(records: Records, with_features: bool = True) -> PooledLayout:
@@ -353,9 +354,9 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     Every input entry keeps its position (zeros are written as 0.0) and the
     unlisted tokens keep sharing ``rest_mass``. An unlisted EOS whose new
     probability differs from the tail's gains its own entry, after the
-    others. The variable calibrator reads the features ``ensure_features``
-    derives over whole sequences, which a block may cut; every other column
-    is the input's own.
+    others. The variable calibrator reads the entropy and coverage columns
+    derived over whole sequences (``_features``), which a block may cut, and
+    no ``cum_attention``; every other column is the input's own.
     """
     batch = as_batch(records)
     n = len(batch)
@@ -374,16 +375,17 @@ def recalibrate_log(records: Records, params: CalibratorParams | SingleTemperatu
     rest = (batch.vocab_size - counts - own_eos) * tail_prob
     offsets = offsets_of(counts + own_eos)
     ids, new_probs = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1])
-    moved = np.arange(len(batch.ids)) + np.repeat(offsets[:-1] - batch.offsets[:-1], counts)
-    ids[moved], new_probs[moved] = batch.ids, listed
-    last = offsets[1:][own_eos] - 1
+    last = offsets[1:][own_eos] - 1  # an own EOS entry follows the row's listed ones
+    listed_at = np.ones(offsets[-1], dtype=bool)
+    listed_at[last] = False
+    ids[listed_at], new_probs[listed_at] = batch.ids, listed
     ids[last], new_probs[last] = batch.eos_id[own_eos], eos_prob[own_eos]
     return replace(batch, offsets=offsets, ids=ids, probs=new_probs, rest_mass=rest)
 
 
 def apply_calibrator(record: TokenRecord, params: CalibratorParams) -> np.ndarray:
     """Recalibrate one record's dense distribution using its stored features,
-    or those its attention vectors give (``ensure_features``): the
+    or those its attention vectors give (``_features``): the
     ``recalibrate_log`` row, densified. The record is read alone, so a
     mid-sequence step of an attention-only log needs ``enrich(seq)`` first."""
     return _dense_row(recalibrate_log([record], params))

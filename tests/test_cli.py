@@ -510,6 +510,13 @@ class TestUsageErrors:
         monkeypatch.chdir(tmp_path)
         assert main([argv[0], "--logs", str(appendix_log), *argv[1:]]) == 1
 
+    @pytest.mark.parametrize("beams", [",", ",,", ""])
+    def test_a_sweep_without_beam_widths(self, tmp_path, small_task, capsys, beams):
+        out = tmp_path / "sweep.json"
+        assert main(["toy", "beamsweep", "--spec", str(small_task), "--beams", beams, "--out", str(out)]) == 1
+        assert f"--beams {beams!r}: no beam widths" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_takes_no_out(self, tmp_path, small_task, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["toy", "gen", "--spec", str(small_task), "--n", "2", "--logs-out", "l.jsonl",
