@@ -128,6 +128,7 @@ def enrich_batch(batch: LogBatch) -> LogBatch:
     )
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite or huge vector fails a check below, not numpy
 def _enrich(batch: LogBatch, cumulative: bool = True) -> tuple[np.ndarray, ...]:
     """``enrich_batch`` of whole sequences: each row's entropy and, if
     ``cumulative``, its coverage, filled flag and width and every row's

@@ -39,6 +39,7 @@ from .errors import FitError, ModelError, SeqcalError, ValidationError
 from .features import COVERAGE_THRESHOLD, attention_entropy, coverage, feature_columns
 from .jsonfile import field, is_number, read_json, write_json
 from .records import LogBatch, PooledLayout, Records, TokenRecord, _dense_row, as_batch, blocks, offsets_of
+from .rng import Stream
 from .sequence import RescoringModel, ScoringModel
 
 PARAMS_VERSION = "seqcal-params-v1"
@@ -418,11 +419,11 @@ def calibration_gradient(params: CalibratorParams, records: Records) -> np.ndarr
 def initial_params(cfg: TrainConfig, plus_one: bool) -> CalibratorParams:
     """Seeded starting point: small symmetric nets, damping engaged near the
     coverage threshold."""
-    rng = np.random.default_rng(cfg.seed)
     theta = np.empty(THETA_SIZE)
     theta[0] = 1.0
     theta[1] = COVERAGE_THRESHOLD
-    theta[2:] = rng.uniform(-INIT_SCALE, INIT_SCALE, THETA_SIZE - 2)
+    low, high = -INIT_SCALE, INIT_SCALE
+    theta[2:] = low + (high - low) * Stream(cfg.seed).random(THETA_SIZE - 2)  # numpy's Generator.uniform
     return CalibratorParams.from_flat(theta, plus_one)
 
 

@@ -12,7 +12,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -182,16 +182,26 @@ def beam_search(model: ScoringModel, source, cfg: BeamConfig) -> list[Hypothesis
     return hypotheses
 
 
-def sample_sequence(
-    model: ScoringModel, source, rng: np.random.Generator, max_len: int
-) -> Tokens:
-    """Ancestral sampling until EOS or max_len; includes the EOS token when emitted."""
+class Uniforms(Protocol):
+    """Any source of uniform doubles in [0, 1), such as ``rng.Stream`` or a ``numpy.random.Generator``."""
+
+    def random(self) -> float: ...
+
+
+def sample_sequence(model: ScoringModel, source, rng: Uniforms, max_len: int) -> Tokens:
+    """Ancestral sampling until EOS or max_len; includes the EOS token when emitted.
+
+    Each token takes one ``rng.random()`` and is picked as numpy's
+    ``Generator.choice(V, p=...)`` picks it: the first index whose
+    normalised cdf exceeds the uniform."""
     state = model.start(source)
     tokens: Tokens = ()
     for _ in range(max_len):
         probs, _, state = model.step(state, tokens)
         probs = _checked(model, probs)
-        token = int(rng.choice(model.vocab_size, p=probs / probs.sum()))
+        cdf = (probs / probs.sum()).cumsum()
+        cdf /= cdf[-1]
+        token = int(cdf.searchsorted(rng.random(), side="right"))
         tokens = tokens + (token,)
         if token == model.eos_id:
             break
@@ -274,12 +284,13 @@ def expected_bleu(
     model: ScoringModel,
     source,
     prediction: Sequence[int],
-    rng: np.random.Generator,
+    rng: Uniforms,
     num_samples: int = 100,
     max_len: int = 64,
 ) -> float:
     """Monte Carlo estimate of the BLEU the prediction earns against references
-    drawn from the model's own sequence distribution."""
+    drawn from the model's own sequence distribution, ``sample_sequence``
+    with ``rng`` (any object with ``random()``)."""
     if num_samples < 1:
         raise MetricError("expected BLEU needs at least one sample")
     cand = strip_eos(prediction, model.eos_id)

@@ -7,8 +7,9 @@ entropy and coverage have closed-form ground truth. Known miscalibration is
 injected in logit space (global temperature and a coverage-gated EOS bias),
 which makes single-temperature recovery exact in the infinite-data limit.
 
-Per-sequence RNG streams are derived as (seed, stream, index) so results do
-not depend on evaluation order.
+Per-sequence RNG streams are keyed by (seed, stream, index) so results do
+not depend on evaluation order; each is numpy's ``default_rng`` stream for
+that key, drawn by ``rng.Stream``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .records import (
     running_sums,
     sums_to_one,
 )
+from .rng import Stream
 from .sequence import (
     BeamConfig,
     Hypothesis,
@@ -286,12 +288,14 @@ def distort(model: ScoringModel, distortion: DistortionSpec) -> ScoringModel:
     return DistortedModel(model, distortion)
 
 
-def _draw_pairs(task: ToyTaskSpec, rngs: Iterable[np.random.Generator]) -> list[tuple[Tokens, Tokens]]:
-    """Draw one (source, gold target) pair per generator from the true task distribution.
+def _draw_pairs(task: ToyTaskSpec, rngs: Iterable[Stream]) -> list[tuple[Tokens, Tokens]]:
+    """Draw one (source, gold target) pair per stream from the true task distribution.
 
-    Each generator draws the length k and the source, then k + 1 uniforms
-    at once, one per step. Each step's token is the one ``Generator.choice``
-    would pick with that uniform from the step's emission row (EOS after the
+    Each stream (an ``rng.Stream``, the draws of numpy's ``default_rng``
+    for the same key, or a ``numpy.random.Generator``) draws the length k
+    and the source, then k + 1 uniforms at once, one per step. Each step's
+    token is the one ``sample_sequence`` (numpy's ``Generator.choice``)
+    picks with that uniform from the step's emission row (EOS after the
     last source token): the first index whose normalised cdf exceeds it,
     found for all the steps of one row at once. The true model ignores the
     prefix, so a pair equals ancestral sampling with ``sample_sequence``;
@@ -318,10 +322,10 @@ def _draw_pairs(task: ToyTaskSpec, rngs: Iterable[np.random.Generator]) -> list[
 
 
 def _pairs(task: ToyTaskSpec, n: int, seed: int, stream: int, first: int = 0) -> list[tuple[Tokens, Tokens]]:
-    """Pairs first..n-1 of the (seed, stream) series, pair i drawn from its own generator."""
+    """Pairs first..n-1 of the (seed, stream) series, pair i drawn from its own stream (seed, stream, i)."""
     if n < 0:
         raise SeqcalError(f"the number of sequences must be non-negative, got {n}")
-    return _draw_pairs(task, (np.random.default_rng((seed, stream, i)) for i in range(first, n)))
+    return _draw_pairs(task, (Stream((seed, stream, i)) for i in range(first, n)))
 
 
 def _teacher_force(model: ScoringModel, pairs: Sequence[tuple[Tokens, Tokens]], first: int = 0) -> LogBatch:
@@ -479,7 +483,7 @@ def sequence_calibration_experiment(
     rows: list[dict] = []
     for i, (source, reference) in enumerate(pairs):
         prediction = _top_hypothesis(model, source, BeamConfig().beam_width).tokens
-        rng = np.random.default_rng((seed, _STREAM_SAMPLES, i))
+        rng = Stream((seed, _STREAM_SAMPLES, i))
         expected = expected_bleu(
             model, source, prediction, rng, num_samples=num_samples, max_len=len(source) + 1
         )

@@ -19,7 +19,7 @@ from seqcal.recalibrate import (
     recalibrate_log,
     save_params,
 )
-from seqcal.toybench import DistortionSpec, ToyTaskSpec
+from seqcal.toybench import DistortionSpec, ToyTaskSpec, build_true_model, emit_log_batch
 
 from conftest import split_lines
 
@@ -438,6 +438,32 @@ class TestSequenceCount:
                    "--n", "-3", "--out", str(tmp_path / "seq.json")])
         assert rc == 2
         assert "must be non-negative, got -3" in capsys.readouterr().err
+
+
+class TestNegativeSeed:
+    """A negative seed, by ``--seed`` or ``$SEQCAL_SEED``, is a data error
+    (exit 2) that names the seed, and writes no output."""
+
+    @pytest.fixture(params=["option", "environment"])
+    def seed_args(self, request, monkeypatch):
+        if request.param == "option":
+            return ["--seed", "-1"]
+        monkeypatch.setenv("SEQCAL_SEED", "-1")
+        return []
+
+    def test_gen(self, tmp_path, small_task, capsys, seed_args):
+        logs = tmp_path / "logs.jsonl"
+        assert main(["toy", "gen", "--spec", str(small_task), "--n", "5", "--logs-out", str(logs), *seed_args]) == 2
+        assert "error: a seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not logs.exists()
+
+    def test_variable_fit(self, tmp_path, small_task, capsys, seed_args):
+        logs, params = tmp_path / "logs.jsonl", tmp_path / "var.json"
+        task = ToyTaskSpec.load(small_task)
+        write_log_file(logs, emit_log_batch(build_true_model(task), task, 20, seed=3))
+        assert main(["fit", "--logs", str(logs), "--mode", "variable", "--params-out", str(params), *seed_args]) == 2
+        assert "error: a seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not params.exists()
 
 
 @pytest.mark.parametrize("partition, message", [

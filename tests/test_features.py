@@ -205,6 +205,26 @@ class TestNonFiniteWeights:
         with pytest.raises(FeatureError, match=f"sequence 's' step 2: {message}"):
             enrich(seq_of(steps))
 
+    @pytest.mark.parametrize("steps, message", [
+        # inf - inf in the difference of a step with only cum_attention
+        ([dict(attention=[0.5, 0.5], cum_attention=[math.inf, 0.5]), dict(cum_attention=[math.inf, 1.0])],
+         "step 1: cumulative attention weights must be finite"),
+        ([dict(cum_attention=[-math.inf, 0.5]), dict(cum_attention=[-math.inf, 1.0]), dict(cum_attention=[1.0, 1.0])],
+         "step 1: cumulative attention weights must be finite"),
+        ([dict(attention=[math.inf, 0.5]), dict(attention=[-math.inf, 1.0])], "step 1: attention weights must be finite"),
+        ([dict(attention=[1e308, 1e308])], "step 1: attention sums to inf, expected 1"),
+    ])
+    def test_a_batch_built_in_code_raises_without_a_numpy_warning(self, steps, message):
+        """The log reader rejects these vectors first; a ``LogBatch`` built in
+        code reaches the feature pass, which raises its FeatureError with no
+        RuntimeWarning (which pytest turns into an error) before it."""
+        batch = LogBatch.from_records([make_record([1.0], gold=0, t=t, **v) for t, v in enumerate(steps, 1)])
+        stream = FeatureStream()
+        stream.entropy(batch)
+        for call in (lambda: enrich_batch(batch), lambda: feature_columns(batch), stream.check):
+            with pytest.raises(FeatureError, match=f"sequence 's' {message}"):
+                call()
+
 
 # ---------------------------------------------------------------------------
 # The pass that reads stored attention in place, against the earlier pass

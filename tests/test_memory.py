@@ -50,6 +50,10 @@ and writes a block of whole sequences at a time, so its peak RSS
 ``--n``: from 1,500 to 4,500 sequences it grew by 0.28-0.39 MB (three
 runs); holding the whole log's columns before formatting them, it grew by
 6.64-6.77 MB.
+
+The seeded commands draw their streams with ``rng.Stream``, so none imports
+``numpy.random`` (nine C extensions, and ``hashlib`` through ``secrets``),
+and ``toy gen`` and the variable fit peak within 4 MB of the import.
 """
 
 import math
@@ -154,12 +158,17 @@ COMMAND = ("import atexit, runpy\natexit.register(lambda: print(hwm()))\n"
            "runpy.run_module('seqcal.cli', run_name='__main__')")
 
 
-def child_peak(code: str, argv, cwd) -> int:
-    """The peak RSS in bytes of a child that runs ``code`` with ``argv`` in ``cwd``."""
+def child_output(code: str, argv, cwd) -> list[str]:
+    """The words of the last line that a child which runs ``code`` with ``argv`` in ``cwd`` prints."""
     env = dict(os.environ, PYTHONPATH=str(Path(seqcal.__file__).parents[1]))
     run = subprocess.run([sys.executable, "-c", VMHWM + code, *map(str, argv)], env=env, cwd=cwd,
                          capture_output=True, text=True, check=True, timeout=120)
-    return int(run.stdout.split()[-1])
+    return run.stdout.splitlines()[-1].split()
+
+
+def child_peak(code: str, argv, cwd) -> int:
+    """The peak RSS in bytes of a child that runs ``code`` with ``argv`` in ``cwd``."""
+    return int(child_output(code, argv, cwd)[-1])
 
 
 def command_peak(argv, cwd) -> int:
@@ -230,6 +239,57 @@ def test_gen_peak_rss_does_not_grow_with_the_sequence_count(tmp_path):
     peaks = [command_peak([*argv, "--n", n], tmp_path) for n in (1500, 4500)]
     growth = peaks[1] - peaks[0]
     assert growth <= 1.5 * 2**20, f"grew by {growth / 2**20:.2f} MB from 1,500 to 4,500 sequences"
+
+
+# the modules whose import costs a command about 6 MB of peak RSS, and which no command needs
+UNNEEDED = ("numpy.random", "hashlib")
+# runs ``seqcal`` as ``COMMAND`` does, and prints at exit which of ``UNNEEDED`` it imported, then its peak RSS
+LEAN_COMMAND = ("import atexit, runpy, sys\n"
+                f"atexit.register(lambda: print(*sorted(set({UNNEEDED!r}) & set(sys.modules)), hwm()))\n"
+                "runpy.run_module('seqcal.cli', run_name='__main__')")
+
+
+@pytest.fixture(scope="module")
+def seeded_commands(tmp_path_factory):
+    """Each seeded command on the benchmark's toy task, by name: what it
+    printed at exit (the unneeded modules it imported, then its peak RSS);
+    and the peak RSS of the import of ``seqcal.cli`` alone."""
+    tmp_path = tmp_path_factory.mktemp("seeded")
+    ToyTaskSpec.two_way_default(eos_floor=0.02).save(tmp_path / "task.json")
+    DistortionSpec(temperature=0.5, eos_bias=1.5).save(tmp_path / "distort.json")
+    (tmp_path / "model.json").write_text('{"distort": {"temperature": 0.5, "eos_bias": 1.5}}')
+    gen = ("toy", "gen", "--spec", "task.json", "--distort", "distort.json")
+    commands = {
+        "toy gen": (*gen, "--n", 1500, "--seed", 3, "--logs-out", "test.jsonl"),
+        "toy gen val": (*gen, "--n", 100, "--seed", 11, "--logs-out", "val.jsonl"),
+        "fit variable": ("fit", "--logs", "val.jsonl", "--mode", "variable", "--seed", 5, "--params-out", "var.json"),
+        "toy beamsweep": ("toy", "beamsweep", "--spec", "task.json", "--distort", "distort.json", "--params",
+                          "var.json", "--beams", "1,2", "--seed", 3, "--out", "sweep.json"),
+        "seqcal": ("seqcal", "--task", "task.json", "--model", "model.json", "--n", 10, "--samples", 5,
+                   "--seed", 3, "--out", "seqcal.json"),
+    }
+    printed = {name: child_output(LEAN_COMMAND, argv, tmp_path) for name, argv in commands.items()}
+    return printed, child_peak("import seqcal.cli\nprint(hwm())", [], tmp_path)
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize("name", ["toy gen", "fit variable", "toy beamsweep", "seqcal"])
+def test_seeded_commands_import_no_numpy_random(seeded_commands, name):
+    """``rng.Stream`` draws every seeded stream, so no command imports
+    ``numpy.random`` or, through ``secrets``, ``hashlib``."""
+    printed, _ = seeded_commands
+    assert printed[name][:-1] == []
+
+
+@pytest.mark.skipif(not has_vmhwm(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize("name", ["toy gen", "fit variable"])
+def test_seeded_commands_peak_near_the_import(seeded_commands, name):
+    """``toy gen --n 1500`` and the variable fit of a 100-sequence log
+    peaked 2.3-2.4 and 1.8-1.9 MB above the import (three runs); with
+    ``numpy.random`` drawing their streams, 8.0 and 7.4 MB."""
+    printed, imported = seeded_commands
+    above = int(printed[name][-1]) - imported
+    assert above <= 4 * 2**20, f"{name} peaked {above / 2**20:.2f} MB above the import"
 
 
 def reference_finalize(bins, count, key, weight, conf, acc, gap):
